@@ -126,6 +126,11 @@ def _check_positive_tol(tol: float) -> None:
         raise click.ClickException("--tol must be positive")
 
 
+def _check_at_least(option: str, value: int, lowest: int) -> None:
+    if value < lowest:
+        raise click.ClickException(f"{option} must be at least {lowest}")
+
+
 # ---------------------------------------------------------------------------
 # report helpers
 
@@ -281,6 +286,8 @@ def oracle_cmd(catalog_id, energy_file, mu, kappa, k, khat, scale,
 
     def body():
         _check_positive_tol(tol)
+        _check_at_least("--grid", grid_n, 1)
+        _check_at_least("--samples", samples, 0)
         e = _resolve_energy(catalog_id, energy_file,
                             dict(mu=mu, kappa=kappa, k=k, khat=khat, scale=scale))
         res = oracle.brute_force_check(e, n_lambda=grid_n, n_refine=samples,
@@ -372,7 +379,8 @@ def stress_cmd(catalog_id, energy_file, mu, kappa, k, khat, scale,
 @click.option("--lambda-max", type=float, default=10**2.5)
 @click.option("--spacing", type=click.Choice(["log", "linear"]), default="log")
 @click.option("--angles", type=int, default=48,
-              help="Direction-grid resolution per angle.")
+              help="Number of eta angles in [0, pi); the minimum over xi is "
+                   "exact.")
 @click.option("--tol", type=float, default=criteria.DEFAULT_TOL)
 @click.option("--out-csv", type=click.Path(), default=None)
 @click.option("--out-svg", type=click.Path(), default=None)
@@ -383,6 +391,8 @@ def scan_cmd(catalog_id, energy_file, mu, kappa, k, khat, scale,
 
     def body():
         _check_positive_tol(tol)
+        _check_at_least("--grid", grid_n, 1)
+        _check_at_least("--angles", angles, 1)
         e = _resolve_energy(catalog_id, energy_file,
                             dict(mu=mu, kappa=kappa, k=k, khat=khat, scale=scale))
         emap = scan.scan_domain(e, lambda_range=(lambda_min, lambda_max),

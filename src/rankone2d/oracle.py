@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .energy import SingularPair, SplitEnergy
-from .errors import LeftGLplus, NonPositiveDeterminant
+from .errors import DomainError, LeftGLplus, NonPositiveDeterminant, OverflowValue
 from .kernels import direction_min_batch
 
 _PSI_EPS = 1e-8  # |t - 1| below which the distortion chain rule degenerates
@@ -51,22 +52,33 @@ def svd2(F: np.ndarray) -> Tuple[SingularPair, float, float]:
     return SingularPair(lambda1, lambda2), theta_left, theta_right
 
 
-def _psi_jets(e: SplitEnergy, t: float) -> Tuple[float, float]:
+def _psi_jets(e: SplitEnergy, t) -> Tuple[np.ndarray, np.ndarray]:
     """First and second derivative of the distortion representation at K(t).
 
-    The isochoric part h(t) equals psi(K) with K = (t + 1/t)/2; the chain
-    rule is inverted through K'(t) and K''(t).  At t = 1 the quadratic-form
-    coefficient of psi'' vanishes identically, so the degenerate limit
-    psi' = h''(1), psi'' = 0 is exact there.
+    Vectorized over ``t``.  The isochoric part h(t) equals psi(K) with
+    K = (t + 1/t)/2; the chain rule is inverted through K'(t) and K''(t),
+    written with (t - 1)(t + 1) so that no 1 - 1/t^2 is formed near t = 1.
+    At |t - 1| <= _PSI_EPS the limit psi' = t^3 h''(t) (exact to second
+    order in t - 1), psi'' = 0 is used; psi'' enters the second derivative
+    only through psi'' * (t - 1/t)^2 / 4, which is continuous across the
+    switch.
+    Non-finite jets raise the typed errors of the scalar evaluation.
     """
-    hj = e.h_jet(t)
-    if abs(t - 1.0) <= _PSI_EPS:
-        return hj.d2, 0.0
-    k1 = 0.5 * (1.0 - 1.0 / t**2)
-    k2 = 1.0 / t**3
-    psi1 = hj.d1 / k1
-    psi2 = (hj.d2 - psi1 * k2) / k1**2
-    return psi1, psi2
+    t = np.asarray(t, dtype=float)
+    hj = e.h_jet_array(t)
+    parts = np.stack([np.ravel(hj.value), np.ravel(hj.d1), np.ravel(hj.d2)])
+    bad = np.flatnonzero(~np.isfinite(parts).all(axis=0))
+    if bad.size:
+        at = float(np.ravel(t)[bad[0]])
+        if np.isnan(parts[:, bad[0]]).any():
+            raise DomainError(f"{e.h.source_text!r} undefined at {at}")
+        raise OverflowValue(f"{e.h.source_text!r} overflowed at {at}")
+    near = np.abs(t - 1.0) <= _PSI_EPS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half_gap = (t - 1.0) * (t + 1.0) / (2.0 * t)  # (t - 1/t)/2 = t*K'(t)
+        psi1 = hj.d1 * t / half_gap
+        psi2 = (t * t * hj.d2 - psi1 / t) / half_gap**2
+    return np.where(near, t**3 * hj.d2, psi1), np.where(near, 0.0, psi2)
 
 
 def second_derivative_terms(e: SplitEnergy, F: np.ndarray) -> Tuple[float, float, float]:
@@ -75,27 +87,30 @@ def second_derivative_terms(e: SplitEnergy, F: np.ndarray) -> Tuple[float, float
     pair, _, _ = svd2(F)
     psi1, psi2 = _psi_jets(e, pair.lambda1 / pair.lambda2)
     fpp = e.f_jet(pair.lambda1 * pair.lambda2).d2
-    return psi1, psi2, fpp
+    return float(psi1), float(psi2), fpp
 
 
 def analytic_second_derivative(e: SplitEnergy, F: np.ndarray,
                                xi: np.ndarray, eta: np.ndarray) -> float:
-    """Closed-form second derivative of W along the rank-one line xi (x) eta."""
-    F = np.asarray(F, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
+    """Closed-form second derivative of W along the rank-one line xi (x) eta.
+
+    The factors that depend only on (F, xi, eta) are formed in exact
+    rational arithmetic from the float inputs: their O(|F|^2) terms cancel
+    at extreme stretches, and B = <F^-1 xi, eta> nearly vanishes along a
+    stiff volumetric direction.  Only psi', psi'' and f'' carry rounding.
+    """
     psi1, psi2, fpp = second_derivative_terms(e, F)
-    J = float(np.linalg.det(F))
-    nf2 = float(np.sum(F * F))
-    A = float(xi @ F @ eta)
-    Finv = np.array([[F[1, 1], -F[0, 1]], [-F[1, 0], F[0, 0]]]) / J
-    B = float((Finv @ xi) @ eta)
-    n2 = float(xi @ xi) * float(eta @ eta)
-    return (
-        psi2 / J**2 * (A - 0.5 * nf2 * B) ** 2
-        + psi1 / J * (n2 - 2.0 * A * B + nf2 * B * B)
-        + fpp * J**2 * B * B
-    )
+    (a, b), (c, d) = ((Fraction(v) for v in row) for row in np.asarray(F, dtype=float))
+    x0, x1 = (Fraction(v) for v in np.asarray(xi, dtype=float))
+    y0, y1 = (Fraction(v) for v in np.asarray(eta, dtype=float))
+    J = a * d - b * c
+    nf2 = a * a + b * b + c * c + d * d
+    A = x0 * (a * y0 + b * y1) + x1 * (c * y0 + d * y1)
+    JB = x0 * (d * y0 - c * y1) + x1 * (a * y1 - b * y0)  # J * B
+    n2 = (x0 * x0 + x1 * x1) * (y0 * y0 + y1 * y1)
+    iso = (J * A - nf2 * JB / 2) ** 2 / J**4
+    dist = (n2 * J * J - 2 * A * JB * J + nf2 * JB * JB) / J**3
+    return psi2 * float(iso) + psi1 * float(dist) + fpp * float(JB * JB)
 
 
 def fd_second_derivative(e: SplitEnergy, F: np.ndarray, xi: np.ndarray,
@@ -197,7 +212,6 @@ class BruteForceResult:
 
 def _kernel_batch(e: SplitEnergy, lam1, lam2, alpha, beta, n_angles):
     """Assemble per-sample matrices and jets, run the direction kernel."""
-    n = lam1.size
     ca, sa = np.cos(alpha), np.sin(alpha)
     cb, sb = np.cos(beta), np.sin(beta)
     # R(alpha) @ diag(l1, l2) @ R(beta)
@@ -206,16 +220,10 @@ def _kernel_batch(e: SplitEnergy, lam1, lam2, alpha, beta, n_angles):
     f10 = sa * lam1 * cb + ca * lam2 * sb
     f11 = -sa * lam1 * sb + ca * lam2 * cb
 
-    t = lam1 / lam2
-    z = lam1 * lam2
-    psi1 = np.empty(n)
-    psi2 = np.empty(n)
-    for i in range(n):
-        psi1[i], psi2[i] = _psi_jets(e, float(t[i]))
-    fpp = e.f_jet_array(z).d2
+    psi1, psi2 = _psi_jets(e, lam1 / lam2)
+    fpp = e.f_jet_array(lam1 * lam2).d2
     return (f00, f01, f10, f11), direction_min_batch(
-        f00, f01, f10, f11, psi1, psi2, np.ascontiguousarray(fpp), n_angles
-    )
+        f00, f01, f10, f11, psi1, psi2, fpp, n_angles)
 
 
 def brute_force_check(
@@ -257,9 +265,10 @@ def brute_force_check(
         if vals_r[j] < best.value:
             best = _pack(mats_r, vals_r, xis_r, etas_r, j)
 
+    # the value at the reported float witness, which is what a re-check sees
+    value = analytic_second_derivative(e, best.F, best.xi, best.eta)
     return BruteForceResult(
-        violation=best.value < -tol, value=best.value,
-        F=best.F, xi=best.xi, eta=best.eta,
+        violation=value < -tol, value=value, F=best.F, xi=best.xi, eta=best.eta,
     )
 
 

@@ -77,16 +77,11 @@ def scan_domain(
     keep = lam1 >= lam2
     lam1, lam2, ii, jj = lam1[keep], lam2[keep], ii[keep], jj[keep]
 
-    t = lam1 / lam2
-    psi1 = np.empty(t.size)
-    psi2 = np.empty(t.size)
-    for k in range(t.size):
-        psi1[k], psi2[k] = _psi_jets(e, float(t[k]))
+    psi1, psi2 = _psi_jets(e, lam1 / lam2)
     fpp = e.f_jet_array(lam1 * lam2).d2
-    zeros = np.zeros(t.size)
-    vals, _, _ = direction_min_batch(
-        lam1, zeros, zeros, lam2, psi1, psi2, np.ascontiguousarray(fpp), n_angles
-    )
+    zeros = np.zeros(lam1.size)
+    vals, _, _ = direction_min_batch(lam1, zeros, zeros, lam2, psi1, psi2, fpp,
+                                     n_angles)
 
     margins = np.empty((n_points, n_points))
     margins[jj, ii] = vals

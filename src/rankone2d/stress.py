@@ -136,7 +136,7 @@ def infinitesimal_moduli(e: SplitEnergy, tol: float = DEFAULT_TOL) -> Infinitesi
     """Shear and bulk-type moduli at the natural state t = z = 1."""
     mu = e.h_jet(1.0).d2
     fj = e.f_jet(1.0)
-    return InfinitesimalModuli(mu=mu, kappa=fj.d2, stress_free=abs(fj.d1) <= tol)
+    return InfinitesimalModuli(mu=mu, kappa=fj.d2, stress_free=bool(abs(fj.d1) <= tol))
 
 
 def w_lin(mu: float, kappa: float, xi: np.ndarray, eta: np.ndarray) -> float:

@@ -130,6 +130,13 @@ class TestOracle:
         assert res.exit_code == 1
         assert "witness F" in res.output
 
+    @pytest.mark.parametrize("flag, value", [("--grid", "0"),
+                                             ("--samples", "-5")])
+    def test_bad_size_rejected(self, runner, flag, value):
+        res = invoke(runner, "oracle", "--catalog", "example1", flag, value)
+        assert res.exit_code == 3
+        assert f"{flag} must be at least" in res.output
+
     def test_seed_determinism(self, runner):
         args = ("oracle", "--catalog", "exp_hencky_iso", "--grid", "8",
                 "--samples", "50", "--seed", "9", "--report", "json")
@@ -143,6 +150,14 @@ class TestStress:
         payload = json.loads(res.output)
         assert payload["moduli"]["mu"] == pytest.approx(9.6)
         assert payload["moduli"]["kappa"] == pytest.approx(-8.0)
+        assert payload["verdicts"]["invertibility"] == "Degenerate"
+        assert res.exit_code == 1
+
+    def test_json_report_with_log_volumetric_part(self, runner):
+        res = invoke(runner, "stress", "--catalog", "hencky",
+                     "--at", "2.0", "0.5", "--report", "json")
+        payload = json.loads(res.output)
+        assert payload["moduli"]["stress_free"] is True
         assert payload["verdicts"]["invertibility"] == "Degenerate"
         assert res.exit_code == 1
 
@@ -178,3 +193,9 @@ class TestScan:
                    "9", "--out-csv", str(out))
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("flag", ["--grid", "--angles"])
+    def test_bad_size_rejected(self, runner, flag):
+        res = invoke(runner, "scan", "--catalog", "example1", flag, "0")
+        assert res.exit_code == 3
+        assert f"{flag} must be at least" in res.output

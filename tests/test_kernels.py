@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from rankone2d import catalog
+from rankone2d import (analytic_second_derivative, as_general,
+                       brute_force_check, catalog, scan_domain)
+from rankone2d.energy import CATALOG
 from rankone2d.kernels import BACKEND, available_backends, direction_min_batch
-from rankone2d.oracle import second_derivative_terms
+from rankone2d.oracle import _psi_jets, rotation, second_derivative_terms
 
 
 def make_batch(n=64, seed=0):
@@ -76,3 +78,91 @@ class TestKernelContract:
         _, xis, etas = direction_min_batch(*batch, 24)
         assert np.all((0 <= xis) & (xis < np.pi))
         assert np.all((0 <= etas) & (etas < np.pi))
+
+
+def _rotated_batch(e, n, seed, spread=2.0):
+    """Rotated F = R(a) diag(l1, l2) R(b) with stretches in e^+-spread."""
+    rng = np.random.RandomState(seed)
+    lam1 = np.exp(rng.uniform(-spread, spread, n))
+    lam2 = np.exp(rng.uniform(-spread, spread, n))
+    mats = [rotation(a) @ np.diag([l1, l2]) @ rotation(b) for l1, l2, a, b in
+            zip(lam1, lam2, rng.uniform(0, np.pi, n), rng.uniform(0, np.pi, n))]
+    terms = np.array([second_derivative_terms(e, F) for F in mats])
+    f00, f01, f10, f11 = (np.array([F[i, j] for F in mats])
+                          for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    return mats, (f00, f01, f10, f11, *terms.T)
+
+
+def _grid_min(F, psi1, psi2, fpp, n_angles):
+    """Smallest second derivative over a uniform xi x eta angle grid."""
+    ang = np.arange(n_angles) * (np.pi / n_angles)
+    xi = np.stack([np.cos(ang), np.sin(ang)])
+    A = xi.T @ F @ xi                   # rows: xi angle, cols: eta angle
+    B = xi.T @ np.linalg.inv(F).T @ xi  # <F^-1 xi, eta>
+    J = np.linalg.det(F)
+    nf2 = np.sum(F * F)
+    vals = (psi2 / J**2 * (A - 0.5 * nf2 * B) ** 2
+            + psi1 / J * (1.0 - 2.0 * A * B + nf2 * B * B) + fpp * J**2 * B * B)
+    return vals.min()
+
+
+def _ks_margin(e, x, y):
+    """Smallest Knowles-Sternberg margin at diag(x, y), each condition
+    normalized by the size of its ingredients; negative iff not elliptic."""
+    _, gx, gy, gxx, gxy, gyy = as_general(e).partials(x, y)
+    with np.errstate(all="ignore"):
+        root = np.sqrt(np.maximum(gxx * gyy, 0.0))
+        diag = x == y
+        dxy = np.where(diag, 1.0, x - y)
+        m_i = np.minimum(gxx, gyy) / (np.abs(gxx) + np.abs(gyy))
+        m_ii = (x * gx - y * gy) / (np.abs(x * gx) + np.abs(y * gy))
+        m_iii = np.minimum(gxx - gxy + gx / x, gyy - gxy + gy / y) / (
+            np.abs(gxx) + np.abs(gyy) + np.abs(gxy) + (np.abs(gx) + np.abs(gy)) / x)
+        m_iv = (root + gxy + (gx - gy) / dxy) / (
+            root + np.abs(gxy) + (np.abs(gx) + np.abs(gy)) / np.abs(dxy))
+        m_v = (root - gxy + (gx + gy) / (x + y)) / (
+            root + np.abs(gxy) + (np.abs(gx) + np.abs(gy)) / (x + y))
+    off_diag = np.minimum(np.sign(x - y) * m_ii, m_iv)
+    return np.minimum.reduce([m_i, np.where(diag, m_iii, off_diag), m_v])
+
+
+class TestAcousticKernel:
+    @pytest.mark.parametrize("cid", sorted(CATALOG))
+    def test_below_grid_and_exact_at_reported_angles(self, cid):
+        e = catalog(cid)
+        mats, batch = _rotated_batch(e, 12, seed=sorted(CATALOG).index(cid))
+        vals, xis, etas = direction_min_batch(*batch, 48)
+        for i, F in enumerate(mats):
+            grid = _grid_min(F, batch[4][i], batch[5][i], batch[6][i], 48)
+            assert vals[i] <= grid + 1e-10 * (1.0 + abs(grid))
+            xi = np.array([np.cos(xis[i]), np.sin(xis[i])])
+            eta = np.array([np.cos(etas[i]), np.sin(etas[i])])
+            exact = analytic_second_derivative(e, F, xi, eta)
+            assert vals[i] == pytest.approx(exact, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("cid", ["example1", "example2", "k_energy",
+                                     "hadamard_k", "idealized", "exp_hencky"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_no_false_violation_at_extreme_stretches(self, cid, seed):
+        res = brute_force_check(catalog(cid), lambda_range=(1e-2, 1e2), seed=seed)
+        assert res.summary == "NoViolationFound"
+
+    def test_hencky_map_has_no_elliptic_cell_failing_ks(self):
+        # the violating directions sit within about a degree of an axis
+        # here, narrower than a 48-angle grid in both xi and eta resolves
+        e = catalog("hencky", mu=1.280, kappa=1.558)
+        emap = scan_domain(e, n_points=128, n_angles=48)
+        x, y = np.meshgrid(emap.lambda1, emap.lambda2, indexing="ij")
+        ks = _ks_margin(e, x, y)
+        elliptic = emap.verdicts == "Elliptic"
+        assert not (elliptic & (ks < -1e-3)).any()
+
+    @pytest.mark.parametrize("cid", sorted(CATALOG))
+    def test_isochoric_weight_continuous_at_switch(self, cid):
+        e = catalog(cid)
+        side = 1e-8 * (1.0 + np.array([-1e-6, 1e-6]))
+        t = np.concatenate([1.0 + side, 1.0 - side])
+        _, psi2 = _psi_jets(e, t)
+        c_iso = 0.25 * psi2 * (t - 1.0 / t) ** 2
+        scale = abs(e.h_jet(1.0).d2)
+        assert np.all(np.abs(c_iso) <= 1e-8 * scale)
