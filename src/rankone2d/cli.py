@@ -12,15 +12,18 @@ Energy-definition files are plain key/value text::
     f = (z - 1)^2
     mu = 0.5
 
-Keys other than ``name``, ``h`` and ``f`` are numeric parameters that are
-substituted textually into the h/f sources before parsing.
+Keys other than ``name``, ``h`` and ``f`` are numeric parameters.  They
+are bound at parse time: a parameter name in h or f reads as its number.
+A key that is not an identifier, that names the variable (``t`` in h, ``z``
+in f), a function (``exp``, ``log``, ...) or a constant (``e``, ``pi``), or
+whose value is not a finite number is an input error.  Keys that neither
+source uses are ignored.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 import sys
 from typing import Optional
 
@@ -60,16 +63,14 @@ def _load_energy_file(path: str) -> energy.SplitEnergy:
     name = entries.pop("name", path)
     h_src = entries.pop("h")
     f_src = entries.pop("f")
+    params = {}
     for key, value in entries.items():
         try:
-            literal = repr(float(value))
+            params[key] = float(value)
         except ValueError:
             raise click.ClickException(
                 f"{path}: parameter {key!r} is not numeric: {value!r}")
-        pattern = r"\b" + re.escape(key) + r"\b"
-        h_src = re.sub(pattern, "(" + literal + ")", h_src)
-        f_src = re.sub(pattern, "(" + literal + ")", f_src)
-    return energy.make_split(h_src, f_src, name=name)
+    return energy.make_split(h_src, f_src, name=name, params=params)
 
 
 def _resolve_energy(catalog: Optional[str], energy_file: Optional[str],
@@ -87,17 +88,16 @@ def _resolve_energy(catalog: Optional[str], energy_file: Optional[str],
 
 
 def _energy_options(fn):
+    """Energy source options plus one flag per catalog parameter; a command
+    takes the parameter flags as ``**params``."""
+    names = dict.fromkeys(p for entry in energy.CATALOG.values()
+                          for p in entry.defaults)
     for deco in reversed([
         click.option("--catalog", "catalog_id", default=None,
                      help="Catalog energy id."),
         click.option("--energy-file", default=None, type=click.Path(),
                      help="Energy definition file (key=value text)."),
-        click.option("--mu", type=float, default=None),
-        click.option("--kappa", type=float, default=None),
-        click.option("--k", type=float, default=None),
-        click.option("--khat", type=float, default=None),
-        click.option("--scale", type=float, default=None),
-    ]):
+    ] + [click.option(f"--{name}", type=float, default=None) for name in names]):
         fn = deco(fn)
     return fn
 
@@ -191,15 +191,13 @@ def _run(fn, *args, **kwargs) -> None:
 @_energy_options
 @_grid_options
 @_report_option
-def check(catalog_id, energy_file, mu, kappa, k, khat, scale,
-          t_min, t_max, t_points, z_min, z_max, z_points, tol,
-          report_format):
+def check(catalog_id, energy_file, t_min, t_max, t_points, z_min, z_max,
+          z_points, tol, report_format, **params):
     """Full cross-route rank-one convexity check."""
 
     def body():
         _check_positive_tol(tol)
-        e = _resolve_energy(catalog_id, energy_file,
-                            dict(mu=mu, kappa=kappa, k=k, khat=khat, scale=scale))
+        e = _resolve_energy(catalog_id, energy_file, params)
         t_grid = criteria.GridSpec(t_min, t_max, t_points)
         z_grid = criteria.GridSpec(z_min, z_max, z_points)
         xy_grid = criteria.DEFAULT_XY_GRID
@@ -246,12 +244,11 @@ def check(catalog_id, energy_file, mu, kappa, k, khat, scale,
 @main.command()
 @_energy_options
 @_report_option
-def classify(catalog_id, energy_file, mu, kappa, k, khat, scale, report_format):
+def classify(catalog_id, energy_file, report_format, **params):
     """Structural classification with short-circuit verdict."""
 
     def body():
-        e = _resolve_energy(catalog_id, energy_file,
-                            dict(mu=mu, kappa=kappa, k=k, khat=khat, scale=scale))
+        e = _resolve_energy(catalog_id, energy_file, params)
         cls = criteria.classify_structure(e)
         payload = {"schema_version": SCHEMA_VERSION, "energy": e.name}
         payload.update(cls.to_dict())
@@ -280,16 +277,15 @@ def classify(catalog_id, energy_file, mu, kappa, k, khat, scale, report_format):
 @click.option("--grid", "grid_n", type=int, default=20,
               help="Stretch samples per axis.")
 @click.option("--tol", type=float, default=criteria.DEFAULT_TOL)
-def oracle_cmd(catalog_id, energy_file, mu, kappa, k, khat, scale,
-               report_format, seed, samples, grid_n, tol):
+def oracle_cmd(catalog_id, energy_file, report_format, seed, samples, grid_n,
+               tol, **params):
     """Brute-force Legendre-Hadamard violation search."""
 
     def body():
         _check_positive_tol(tol)
         _check_at_least("--grid", grid_n, 1)
         _check_at_least("--samples", samples, 0)
-        e = _resolve_energy(catalog_id, energy_file,
-                            dict(mu=mu, kappa=kappa, k=k, khat=khat, scale=scale))
+        e = _resolve_energy(catalog_id, energy_file, params)
         res = oracle.brute_force_check(e, n_lambda=grid_n, n_refine=samples,
                                        seed=seed, tol=tol)
         payload = {
@@ -319,14 +315,12 @@ def oracle_cmd(catalog_id, energy_file, mu, kappa, k, khat, scale,
 @click.option("--at", nargs=2, type=float, default=(1.0, 1.0),
               help="Principal stretches lambda1 lambda2.")
 @click.option("--tol", type=float, default=criteria.DEFAULT_TOL)
-def stress_cmd(catalog_id, energy_file, mu, kappa, k, khat, scale,
-               report_format, at, tol):
+def stress_cmd(catalog_id, energy_file, report_format, at, tol, **params):
     """Principal stresses, moduli and stress-map invertibility."""
 
     def body():
         _check_positive_tol(tol)
-        e = _resolve_energy(catalog_id, energy_file,
-                            dict(mu=mu, kappa=kappa, k=k, khat=khat, scale=scale))
+        e = _resolve_energy(catalog_id, energy_file, params)
         pair = energy.SingularPair(at[0], at[1])
         st = stress.principal_cauchy(e, pair)
         det = stress.stress_jacobian_det(e, pair)
@@ -384,17 +378,15 @@ def stress_cmd(catalog_id, energy_file, mu, kappa, k, khat, scale,
 @click.option("--tol", type=float, default=criteria.DEFAULT_TOL)
 @click.option("--out-csv", type=click.Path(), default=None)
 @click.option("--out-svg", type=click.Path(), default=None)
-def scan_cmd(catalog_id, energy_file, mu, kappa, k, khat, scale,
-             report_format, grid_n, lambda_min, lambda_max, spacing, angles,
-             tol, out_csv, out_svg):
+def scan_cmd(catalog_id, energy_file, report_format, grid_n, lambda_min,
+             lambda_max, spacing, angles, tol, out_csv, out_svg, **params):
     """Ellipticity-domain map over the (lambda1, lambda2) plane."""
 
     def body():
         _check_positive_tol(tol)
         _check_at_least("--grid", grid_n, 1)
         _check_at_least("--angles", angles, 1)
-        e = _resolve_energy(catalog_id, energy_file,
-                            dict(mu=mu, kappa=kappa, k=k, khat=khat, scale=scale))
+        e = _resolve_energy(catalog_id, energy_file, params)
         emap = scan.scan_domain(e, lambda_range=(lambda_min, lambda_max),
                                 n_points=grid_n, n_angles=angles, tol=tol,
                                 spacing=spacing)

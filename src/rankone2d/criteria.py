@@ -129,21 +129,6 @@ def _overall(reports: Sequence[ConditionReport], route: str) -> RankOneVerdict:
 # split-condition coefficients
 
 
-@dataclass(frozen=True)
-class VolisoCoefficients:
-    """The three t-coefficients entering the disjunctive conditions."""
-
-    a: float
-    b: float
-    c: float
-
-
-def voliso_coefficients(e: SplitEnergy, t: float) -> VolisoCoefficients:
-    hj = e.h_jet(t)
-    a, b, c = _abc_from_jets(np.asarray(t, dtype=float), hj.d1, hj.d2)
-    return VolisoCoefficients(float(a), float(b), float(c))
-
-
 def _abc_from_jets(t, h1, h2):
     a = t**2 * (t**2 - 1.0) * h1 * h2 - 2.0 * t * h1**2
     b = (t**2 + 3.0) * h1 + 2.0 * t * (t**2 + 1.0) * h2
@@ -361,16 +346,12 @@ def necessary_battery(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
     h1, h2 = _h_tables(e, ts)
     f2 = e.f_jet_array(ts).d2
 
-    h_kind, h_wit = convexity_verdict(e.h, t_grid.lo, t_grid.hi)
-    f_kind, f_wit = convexity_verdict(e.f, t_grid.lo, t_grid.hi)
-    if "Convex" in (h_kind, f_kind):
-        rep_a = ConditionReport("Nec_a", "Holds", 0.0, None, 2 * t_grid.n, tol)
-    else:
-        rep_a = ConditionReport("Nec_a", "Fails", -math.inf,
-                                [h_wit, f_wit], 2 * t_grid.n, tol)
-    rep_a.witness = {"h": h_kind, "f": f_kind}
-
-    reports = [rep_a]
+    h_kind, _ = convexity_verdict(e.h, t_grid.lo, t_grid.hi)
+    f_kind, _ = convexity_verdict(e.f, t_grid.lo, t_grid.hi)
+    convex = "Convex" in (h_kind, f_kind)
+    reports = [ConditionReport("Nec_a", "Holds" if convex else "Fails",
+                               0.0 if convex else -math.inf,
+                               {"h": h_kind, "f": f_kind}, 2 * t_grid.n, tol)]
     reports.append(_grid_report("Nec_b", h2 + f2, (ts,), tol))
     signed = np.where(ts >= 1.0, h1, -h1)
     reports.append(_grid_report("Nec_c", signed, (ts,), tol))
@@ -412,6 +393,12 @@ _FIT_POINTS = 64
 _FIT_TOL = 1e-9
 
 
+def _verdict_of(convexity: str) -> str:
+    """Rank-one verdict of a detected structure from its deciding part."""
+    return {"Convex": "RankOneConvex",
+            "NonConvex": "NotRankOneConvex"}.get(convexity, "Inconclusive")
+
+
 def _fit_scale(target: np.ndarray, basis: np.ndarray) -> tuple:
     """Least-squares scale s minimizing ||target - s*basis||; returns (s, rel_res)."""
     denom = float(basis @ basis)
@@ -436,18 +423,14 @@ def classify_structure(e: SplitEnergy) -> StructureClassification:
     mu, res = _fit_scale(h_vals, distortion)
     if res < _FIT_TOL and mu > 0.0:
         kind, wit = convexity_verdict(e.f)
-        verdict = "RankOneConvex" if kind == "Convex" else (
-            "NotRankOneConvex" if kind == "NonConvex" else "Inconclusive")
         return StructureClassification("hadamard_k", mu=mu, convexity=kind,
-                                       witness=wit, verdict=verdict)
+                                       witness=wit, verdict=_verdict_of(kind))
 
     ratio, res = _fit_scale(f_vals, h_vals)
     if res < _FIT_TOL and ratio > 0.0:
         kind, wit = convexity_verdict(e.h)
-        verdict = "RankOneConvex" if kind == "Convex" else (
-            "NotRankOneConvex" if kind == "NonConvex" else "Inconclusive")
         return StructureClassification("idealized_same_h", ratio=ratio,
                                        convexity=kind, witness=wit,
-                                       verdict=verdict)
+                                       verdict=_verdict_of(kind))
 
     return StructureClassification("general")

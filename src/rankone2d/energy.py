@@ -9,8 +9,8 @@ with all first and second partials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -80,10 +80,14 @@ class SplitEnergy:
 
 
 def make_split(h_source: str, f_source: str, name: str = "",
-               catalog_id: Optional[str] = None) -> SplitEnergy:
-    """Parse and validate a split energy from expression sources."""
-    h = expr.parse(h_source, "t")
-    f = expr.parse(f_source, "z")
+               catalog_id: Optional[str] = None,
+               params: Optional[Mapping[str, float]] = None) -> SplitEnergy:
+    """Parse and validate a split energy from expression sources.
+
+    ``params`` binds parameter names in both sources (see ``expr.parse``).
+    """
+    h = expr.parse(h_source, "t", params)
+    f = expr.parse(f_source, "z", params)
     ts = np.logspace(-3.0, 3.0, _SYMMETRY_POINTS)
     ht = eval_jet2_array(h, ts).value
     hrec = eval_jet2_array(h, 1.0 / ts).value
@@ -150,75 +154,49 @@ def as_general(e: SplitEnergy) -> GeneralIsotropicEnergy:
 # catalog
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+class _CatalogEntry(NamedTuple):
+    """Source templates of h and f, the parameters they take with their
+    default values, and a description.  Parameters are bound at parse time."""
 
-
-@dataclass(frozen=True)
-class _CatalogEntry:
-    builder: Callable
+    h: str
+    f: str
+    defaults: dict
     description: str
-    params: tuple = field(default=())
-
-
-def _example1(**_):
-    return ("exp((1/10)*log(t)^2)", "(1/60)*(z - 1/z)^2")
-
-
-def _example2(**_):
-    return ("(6/5)*(t - 1/t)^2", "(z - 1/z)^4 - (z - 1/z)^2")
-
-
-def _k_energy(mu=1.0, **_):
-    return (f"({_fmt(mu)}/2)*(t + 1/t)", "0")
-
-
-def _hadamard_k(mu=1.0, kappa=1.0, **_):
-    return (f"({_fmt(mu)}/2)*(t + 1/t)", f"({_fmt(kappa)}/2)*(z - 1)^2")
-
-
-def _hencky(mu=1.0, kappa=1.0, **_):
-    return (f"({_fmt(mu)}/2)*log(t)^2", f"({_fmt(kappa)}/2)*log(z)^2")
-
-
-def _exp_hencky(mu=1.0, kappa=1.0, k=0.25, khat=0.25, **_):
-    return (
-        f"({_fmt(mu)}/{_fmt(k)})*exp(({_fmt(k)}/2)*log(t)^2)",
-        f"({_fmt(kappa)}/(2*{_fmt(khat)}))*exp({_fmt(khat)}*log(z)^2)",
-    )
-
-
-def _exp_hencky_iso(mu=1.0, k=0.1, **_):
-    return (f"{_fmt(mu)}*exp({_fmt(k)}*log(t)^2)", "0")
-
-
-def _exp_hencky_coupled(mu=1.0, k=0.1, **_):
-    return (f"{_fmt(mu)}*exp({_fmt(k)}*log(t)^2)", "(1/1000)*(z - 1/z)^2")
-
-
-def _idealized(mu=1.0, kappa=1.0, **_):
-    base = "((%s) + 1/(%s))/2 - 1"
-    return (
-        f"{_fmt(mu)}*({base % ('t', 't')})",
-        f"({_fmt(kappa)}/2)*({base % ('z', 'z')})",
-    )
-
-
-def _volumetric_double_well(scale=1.0, **_):
-    return ("0", f"{_fmt(scale)}*((z - 1/z)^4 - (z - 1/z)^2)")
 
 
 CATALOG = {
-    "example1": _CatalogEntry(_example1, "smooth exp-log isochoric part with convex volumetric coupling"),
-    "example2": _CatalogEntry(_example2, "convex isochoric part with double-well volumetric part"),
-    "k_energy": _CatalogEntry(_k_energy, "pure distortion energy mu*K", ("mu",)),
-    "hadamard_k": _CatalogEntry(_hadamard_k, "distortion energy plus convex quadratic volumetric part", ("mu", "kappa")),
-    "hencky": _CatalogEntry(_hencky, "planar logarithmic-strain energy", ("mu", "kappa")),
-    "exp_hencky": _CatalogEntry(_exp_hencky, "exponentiated logarithmic-strain energy", ("mu", "kappa", "k", "khat")),
-    "exp_hencky_iso": _CatalogEntry(_exp_hencky_iso, "isochoric exponentiated log-strain part only", ("mu", "k")),
-    "exp_hencky_coupled": _CatalogEntry(_exp_hencky_coupled, "isochoric exponentiated part with weak volumetric coupling", ("mu", "k")),
-    "idealized": _CatalogEntry(_idealized, "same shape function for isochoric and volumetric response", ("mu", "kappa")),
-    "double_well_vol": _CatalogEntry(_volumetric_double_well, "pure double-well volumetric part", ("scale",)),
+    "example1": _CatalogEntry(
+        "exp((1/10)*log(t)^2)", "(1/60)*(z - 1/z)^2", {},
+        "smooth exp-log isochoric part with convex volumetric coupling"),
+    "example2": _CatalogEntry(
+        "(6/5)*(t - 1/t)^2", "(z - 1/z)^4 - (z - 1/z)^2", {},
+        "convex isochoric part with double-well volumetric part"),
+    "k_energy": _CatalogEntry(
+        "(mu/2)*(t + 1/t)", "0", {"mu": 1.0},
+        "pure distortion energy mu*K"),
+    "hadamard_k": _CatalogEntry(
+        "(mu/2)*(t + 1/t)", "(kappa/2)*(z - 1)^2", {"mu": 1.0, "kappa": 1.0},
+        "distortion energy plus convex quadratic volumetric part"),
+    "hencky": _CatalogEntry(
+        "(mu/2)*log(t)^2", "(kappa/2)*log(z)^2", {"mu": 1.0, "kappa": 1.0},
+        "planar logarithmic-strain energy"),
+    "exp_hencky": _CatalogEntry(
+        "(mu/k)*exp((k/2)*log(t)^2)", "(kappa/(2*khat))*exp(khat*log(z)^2)",
+        {"mu": 1.0, "kappa": 1.0, "k": 0.25, "khat": 0.25},
+        "exponentiated logarithmic-strain energy"),
+    "exp_hencky_iso": _CatalogEntry(
+        "mu*exp(k*log(t)^2)", "0", {"mu": 1.0, "k": 0.1},
+        "isochoric exponentiated log-strain part only"),
+    "exp_hencky_coupled": _CatalogEntry(
+        "mu*exp(k*log(t)^2)", "(1/1000)*(z - 1/z)^2", {"mu": 1.0, "k": 0.1},
+        "isochoric exponentiated part with weak volumetric coupling"),
+    "idealized": _CatalogEntry(
+        "mu*((t + 1/t)/2 - 1)", "(kappa/2)*((z + 1/z)/2 - 1)",
+        {"mu": 1.0, "kappa": 1.0},
+        "same shape function for isochoric and volumetric response"),
+    "double_well_vol": _CatalogEntry(
+        "0", "scale*((z - 1/z)^4 - (z - 1/z)^2)", {"scale": 1.0},
+        "pure double-well volumetric part"),
 }
 
 
@@ -230,12 +208,12 @@ def catalog(catalog_id: str, **params) -> SplitEnergy:
         raise UnknownCatalogId(
             f"unknown catalog id {catalog_id!r}; known: {', '.join(sorted(CATALOG))}"
         ) from None
-    unknown = set(params) - set(entry.params)
+    unknown = set(params) - set(entry.defaults)
     if unknown:
         raise UnknownCatalogId(
             f"{catalog_id!r} does not take parameters {sorted(unknown)}"
         )
-    h_source, f_source = entry.builder(**params)
     shown = ", ".join(f"{k}={v:g}" for k, v in sorted(params.items()))
     name = catalog_id + (f"({shown})" if shown else "")
-    return make_split(h_source, f_source, name=name, catalog_id=catalog_id)
+    return make_split(entry.h, entry.f, name=name, catalog_id=catalog_id,
+                      params={**entry.defaults, **params})

@@ -21,6 +21,10 @@ class WrongVariable(ExpressionSyntaxError):
     """Expression uses a free variable other than the declared one."""
 
 
+class BadParameter(RankOneError):
+    """A parameter binding has a bad name or a non-finite value."""
+
+
 class DomainError(RankOneError):
     """Evaluation left the natural domain of a sub-expression (log, sqrt, ...)."""
 
@@ -58,7 +62,3 @@ class DegenerateGrid(RankOneError):
 
 class LeftGLplus(RankOneError):
     """A finite-difference step left GL+(2); shrink the step."""
-
-
-class DegenerateChainRule(RankOneError):
-    """Distortion chain rule degenerated away from t = 1 (should not occur)."""

@@ -3,7 +3,9 @@
 The grammar is a small infix language with precedence
 ``^`` (right-assoc) > unary ``-`` > ``*``, ``/`` > ``+``, ``-``,
 parentheses, the constants ``pi`` and ``e``, decimal/scientific literals and
-the unary functions exp, log, sqrt, cosh, sinh, tanh, arcosh.
+the unary functions exp, log, sqrt, cosh, sinh, tanh, arcosh.  Named
+parameters are bound at parse time: a bound name parses as its value's
+literal would, so no value is ever formatted into source text.
 
 Evaluation propagates (value, d1, d2) through every operation, so first and
 second derivatives are exact to machine rounding; no numeric differencing is
@@ -15,11 +17,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .errors import (
+    BadParameter,
     DomainError,
     ExpressionSyntaxError,
     OverflowValue,
@@ -154,10 +158,11 @@ def jet_pow(base: Jet2, exponent: Jet2) -> Jet2:
 # ---------------------------------------------------------------------------
 # parsing
 
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<name>" + _NAME + r")"
     r"|(?P<op>[-+*/^()])"
     r")"
 )
@@ -182,10 +187,30 @@ def _tokenize(source: str):
     return tokens
 
 
+def _bind(params: Mapping[str, float], variable_name: str) -> dict:
+    """Validate parameter bindings and map each name to its number node."""
+    bound = {}
+    for name, value in params.items():
+        if not re.fullmatch(_NAME, name):
+            raise BadParameter(f"parameter {name!r} is not an identifier")
+        if name == variable_name or name in FUNCTIONS or name in CONSTANTS:
+            raise BadParameter(f"parameter {name!r} is taken by the variable, "
+                               "a function or a constant")
+        value = float(value)
+        if not math.isfinite(value):
+            raise BadParameter(f"parameter {name!r} is not finite: {value}")
+        # the node a literal of the value parses to (the grammar reads -x as
+        # a negation), so pretty() round-trips and signed zeros are kept
+        literal = ("num", abs(value))
+        bound[name] = ("neg", literal) if math.copysign(1.0, value) < 0 else literal
+    return bound
+
+
 class _Parser:
-    def __init__(self, source: str, variable_name: str):
+    def __init__(self, source: str, variable_name: str, params: dict):
         self.source = source
         self.variable = variable_name
+        self.params = params
         self.tokens = _tokenize(source)
         self.i = 0
 
@@ -261,6 +286,8 @@ class _Parser:
                 return ("const", text)
             if text == self.variable:
                 return ("var",)
+            if text in self.params:
+                return self.params[text]
             if re.fullmatch(r"[A-Za-z]", text):
                 raise WrongVariable(
                     f"unknown variable {text!r}, expected {self.variable!r}", offset
@@ -279,15 +306,19 @@ class Expr:
 
     ast: tuple
     variable: str
-    source_text: str
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Expr) and self.ast == other.ast
+    source_text: str = field(compare=False)
 
 
-def parse(source: str, variable_name: str) -> Expr:
-    """Parse ``source`` into an Expr whose only free variable is ``variable_name``."""
-    ast = _Parser(source, variable_name).parse()
+def parse(source: str, variable_name: str,
+          params: Optional[Mapping[str, float]] = None) -> Expr:
+    """Parse ``source`` into an Expr whose only free variable is ``variable_name``.
+
+    ``params`` binds names to numbers; a bound name parses as that number.
+    Unused bindings are ignored.  A name that is not an identifier, that
+    collides with the variable, a function or a constant, or whose value is
+    not finite raises ``BadParameter``.
+    """
+    ast = _Parser(source, variable_name, _bind(params or {}, variable_name)).parse()
     return Expr(ast=ast, variable=variable_name, source_text=source)
 
 

@@ -76,6 +76,23 @@ class TestEnergyFile:
         assert res.exit_code == 0
         assert "my hadamard" in res.output
 
+    _EXP_HENCKY_FILE = "h = exp(k*log(t)^2)\nf = (z - 1)^2\nk = 0.1\n"
+
+    def test_bound_parameter_decides_verdict(self, runner, tmp_path):
+        p = tmp_path / "e.txt"
+        p.write_text(self._EXP_HENCKY_FILE)
+        res = invoke(runner, "check", "--energy-file", str(p))
+        assert res.exit_code == 1
+        assert "overall: NotRankOneConvex" in res.output
+
+    @pytest.mark.parametrize("key", ["t", "z", "e", "pi", "exp", "my k"])
+    def test_reserved_parameter_name_is_input_error(self, runner, tmp_path, key):
+        p = tmp_path / "e.txt"
+        p.write_text(self._EXP_HENCKY_FILE + f"{key} = 3\n")
+        res = invoke(runner, "check", "--energy-file", str(p))
+        assert res.exit_code == 3
+        assert repr(key) in res.output
+
     def test_comments_and_blank_lines_ignored(self, runner, tmp_path):
         p = tmp_path / "c.txt"
         p.write_text("# a comment\n\nh = 0\nf = z^2\n")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankone2d import energy, errors
+from rankone2d import energy, errors, expr
 
 positive = st.floats(min_value=1e-2, max_value=1e2)
 
@@ -143,6 +143,19 @@ class TestCatalog:
         t = 2.7
         assert e.h_jet(t).value == pytest.approx(
             math.exp(0.1 * math.log(t) ** 2), rel=1e-12)
+
+    def test_parameters_bind_as_literals(self):
+        e = energy.catalog("exp_hencky", mu=2.0, k=0.3)
+        assert e.h == expr.parse("(2.0/0.3)*exp((0.3/2)*log(t)^2)", "t")
+        assert e.f == expr.parse("(1.0/(2*0.25))*exp(0.25*log(z)^2)", "z")
+        assert energy.catalog("double_well_vol", scale=-1.5).f == expr.parse(
+            "(-1.5)*((z - 1/z)^4 - (z - 1/z)^2)", "z")
+
+    def test_make_split_binds_both_parts(self):
+        e = energy.make_split("mu*((t + 1/t)/2 - 1)", "kappa*(z - 1)^2",
+                              params={"mu": 0.5, "kappa": 3.0})
+        assert e.h == expr.parse("0.5*((t + 1/t)/2 - 1)", "t")
+        assert e.f == expr.parse("3.0*(z - 1)^2", "z")
 
     def test_idealized_shares_shape_function(self):
         e = energy.catalog("idealized", mu=2.0, kappa=6.0)

@@ -70,6 +70,35 @@ class TestParsing:
     def test_expr_equality_ignores_source_text(self):
         assert expr.parse("t+1", "t") == expr.parse("t + 1", "t")
 
+    def test_expr_equality_and_hash_use_ast_and_variable(self):
+        assert expr.parse("z", "z") != expr.parse("t", "t")
+        assert len({expr.parse("t^2", "t"), expr.parse("(t)^2", "t")}) == 1
+
+
+class TestParameterBinding:
+    def test_bound_name_parses_as_its_literal(self):
+        bound = expr.parse("(mu/k)*exp(k*log(t)^2)", "t", {"mu": 2.0, "k": 0.3})
+        assert bound == expr.parse("(2.0/0.3)*exp(0.3*log(t)^2)", "t")
+
+    def test_negative_value_parses_as_negated_literal(self):
+        bound = expr.parse("k*t", "t", {"k": -1.5})
+        assert bound == expr.parse("(-1.5)*t", "t")
+        assert expr.parse(expr.pretty(bound), "t") == bound
+
+    def test_unused_binding_ignored(self):
+        assert expr.parse("t", "t", {"kappa": 3.0}) == expr.parse("t", "t")
+
+    @pytest.mark.parametrize("name", ["t", "e", "pi", "exp", "log", "my k",
+                                      "2k", ""])
+    def test_reserved_or_malformed_name_rejected(self, name):
+        with pytest.raises(errors.BadParameter, match=repr(name)):
+            expr.parse("t", "t", {name: 1.0})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(errors.BadParameter):
+            expr.parse("k*t", "t", {"k": value})
+
 
 class TestJets:
     def test_polynomial_derivatives_exact(self):
