@@ -9,6 +9,16 @@ Four routes are provided and must agree:
 * ``classify_structure`` -- short-circuit classification for distortion-type
                        and same-shape-function energies.
 
+The split conditions C and D couple h to f only through w = z^2 f''(z):
+for every t and every sampled w,
+
+    C:  max(q_C(t) + w, a(t) + (b - c)(t) w) >= 0    (t != 1),
+    D:  max(q_D(t) - w, a(t) + (b + c)(t) w) >= 0,
+
+with q_C, q_D, a, b and c from ``_coupled_conditions``.  The f' terms cancel
+in Knowles-Sternberg condition (v), which leaves -w in D.  Main3 and Main4
+are C and D at w = f0, the infimum of z^2 f''(z).
+
 A sampled witness with a negative margin certifies non-convexity; positive
 margins support convexity up to grid resolution, which the reports record.
 """
@@ -17,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -126,14 +136,48 @@ def _overall(reports: Sequence[ConditionReport], route: str) -> RankOneVerdict:
 
 
 # ---------------------------------------------------------------------------
-# split-condition coefficients
+# the coupled split conditions C and D
 
 
-def _abc_from_jets(t, h1, h2):
-    a = t**2 * (t**2 - 1.0) * h1 * h2 - 2.0 * t * h1**2
-    b = (t**2 + 3.0) * h1 + 2.0 * t * (t**2 + 1.0) * h2
-    c = 4.0 * t * (h1 + t * h2)
-    return a, b, c
+class _Coupled(NamedTuple):
+    """One coupled condition: per t, max(q + sign*w, a + coeff*w) >= 0."""
+
+    q: np.ndarray
+    sign: float
+    a: np.ndarray
+    coeff: np.ndarray
+    mask: np.ndarray  # the t at which the condition is defined
+
+
+def _coupled_conditions(ts: np.ndarray, h1: np.ndarray, h2: np.ndarray):
+    """Conditions C and D; they share a(t)."""
+    wt = ts**2 * h2
+    with np.errstate(all="ignore"):
+        a = ts**2 * (ts**2 - 1.0) * h1 * h2 - 2.0 * ts * h1**2
+        b = (ts**2 + 3.0) * h1 + 2.0 * ts * (ts**2 + 1.0) * h2
+        c = 4.0 * ts * (h1 + ts * h2)
+        return (_Coupled(2.0 * ts / (ts - 1.0) * h1 - wt, 1.0, a, b - c,
+                         np.abs(ts - 1.0) > 1e-12),
+                _Coupled(2.0 * ts / (ts + 1.0) * h1 + wt, -1.0, a, b + c,
+                         np.ones_like(ts, dtype=bool)))
+
+
+_ROW_BLOCK = 512  # t rows per block: bounds the (t, w) temporaries
+
+
+def _coupled_min(cond: _Coupled, ws: np.ndarray):
+    """Per t, the minimum over ``ws`` of max(q + sign*w, a + coeff*w), NaN
+    if the row holds a NaN, and the index of the first minimizing w."""
+    blocks = []
+    with np.errstate(all="ignore"):
+        for lo in range(0, cond.q.size, _ROW_BLOCK):
+            sl = slice(lo, lo + _ROW_BLOCK)
+            m = cond.coeff[sl, None] * ws
+            m += cond.a[sl, None]
+            np.maximum(m, cond.q[sl, None] + cond.sign * ws, out=m)
+            j = np.argmin(m, axis=1)
+            blocks.append((m[np.arange(j.size), j], j))
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -213,66 +257,30 @@ def ks_check(g: GeneralIsotropicEnergy, grid: GridSpec = DEFAULT_XY_GRID,
 # route 2: split conditions over the (t, z) plane
 
 
-def _h_tables(e: SplitEnergy, ts: np.ndarray):
-    hj = e.h_jet_array(ts)
-    return hj.d1, hj.d2
-
-
 def voliso_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
                  z_grid: GridSpec = DEFAULT_Z_GRID,
                  tol: float = DEFAULT_TOL) -> RankOneVerdict:
     """Evaluate the four equivalent split conditions on the (t, z) grid."""
     ts = t_grid.points()
     zs = z_grid.points()
-    h1, h2 = _h_tables(e, ts)
+    hj = e.h_jet_array(ts)
     wz = zs**2 * e.f_jet_array(zs).d2  # z^2 f''(z)
-    wt = ts**2 * h2                    # t^2 h''(t)
-    for name, arr in (("h jets", wt), ("f jets", wz)):
-        if np.isnan(arr).any():
-            raise DomainError(f"{name} undefined inside the grid")
-
-    reports = []
-
+    wt = ts**2 * hj.d2                 # t^2 h''(t)
     # A) separate convexity: min decouples into the two 1-D minima
     it, iz = int(np.argmin(wt)), int(np.argmin(wz))
-    reports.append(_report("A", float(wt[it] + wz[iz]),
-                           [float(ts[it]), float(zs[iz])],
-                           int(ts.size * zs.size), tol))
+    reports = [_report("A", float(wt[it] + wz[iz]), [float(ts[it]), float(zs[iz])],
+                       int(ts.size * zs.size), tol)]
 
     # B) monotonicity of h on t >= 1
     upper = ts >= 1.0
-    reports.append(_grid_report("B", h1[upper], (ts[upper],), tol))
+    reports.append(_grid_report("B", hj.d1[upper], (ts[upper],), tol))
 
-    a, b, c = _abc_from_jets(ts, h1, h2)
-    off = np.abs(ts - 1.0) > 1e-12
-
-    def disjunction(q, coeff, mask):
-        """min over (t, z) of max(q(t) + wz, a(t) + coeff(t) * wz)."""
-        best = math.inf
-        witness = [float("nan"), float("nan")]
-        tsel = ts[mask]
-        q = q[mask]
-        asel = a[mask]
-        csel = coeff[mask]
-        chunk = 512
-        for s in range(0, tsel.size, chunk):
-            sl = slice(s, s + chunk)
-            b1 = q[sl, None] + wz[None, :]
-            b2 = asel[sl, None] + csel[sl, None] * wz[None, :]
-            m = np.maximum(b1, b2)
-            j = int(np.argmin(m))
-            if m.ravel()[j] < best:
-                best = float(m.ravel()[j])
-                witness = [float(tsel[sl][j // zs.size]), float(zs[j % zs.size])]
-        return best, witness, int(tsel.size * zs.size)
-
-    with np.errstate(all="ignore"):
-        q_c = 2.0 * ts / (ts - 1.0) * h1 - wt
-    m_c, w_c, n_c = disjunction(q_c, b - c, off)
-    reports.append(_report("C", m_c, w_c, n_c, tol))
-    m_d, w_d, n_d = disjunction(2.0 * ts / (ts + 1.0) * h1 + wt, b + c,
-                                np.ones_like(ts, dtype=bool))
-    reports.append(_report("D", m_d, w_d, n_d, tol))
+    # C) and D); a NaN jet anywhere makes D raise DomainError
+    for cid, cond in zip(("C", "D"), _coupled_conditions(ts, hj.d1, hj.d2)):
+        m, j = _coupled_min(cond, wz)
+        r = _grid_report(cid, m[cond.mask], (ts[cond.mask], zs[j[cond.mask]]), tol)
+        r.samples_used *= zs.size  # each t was paired with the whole z grid
+        reports.append(r)
 
     return _overall(reports, "Voliso")
 
@@ -304,29 +312,19 @@ def main_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
                                [_loc(h0), _loc(f0)], 2, tol))
 
     ts = t_grid.points()
-    h1, h2 = _h_tables(e, ts)
-    wt = ts**2 * h2
+    hj = e.h_jet_array(ts)
     upper = ts >= 1.0
-    reports.append(_grid_report("Main2", h1[upper], (ts[upper],), tol))
+    reports.append(_grid_report("Main2", hj.d1[upper], (ts[upper],), tol))
 
     if f0.unbounded:
         # both coupled conditions degenerate together with condition 1
-        marker = str(f0.attained_at)
-        reports.append(_report("Main3", -math.inf, marker, int(ts.size), tol))
-        reports.append(_report("Main4", -math.inf, marker, int(ts.size), tol))
+        reports += [_report(cid, -math.inf, str(f0.attained_at), int(ts.size), tol)
+                    for cid in ("Main3", "Main4")]
         return MainCheckResult(_overall(reports, "MainTheorem"), h0, f0)
 
-    f0v = f0.value
-    a, b, c = _abc_from_jets(ts, h1, h2)
-    off = np.abs(ts - 1.0) > 1e-12
-
-    with np.errstate(all="ignore"):
-        m3 = np.maximum(2.0 * ts / (ts - 1.0) * h1 - wt + f0v,
-                        a + (b - c) * f0v)[off]
-        m4 = np.maximum(2.0 * ts / (ts + 1.0) * h1 + wt - f0v,
-                        a + (b + c) * f0v)
-    reports.append(_grid_report("Main3", m3, (ts[off],), tol))
-    reports.append(_grid_report("Main4", m4, (ts,), tol))
+    for cid, cond in zip(("Main3", "Main4"), _coupled_conditions(ts, hj.d1, hj.d2)):
+        m, _ = _coupled_min(cond, np.array([f0.value]))
+        reports.append(_grid_report(cid, m[cond.mask], (ts[cond.mask],), tol))
 
     return MainCheckResult(_overall(reports, "MainTheorem"), h0, f0)
 
@@ -343,7 +341,8 @@ def necessary_battery(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
                       tol: float = DEFAULT_TOL) -> List[ConditionReport]:
     """Necessary-condition battery; any failure certifies non-convexity."""
     ts = t_grid.points()
-    h1, h2 = _h_tables(e, ts)
+    hj = e.h_jet_array(ts)
+    h1, h2 = hj.d1, hj.d2
     f2 = e.f_jet_array(ts).d2
 
     h_kind, _ = convexity_verdict(e.h, t_grid.lo, t_grid.hi)
@@ -358,8 +357,8 @@ def necessary_battery(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
     reports.append(_grid_report("Nec_d", ts * h2 + h1, (ts,), tol))
     reports.append(_grid_report("Nec_e", (ts + 3.0) * h1 + 2.0 * ts * (ts + 1.0) * h2,
                                 (ts,), tol))
-    a, b, c = _abc_from_jets(ts, h1, h2)
-    reports.append(_grid_report("CorollaryBC", b + c, (ts,), tol))
+    _, cond_d = _coupled_conditions(ts, h1, h2)
+    reports.append(_grid_report("CorollaryBC", cond_d.coeff, (ts,), tol))
     return reports
 
 

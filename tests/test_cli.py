@@ -15,6 +15,10 @@ def invoke(runner, *args):
     return runner.invoke(main, list(args))
 
 
+# Hencky isochoric part with a stiff volumetric part; not rank-one convex
+STIFF_HENCKY_FILE = "h = 0.35*log(t)^2\nf = 2.6*exp(1.4*log(z)^2)\n"
+
+
 class TestCheck:
     def test_elliptic_catalog_energy_exits_zero(self, runner):
         res = invoke(runner, "check", "--catalog", "example1")
@@ -37,6 +41,16 @@ class TestCheck:
         assert set(payload["routes"]) == {"main", "voliso", "ks"}
         assert payload["routes_agree"] is True
         assert payload["f0"]["value"] == pytest.approx(0.11547005, abs=1e-6)
+
+    def test_stiff_hencky_routes_agree(self, runner, tmp_path):
+        p = tmp_path / "stiff.energy"
+        p.write_text(STIFF_HENCKY_FILE)
+        res = invoke(runner, "check", "--energy-file", str(p), "--report", "json")
+        payload = json.loads(res.output)
+        assert res.exit_code == 1
+        assert payload["routes_agree"] is True
+        assert {r["overall"] for r in payload["routes"].values()} == {
+            "NotRankOneConvex"}
 
     def test_json_is_deterministic(self, runner):
         outs = [invoke(runner, "check", "--catalog", "example2",
@@ -153,6 +167,13 @@ class TestOracle:
         res = invoke(runner, "oracle", "--catalog", "example1", flag, value)
         assert res.exit_code == 3
         assert f"{flag} must be at least" in res.output
+
+    def test_stiff_volumetric_part_exits_one(self, runner, tmp_path):
+        p = tmp_path / "stiff.energy"
+        p.write_text(STIFF_HENCKY_FILE)
+        res = invoke(runner, "oracle", "--energy-file", str(p), "--report", "json")
+        assert res.exit_code == 1
+        assert json.loads(res.output)["min_value"] < -1e-8
 
     def test_seed_determinism(self, runner):
         args = ("oracle", "--catalog", "exp_hencky_iso", "--grid", "8",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,10 @@ from rankone2d import (
 SMALL_T = GridSpec(1e-3, 1e3, 801)
 SMALL_Z = GridSpec(1e-3, 1e3, 301)
 SMALL_XY = GridSpec(1e-2, 1e2, 81)
+
+# Hencky isochoric part with a stiff volumetric part: KS (v) fails at
+# F = diag(10, 0.1), where the rank-one second derivative is about -0.0365
+STIFF_HENCKY = ("0.35*log(t)^2", "2.6*exp(1.4*log(z)^2)")
 
 
 def overall_all_routes(e):
@@ -59,6 +64,27 @@ class TestRouteAgreement:
             verdicts = overall_all_routes(catalog("idealized", mu=mu, kappa=kappa))
             assert set(verdicts) == {"RankOneConvex"}, (mu, kappa, verdicts)
 
+    def test_stiff_hencky_routes_agree(self):
+        verdicts = overall_all_routes(make_split(*STIFF_HENCKY))
+        assert set(verdicts) == {"NotRankOneConvex"}, verdicts
+
+    def test_seeded_hencky_isochoric_with_stiff_volumetric_part(self):
+        rng = np.random.RandomState(3)
+        for _ in range(8):
+            params = {"mu": round(float(np.exp(rng.uniform(-1.5, 1.0))), 3),
+                      "kappa": round(float(np.exp(rng.uniform(0.0, 1.5))), 3),
+                      "khat": round(float(rng.uniform(0.5, 2.0)), 3)}
+            e = make_split("(mu/2)*log(t)^2", "kappa*exp(khat*log(z)^2)",
+                           params=params)
+            verdicts = overall_all_routes(e)
+            assert len(set(verdicts)) == 1, (params, verdicts)
+
+    def test_exp_hencky_coupled_fails_voliso_d(self):
+        v = voliso_check(catalog("exp_hencky_coupled"), t_grid=SMALL_T,
+                         z_grid=SMALL_Z)
+        by_id = {r.condition_id: r for r in v.reports}
+        assert by_id["D"].verdict == "Fails"
+
 
 class TestMainCheck:
     def test_example1_condition_values(self):
@@ -95,6 +121,18 @@ class TestVolisoCheck:
         v = voliso_check(catalog("double_well_vol"), t_grid=SMALL_T, z_grid=SMALL_Z)
         by_id = {r.condition_id: r for r in v.reports}
         assert by_id["A"].verdict == "Fails"
+
+    def test_undefined_margins_raise(self):
+        # a = t^2 (t^2 - 1) h' h'' - 2 t h'^2 is inf - inf at the grid's ends
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(errors.DomainError):
+                voliso_check(catalog("exp_hencky", k=12))
+
+    def test_undefined_volumetric_jets_raise(self):
+        e = make_split("(t + 1/t)/2 - 1", "log(z - 1)")
+        with pytest.raises(errors.DomainError):
+            voliso_check(e, t_grid=SMALL_T, z_grid=SMALL_Z)
 
 
 class TestKsCheck:

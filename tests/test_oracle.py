@@ -46,6 +46,14 @@ class TestSvd2:
             assert pair.lambda1 == pytest.approx(sv[0], rel=1e-12)
             assert pair.lambda2 == pytest.approx(sv[1], rel=1e-12)
 
+    def test_smaller_singular_value_at_extreme_stretch(self):
+        # lambda2 = det F / lambda1; det F of a triangular F is one rounding
+        F = np.array([[1e6, 3e5], [0.0, 1e-6]])
+        pair, _, _ = svd2(F)
+        lambda1 = np.linalg.svd(F, compute_uv=False)[0]
+        assert pair.lambda1 == pytest.approx(lambda1, rel=1e-12)
+        assert pair.lambda2 == pytest.approx(1e6 * 1e-6 / lambda1, rel=1e-12)
+
     def test_rejects_nonpositive_determinant(self):
         with pytest.raises(errors.NonPositiveDeterminant):
             svd2(np.diag([1.0, -2.0]))
@@ -141,6 +149,15 @@ class TestBruteForce:
         check = analytic_second_derivative(e, res.F, res.xi, res.eta)
         assert check == pytest.approx(res.value, rel=1e-9)
         assert check < 0
+
+    def test_witness_value_is_rechecked(self):
+        # the kernel's most negative sample here sits at f'' ~ 1e38, where
+        # its value has the wrong sign; the reported witness must re-check
+        e = make_split("0.35*log(t)^2", "2.6*exp(1.4*log(z)^2)")
+        res = brute_force_check(e)
+        assert res.violation
+        assert analytic_second_derivative(e, res.F, res.xi, res.eta) == res.value
+        assert res.value < -1e-8
 
     def test_deterministic_given_seed(self):
         e = catalog("exp_hencky_iso")
