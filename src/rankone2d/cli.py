@@ -47,7 +47,12 @@ EXIT_INPUT = 3
 
 def _load_energy_file(path: str) -> energy.SplitEnergy:
     entries = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise click.ClickException(
+            f"{path}: cannot read energy file: {exc.strerror}") from None
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -19,12 +19,20 @@ with q_C, q_D, a, b and c from ``_coupled_conditions``.  The f' terms cancel
 in Knowles-Sternberg condition (v), which leaves -w in D.  Main3 and Main4
 are C and D at w = f0, the infimum of z^2 f''(z).
 
+For fixed t each condition is convex and piecewise linear in w, so its
+minimum over the z samples lies at w_min, at w_max or next to the crossing
+of the two lines.  ``_coupled_min`` sorts the samples of w once and checks
+those four candidates per t: O((T + Z) log Z) for T t-samples and Z
+z-samples instead of the T x Z table.  Margins and witnesses are those of a
+first-index argmin over that table, ties included.
+
 A sampled witness with a negative margin certifies non-convexity; positive
 margins support convexity up to grid resolution, which the reports record.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Union
@@ -162,22 +170,112 @@ def _coupled_conditions(ts: np.ndarray, h1: np.ndarray, h2: np.ndarray):
                          np.ones_like(ts, dtype=bool)))
 
 
-_ROW_BLOCK = 512  # t rows per block: bounds the (t, w) temporaries
-
-
 def _coupled_min(cond: _Coupled, ws: np.ndarray):
     """Per t, the minimum over ``ws`` of max(q + sign*w, a + coeff*w), NaN
-    if the row holds a NaN, and the index of the first minimizing w."""
-    blocks = []
+    if the row is undefined at some w, and the index of the first minimizing
+    w: what a first-index argmin over the full (t, w) table returns.
+
+    Rounding keeps both lines monotone in w, so over the sorted distinct
+    samples every defined row is quasiconvex.  Where one line rises and the
+    other falls, the minimum lies on either side of the switch, the first
+    sample at which the rising line reaches the falling one; otherwise the
+    row is monotone and the minimum lies at w_min or w_max.  A bisection on
+    the rounded comparison finds the switch of every row at once, so these
+    four candidates hold the exact minimum.  A search for the computed
+    crossing (a - q)/(sign - coeff) would not: its rounding can put it on
+    the wrong side of samples that lie closer together.
+
+    The minimizers form a run of sorted samples.  When rounding flattens a
+    line, the run can reach past the candidates; it is then the set where
+    both lines are at most the minimum, a prefix or a suffix for each line,
+    and two more bisections bound it.  The smallest index of a run that
+    reaches w_min or w_max is a prefix or suffix minimum; an inner run is
+    reduced directly.  Cost: one sort of the Z samples and up to 3 log2 Z
+    vector steps over the T rows, O((T + Z) log Z) time plus the length of
+    the inner runs, and O(T + Z) memory.
+
+    A NaN in ``ws`` makes every row NaN at its index.  Otherwise a row is
+    undefined only at the ends (an infinite w, or a + coeff*w overflowing
+    against an infinite a) or, when coeff is infinite, at w = 0, so the
+    candidates and the sample at 0 find every NaN row.  An undefined row
+    reports an undefined sample: index 0 when its coefficients are NaN,
+    else its first undefined candidate.
+    """
+    nt = cond.q.size
+    nan_w = np.isnan(ws)
+    if nan_w.any():
+        return np.full(nt, np.nan), np.full(nt, int(np.argmax(nan_w)), np.intp)
+    order = np.argsort(ws, kind="stable")
+    distinct = np.ones(ws.size, dtype=bool)
+    distinct[1:] = ws[order[1:]] != ws[order[:-1]]
+    first = order[distinct]  # the smallest index of each distinct w, by w
+    w = ws[first]
+    n = w.size
+    lead = np.minimum.accumulate(first)               # over w[:i + 1]
+    trail = np.minimum.accumulate(first[::-1])[::-1]  # over w[i:]
+    top = 1 << (n.bit_length() - 1)
+    padded = np.concatenate([w, np.full(2 * top - n, np.nan)])
+
+    def sloped(wv):
+        return cond.coeff * wv + cond.a
+
+    def unit(wv):
+        return cond.q + cond.sign * wv
+
+    def margin(wv):
+        return np.maximum(sloped(wv), unit(wv))
+
+    def leading(holds):
+        """Per row, how many sorted samples from w_min on satisfy ``holds``,
+        which must hold on a prefix; comparisons with the NaN padding fail."""
+        count = np.zeros(nt, dtype=np.intp)
+        step = top
+        while step:
+            np.add(count, step, out=count, where=holds(padded[step - 1:][count]))
+            step >>= 1
+        return count
+
+    def at_most(line, falls, least):
+        """The run [lo, hi) of sorted samples at which line(w) <= least."""
+        def holds(wv):
+            v = line(wv)
+            return np.where(falls, v > least, v <= least)
+        cut = leading(holds)
+        return np.where(falls, cut, 0), np.where(falls, n, cut)
+
     with np.errstate(all="ignore"):
-        for lo in range(0, cond.q.size, _ROW_BLOCK):
-            sl = slice(lo, lo + _ROW_BLOCK)
-            m = cond.coeff[sl, None] * ws
-            m += cond.a[sl, None]
-            np.maximum(m, cond.q[sl, None] + cond.sign * ws, out=m)
-            j = np.argmin(m, axis=1)
-            blocks.append((m[np.arange(j.size), j], j))
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+        rising, falling = (unit, sloped) if cond.sign > 0 else (sloped, unit)
+        k = leading(lambda wv: rising(wv) < falling(wv))  # the switch
+        cands = [np.zeros_like(k), np.maximum(k - 1, 0), np.minimum(k, n - 1),
+                 np.full_like(k, n - 1)]
+        if 0.0 in w:  # coeff*w is undefined at w = 0 where coeff is infinite
+            cands.append(np.full_like(k, np.searchsorted(w, 0.0)))
+        vals = [margin(w[c]) for c in cands]
+        least = functools.reduce(np.minimum, vals)  # NaN if one is undefined
+
+        # the run [lo, hi] of minimizers spans the minimizing candidates,
+        # unless rounding flattens a line and the run reaches past them
+        hits = [v == least for v in vals[:4]]
+        lo = np.select(hits, cands[:4], 0)
+        hi = np.select(hits[::-1], cands[3::-1], n - 1)
+        past = ((lo > 0) & (margin(w[np.maximum(lo - 1, 0)]) == least)
+                | (hi < n - 1) & (margin(w[np.minimum(hi + 1, n - 1)]) == least))
+        if past.any():
+            lo_s, hi_s = at_most(sloped, cond.coeff < 0.0, least)
+            lo_u, hi_u = at_most(unit, cond.sign < 0.0, least)
+            lo, hi = np.maximum(lo_s, lo_u), np.minimum(hi_s, hi_u) - 1
+        j = np.where(lo == 0, lead[hi], trail[lo])
+        inner = (lo > 0) & (hi < n - 1)
+        if inner.any():
+            runs = np.stack([lo[inner], hi[inner] + 1], axis=1).ravel()
+            j[inner] = np.minimum.reduceat(first, runs)[::2]
+
+        undefined = [np.isnan(v) for v in vals]
+        if functools.reduce(np.logical_or, undefined).any():
+            j = np.select(undefined, [first[c] for c in cands], j)
+            j[np.isnan(cond.q) | np.isnan(cond.a) | np.isnan(cond.coeff)] = 0
+        # the value at j itself: equal minima may differ in the sign of zero
+        return margin(ws[j]), j
 
 
 # ---------------------------------------------------------------------------

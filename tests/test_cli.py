@@ -117,6 +117,17 @@ class TestEnergyFile:
         p.write_text("h = 0\n")
         assert invoke(runner, "check", "--energy-file", str(p)).exit_code == 3
 
+    def test_missing_energy_file_is_input_error(self, runner, tmp_path):
+        p = tmp_path / "absent.energy"
+        res = invoke(runner, "check", "--energy-file", str(p))
+        assert res.exit_code == 3
+        assert str(p) in res.output
+
+    def test_directory_as_energy_file_is_input_error(self, runner, tmp_path):
+        res = invoke(runner, "check", "--energy-file", str(tmp_path))
+        assert res.exit_code == 3
+        assert str(tmp_path) in res.output
+
     def test_syntax_error_is_input_error(self, runner, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("h = t +\nf = z^2\n")

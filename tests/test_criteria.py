@@ -122,6 +122,12 @@ class TestVolisoCheck:
         by_id = {r.condition_id: r for r in v.reports}
         assert by_id["A"].verdict == "Fails"
 
+    def test_million_point_z_grid(self):
+        # a dense scan would tabulate 4001 x 10^6 margins
+        e = catalog("example1")
+        big = voliso_check(e, z_grid=GridSpec(1e-4, 1e4, 10**6))
+        assert big.overall == voliso_check(e).overall == "RankOneConvex"
+
     def test_undefined_margins_raise(self):
         # a = t^2 (t^2 - 1) h' h'' - 2 t h'^2 is inf - inf at the grid's ends
         with warnings.catch_warnings():
