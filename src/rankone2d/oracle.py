@@ -20,7 +20,10 @@ from .energy import SingularPair, SplitEnergy
 from .errors import DomainError, LeftGLplus, NonPositiveDeterminant, OverflowValue
 from .kernels import _svd2, direction_min_batch
 
-_PSI_EPS = 1e-8  # |t - 1| below which the distortion chain rule degenerates
+# |t - 1| at or below which _psi_jets takes the limit branch: there its
+# O((t - 1)^2) error meets the O(eps/|t - 1|) rounding of the chain rule,
+# so psi' and c_iso jump by about 2e-11 * h''(1) across the switch
+_PSI_EPS = 3e-6
 
 
 def rotation(angle: float) -> np.ndarray:

@@ -41,9 +41,11 @@ class InfimumResult:
 
 
 def weighted_second(e: Expr, xs: np.ndarray) -> np.ndarray:
-    """x^2 * u''(x) evaluated elementwise."""
+    """x^2 * u''(x) evaluated elementwise; overflow gives inf without a warning."""
     xs = np.asarray(xs, dtype=float)
-    return xs**2 * eval_jet2_array(e, xs).d2
+    d2 = eval_jet2_array(e, xs).d2
+    with np.errstate(over="ignore", invalid="ignore"):
+        return xs**2 * d2
 
 
 def _weighted_second_scalar(e: Expr, x: float) -> float:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import rankone2d
 from rankone2d.cli import main
 
 
@@ -75,6 +79,19 @@ class TestCheck:
     def test_bad_tolerance_rejected(self, runner):
         res = invoke(runner, "check", "--catalog", "example1", "--tol", "-1")
         assert res.exit_code == 3
+
+    def test_nan_infimum_reports_error_without_runtime_warning(self):
+        # a fresh process, so stderr is what a user sees: Python shows a
+        # warning once per location and process, and pytest captures them
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(rankone2d.__file__)))
+        res = subprocess.run(
+            [sys.executable, "-m", "rankone2d.cli", "check",
+             "--catalog", "exp_hencky", "--k", "12"],
+            env=env, capture_output=True, text=True)
+        assert res.returncode == 3
+        assert "error: weighted second derivative is NaN" in res.stderr
+        assert "RuntimeWarning" not in res.stderr
 
 
 class TestEnergyFile:

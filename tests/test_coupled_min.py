@@ -78,9 +78,9 @@ def coupled_cases(draw):
     else:  # samples a few ulps apart around the first row's crossing
         with np.errstate(all="ignore"):
             x = (np.float64(a[0]) - q[0]) / (sign - coeff[0])
-        if not np.isfinite(x):
-            x = np.float64(draw(st.floats(-1e3, 1e3)))
-        ws = list(x + np.arange(-3, 4) * abs(np.spacing(x)))
+            if not np.isfinite(x):
+                x = np.float64(draw(st.floats(-1e3, 1e3)))
+            ws = list(x + np.arange(-3, 4) * abs(np.spacing(x)))
         ws = draw(st.permutations(ws))
     if draw(st.integers(0, 9)) == 0:
         ws = list(ws)

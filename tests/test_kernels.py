@@ -5,7 +5,7 @@ from rankone2d import (analytic_second_derivative, as_general,
                        brute_force_check, catalog, scan_domain)
 from rankone2d.energy import CATALOG
 from rankone2d.kernels import BACKEND, available_backends, direction_min_batch
-from rankone2d.oracle import _psi_jets, rotation, second_derivative_terms
+from rankone2d.oracle import _PSI_EPS, _psi_jets, rotation, second_derivative_terms
 
 
 def make_batch(n=64, seed=0):
@@ -160,9 +160,10 @@ class TestAcousticKernel:
     @pytest.mark.parametrize("cid", sorted(CATALOG))
     def test_isochoric_weight_continuous_at_switch(self, cid):
         e = catalog(cid)
-        side = 1e-8 * (1.0 + np.array([-1e-6, 1e-6]))
+        side = _PSI_EPS * (1.0 + np.array([-1e-6, 1e-6]))  # limit, chain rule
         t = np.concatenate([1.0 + side, 1.0 - side])
-        _, psi2 = _psi_jets(e, t)
+        psi1, psi2 = _psi_jets(e, t)
         c_iso = 0.25 * psi2 * (t - 1.0 / t) ** 2
         scale = abs(e.h_jet(1.0).d2)
-        assert np.all(np.abs(c_iso) <= 1e-8 * scale)
+        assert np.all(np.abs(c_iso) <= 1e-10 * scale)
+        assert np.all(np.abs(psi1[[1, 3]] - psi1[[0, 2]]) <= 1e-10 * scale)
