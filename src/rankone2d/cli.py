@@ -140,6 +140,14 @@ def _check_at_least(option: str, value: int, lowest: int) -> None:
 # report helpers
 
 
+def _open_output(path: str, **kwargs):
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise click.ClickException(
+            f"{path}: cannot write output file: {exc.strerror}") from None
+
+
 def _inf_dict(r: InfimumResult) -> dict:
     return {
         "value": None if r.unbounded else r.value,
@@ -396,10 +404,10 @@ def scan_cmd(catalog_id, energy_file, report_format, grid_n, lambda_min,
                                 n_points=grid_n, n_angles=angles, tol=tol,
                                 spacing=spacing)
         if out_csv:
-            with open(out_csv, "w", newline="") as fh:
+            with _open_output(out_csv, newline="") as fh:
                 scan.emit_csv(emap, fh)
         if out_svg:
-            with open(out_svg, "w") as fh:
+            with _open_output(out_svg) as fh:
                 scan.emit_svg(emap, fh)
         counts = {v: int((emap.verdicts == v).sum())
                   for v in ("Elliptic", "NonElliptic", "Boundary")}

@@ -56,8 +56,8 @@ class UnknownCatalogId(RankOneError):
     """Requested built-in energy does not exist."""
 
 
-class DegenerateGrid(RankOneError):
-    """Grid specification is empty or collapsed."""
+class DegenerateGrid(RankOneError, ValueError):
+    """Grid specification is empty, collapsed or out of range."""
 
 
 class LeftGLplus(RankOneError):

@@ -60,9 +60,8 @@ def _svd2(f00, f01, f10, f11):
     return l1, J / l1, 0.5 * (a2 + a1), 0.5 * (a2 - a1), 4.0 * q * r / J
 
 
-def _pieces(l1, l2, t, psi1, phi):
-    """Diagonal weights and the u, v components of Q' at eta' angle phi."""
-    c, s = np.cos(phi), np.sin(phi)
+def _pieces(l1, l2, t, psi1, c, s):
+    """Diagonal weights and the u, v components of Q' at eta' = (c, s)."""
     w = psi1 / (l1 * l2)
     return w * (s * s + (c / t) ** 2), w * (c * c + (t * s) ** 2), c / l1, s / l2
 
@@ -105,15 +104,24 @@ def direction_min_batch(f00, f01, f10, f11, psi1, psi2, fpp, n_angles):
     grid = np.arange(n_angles) * step
     best = np.empty(n, dtype=np.intp)
     per_block = max(1, _BLOCK // n_angles)
+    # F's own frame is eta's when beta == 0 (every diagonal F with
+    # f00 >= f11): then grid + beta == grid exactly, and one cos/sin table
+    # of the grid serves every sample
+    rotated = bool(beta.any())
+    c, s = np.cos(grid), np.sin(grid)
     for lo in range(0, n, per_block):
         sl = slice(lo, lo + per_block)
+        if rotated:
+            phi = grid + beta[sl, None]
+            c, s = np.cos(phi), np.sin(phi)
         d0, d1, u, v = _pieces(l1[sl, None], l2[sl, None], t[sl, None],
-                               psi1[sl, None], grid + beta[sl, None])
+                               psi1[sl, None], c, s)
         lam = _min_eig(d0, d1, u, v, c_iso[sl, None], c_vol[sl, None])
         best[sl] = np.argmin(lam, axis=1)
 
     # the minimizing xi' is the eigenvector of Q' for its smaller eigenvalue
-    d0, d1, u, v = _pieces(l1, l2, t, psi1, best * step + beta)
+    phi = best * step + beta
+    d0, d1, u, v = _pieces(l1, l2, t, psi1, np.cos(phi), np.sin(phi))
     a, d, b = _entries(d0, d1, u, v, c_iso, c_vol)
     theta = 0.5 * np.arctan2(2.0 * b, a - d) + 0.5 * np.pi
     x1, x2 = np.cos(theta), np.sin(theta)

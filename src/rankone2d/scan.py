@@ -16,10 +16,15 @@ from typing import Optional, TextIO, Tuple
 import numpy as np
 
 from .energy import SplitEnergy
+from .errors import DegenerateGrid
 from .kernels import direction_min_batch
 from .oracle import _psi_jets
 
 DEFAULT_TOL = 1e-8
+
+# verdict by code 2 * (margin < -tol) + (margin > tol)
+_LABELS = np.array(["Boundary", "Elliptic", "NonElliptic", "NonElliptic"],
+                   dtype=object)
 
 
 @dataclass
@@ -41,7 +46,11 @@ class EllipticityMap:
         return bool((self.verdicts == "NonElliptic").any())
 
     def worst(self) -> Tuple[float, float, float]:
-        k = int(np.argmin(self.margins))
+        """The first cell of smallest margin among the defined (non-NaN)
+        cells; the first cell, with a NaN margin, when none is defined."""
+        flat = self.margins.ravel()
+        defined = np.flatnonzero(~np.isnan(flat))
+        k = int(defined[np.argmin(flat[defined])]) if defined.size else 0
         i, j = divmod(k, self.lambda2.size)
         return float(self.lambda1[i]), float(self.lambda2[j]), float(self.margins[i, j])
 
@@ -59,23 +68,31 @@ def scan_domain(
     ``spacing`` is "log" (default, matching the wide-range preset) or
     "linear" for a plot range like 0..15; cells whose evaluation produces
     NaN are marked "Boundary" with a NaN margin rather than aborting.
+    The range must satisfy 0 < lambda_min < lambda_max < inf and both
+    counts must be at least 1, otherwise ``DegenerateGrid`` is raised.
     """
+    lo, hi = lambda_range
+    if not 0.0 < lo < hi < math.inf:
+        raise DegenerateGrid(
+            f"scan range [{lo:g}, {hi:g}] must satisfy 0 < lambda_min < "
+            "lambda_max < inf")
+    if n_points < 1 or n_angles < 1:
+        raise DegenerateGrid(
+            f"scan needs at least one point and one angle, got {n_points} "
+            f"and {n_angles}")
     if spacing == "log":
         lg = np.log10(lambda_range)
         lam = np.logspace(lg[0], lg[1], n_points)
     elif spacing == "linear":
-        lam = np.linspace(lambda_range[0], lambda_range[1], n_points)
-        if lam[0] <= 0.0:
-            raise ValueError("linear scan range must stay positive")
+        lam = np.linspace(lo, hi, n_points)
     else:
         raise ValueError(f"unknown spacing {spacing!r}")
 
-    # only cells with lambda1 >= lambda2; the rest is the exact mirror
+    # only the upper triangle, columns the larger stretch; the rest is the
+    # exact mirror
     ii, jj = np.triu_indices(n_points)
-    lam1 = lam[jj]  # columns are the larger stretch along the upper triangle
+    lam1 = lam[jj]
     lam2 = lam[ii]
-    keep = lam1 >= lam2
-    lam1, lam2, ii, jj = lam1[keep], lam2[keep], ii[keep], jj[keep]
 
     psi1, psi2 = _psi_jets(e, lam1 / lam2)
     fpp = e.f_jet_array(lam1 * lam2).d2
@@ -87,22 +104,27 @@ def scan_domain(
     margins[jj, ii] = vals
     margins[ii, jj] = vals  # exact symmetry by construction
 
-    verdicts = np.where(
-        margins < -tol, "NonElliptic", np.where(margins > tol, "Elliptic", "Boundary")
-    )
-    verdicts = np.where(np.isnan(margins), "Boundary", verdicts)
+    # NaN compares false both ways and lands on Boundary; a negative tol
+    # sets both bits, and NonElliptic takes precedence
+    code = 2 * (margins < -tol) + (margins > tol)
     return EllipticityMap(lambda1=lam, lambda2=lam, margins=margins,
-                          verdicts=verdicts.astype(object), tol=tol)
+                          verdicts=_LABELS[code], tol=tol)
 
 
 def emit_csv(emap: EllipticityMap, stream: TextIO) -> None:
-    """Write one row per cell; numeric fields use 9 significant digits."""
+    """Write one row per cell; numeric fields use 9 significant digits.
+
+    One write per lambda1 row; values are formatted as Python floats, whose
+    ``.9g`` text is that of the numpy scalars.
+    """
     stream.write("lambda1,lambda2,verdict,min_margin\n")
-    for i, l1 in enumerate(emap.lambda1):
-        for j, l2 in enumerate(emap.lambda2):
-            stream.write(
-                f"{l1:.9g},{l2:.9g},{emap.verdicts[i, j]},{emap.margins[i, j]:.9g}\n"
-            )
+    l2_text = [f"{l2:.9g}" for l2 in emap.lambda2.tolist()]
+    for l1, verdicts, margins in zip(emap.lambda1.tolist(),
+                                     emap.verdicts.tolist(),
+                                     emap.margins.tolist()):
+        head = f"{l1:.9g},"
+        stream.write("".join([f"{head}{l2},{v},{m:.9g}\n" for l2, v, m
+                              in zip(l2_text, verdicts, margins)]))
 
 
 _COLORS = {"Elliptic": "#3a7ca5", "NonElliptic": "#d1495b", "Boundary": "#edae49"}
@@ -121,15 +143,14 @@ def emit_svg(emap: EllipticityMap, stream: TextIO,
         f'viewBox="0 0 {width} {height}">\n'
     )
     stream.write(f'<rect width="{width}" height="{height}" fill="white"/>\n')
-    for i in range(n):
-        for j in range(n):
-            x = margin + i * cell
-            y = margin + (n - 1 - j) * cell
-            color = _COLORS[emap.verdicts[i, j]]
-            stream.write(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                f'fill="{color}"/>\n'
-            )
+    # one write per lambda1 column of cells
+    y_text = [f'y="{margin + (n - 1 - j) * cell}" ' for j in range(n)]
+    tail = {v: f'width="{cell}" height="{cell}" fill="{color}"/>\n'
+            for v, color in _COLORS.items()}
+    for i, verdicts in enumerate(emap.verdicts.tolist()):
+        head = f'<rect x="{margin + i * cell}" '
+        stream.write("".join([head + y + tail[v]
+                              for y, v in zip(y_text, verdicts)]))
     # diagonal lambda1 = lambda2 guide, bottom-left to top-right
     stream.write(
         f'<line x1="{margin}" y1="{margin + side}" x2="{margin + side}" '

@@ -265,3 +265,35 @@ class TestScan:
         res = invoke(runner, "scan", "--catalog", "example1", flag, "0")
         assert res.exit_code == 3
         assert f"{flag} must be at least" in res.output
+
+    @pytest.mark.parametrize("spacing, lo, hi", [
+        ("linear", "-1", "2"), ("log", "-1", "2"), ("log", "0", "2"),
+        ("log", "5", "1"), ("linear", "5", "1")])
+    def test_bad_stretch_range_is_input_error(self, runner, spacing, lo, hi):
+        res = invoke(runner, "scan", "--catalog", "hadamard_k", "--grid", "4",
+                     "--spacing", spacing, "--lambda-min", lo,
+                     "--lambda-max", hi)
+        assert res.exit_code == 3
+        assert "0 < lambda_min < lambda_max" in res.output
+
+    def test_worst_skips_nan_cells(self, runner, tmp_path):
+        p = tmp_path / "log_vol.energy"
+        p.write_text("h = (t + 1/t)/2 - 1\nf = -log(z - 1)\n")
+        res = invoke(runner, "scan", "--energy-file", str(p), "--grid", "16",
+                     "--report", "json")
+        worst = json.loads(res.output)["worst"]
+        assert worst["margin"] == pytest.approx(1e-5, rel=1e-3)
+        text = invoke(runner, "scan", "--energy-file", str(p), "--grid", "16")
+        assert text.exit_code == 2  # two Boundary cells with NaN margins
+        assert "worst margin 1e-05 at" in text.output
+
+    @pytest.mark.parametrize("flag", ["--out-csv", "--out-svg"])
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_output_is_input_error(self, runner, tmp_path, flag,
+                                              where):
+        target = (tmp_path / "no" / "map.out" if where == "missing_dir"
+                  else tmp_path)
+        res = invoke(runner, "scan", "--catalog", "example1", "--grid", "4",
+                     flag, str(target))
+        assert res.exit_code == 3
+        assert f"{target}: cannot write output file" in res.output

@@ -4,7 +4,8 @@ import pytest
 from rankone2d import (analytic_second_derivative, as_general,
                        brute_force_check, catalog, scan_domain)
 from rankone2d.energy import CATALOG
-from rankone2d.kernels import BACKEND, available_backends, direction_min_batch
+from rankone2d.kernels import (BACKEND, _svd2, available_backends,
+                               direction_min_batch)
 from rankone2d.oracle import _PSI_EPS, _psi_jets, rotation, second_derivative_terms
 
 
@@ -78,6 +79,22 @@ class TestKernelContract:
         _, xis, etas = direction_min_batch(*batch, 24)
         assert np.all((0 <= xis) & (xis < np.pi))
         assert np.all((0 <= etas) & (etas < np.pi))
+
+
+def test_unrotated_batch_matches_per_sample_angles():
+    # an all-diagonal batch with f00 >= f11 shares one cos/sin table of the
+    # eta grid; with one rotated F added, every sample takes grid + beta
+    f00, f01, f10, f11, psi1, psi2, fpp = make_batch(700, seed=6)
+    f00, f11 = np.maximum(f00, f11), np.minimum(f00, f11)
+    diag = (f00, f01, f10, f11, psi1, psi2, fpp)
+    assert not _svd2(f00, f01, f10, f11)[3].any()
+    _, rotated = _rotated_batch(catalog("example2"), 1, seed=7)
+    mixed = [np.concatenate([a, b]) for a, b in zip(diag, rotated)]
+    for n_angles in (1, 7, 48):
+        plain = direction_min_batch(*diag, n_angles)
+        per_sample = direction_min_batch(*mixed, n_angles)
+        for a, b in zip(plain, per_sample):
+            assert np.array_equal(a.view(np.int64), b[:700].view(np.int64))
 
 
 def _rotated_batch(e, n, seed, spread=2.0):
