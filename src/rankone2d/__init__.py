@@ -47,7 +47,6 @@ from .energy import (
 )
 from .errors import RankOneError
 from .expr import Expr, Jet2, eval_jet2, parse, pretty
-from .kernels import BACKEND, available_backends
 from .oracle import (
     AcousticTensor,
     BruteForceResult,
@@ -75,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcousticTensor",
-    "BACKEND",
     "BruteForceResult",
     "ConditionReport",
     "EllipticityMap",
@@ -96,7 +94,6 @@ __all__ = [
     "acoustic_tensor",
     "analytic_second_derivative",
     "as_general",
-    "available_backends",
     "brute_force_check",
     "catalog",
     "classify_structure",

@@ -33,7 +33,7 @@ from . import criteria, energy, oracle, scan, stress
 from .errors import RankOneError
 from .scalar_inf import InfimumResult
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -386,8 +386,9 @@ def stress_cmd(catalog_id, energy_file, report_format, at, tol, **params):
 @click.option("--lambda-max", type=float, default=10**2.5)
 @click.option("--spacing", type=click.Choice(["log", "linear"]), default="log")
 @click.option("--angles", type=int, default=48,
-              help="Number of eta angles in [0, pi); the minimum over xi is "
-                   "exact.")
+              help="Accepted for compatibility and checked to be at least 1; "
+                   "it no longer affects the map, whose labels come from the "
+                   "exact split conditions.")
 @click.option("--tol", type=float, default=criteria.DEFAULT_TOL)
 @click.option("--out-csv", type=click.Path(), default=None)
 @click.option("--out-svg", type=click.Path(), default=None)
@@ -401,8 +402,7 @@ def scan_cmd(catalog_id, energy_file, report_format, grid_n, lambda_min,
         _check_at_least("--angles", angles, 1)
         e = _resolve_energy(catalog_id, energy_file, params)
         emap = scan.scan_domain(e, lambda_range=(lambda_min, lambda_max),
-                                n_points=grid_n, n_angles=angles, tol=tol,
-                                spacing=spacing)
+                                n_points=grid_n, tol=tol, spacing=spacing)
         if out_csv:
             with _open_output(out_csv, newline="") as fh:
                 scan.emit_csv(emap, fh)

@@ -156,6 +156,10 @@ class _Coupled(NamedTuple):
     coeff: np.ndarray
     mask: np.ndarray  # the t at which the condition is defined
 
+    def margin(self, w):
+        """max(a + coeff*w, q + sign*w), elementwise in t and w."""
+        return np.maximum(self.a + self.coeff * w, self.q + self.sign * w)
+
 
 def _coupled_conditions(ts: np.ndarray, h1: np.ndarray, h2: np.ndarray):
     """Conditions C and D; they share a(t)."""
@@ -222,8 +226,7 @@ def _coupled_min(cond: _Coupled, ws: np.ndarray):
     def unit(wv):
         return cond.q + cond.sign * wv
 
-    def margin(wv):
-        return np.maximum(sloped(wv), unit(wv))
+    margin = cond.margin
 
     def leading(holds):
         """Per row, how many sorted samples from w_min on satisfy ``holds``,
@@ -293,7 +296,10 @@ def _normalized(margin: np.ndarray, scale: np.ndarray) -> np.ndarray:
     (f' and f'' grow like powers of z = x*y), so raw margins carry
     cancellation noise proportional to the largest ingredient.  Dividing by
     the ingredient magnitude turns that noise into O(machine epsilon),
-    which the snap removes without masking any genuine violation.
+    which the snap removes.  It removes a genuine violation of that relative
+    size too: on h = 0.35 log(t)^2, f = 2.6 exp(1.4 log(z)^2), where g_xx
+    reaches 1e38, a condition (v) margin of about -2e3 snaps to zero, so
+    this route misses cells that ``scan_domain`` labels NonElliptic.
     """
     out = margin / (1.0 + scale)
     out[np.abs(out) < _NOISE_FLOOR] = 0.0
@@ -453,10 +459,9 @@ def necessary_battery(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
     signed = np.where(ts >= 1.0, h1, -h1)
     reports.append(_grid_report("Nec_c", signed, (ts,), tol))
     reports.append(_grid_report("Nec_d", ts * h2 + h1, (ts,), tol))
+    # (t + 1) * Nec_e is b + c, the slope of D in w
     reports.append(_grid_report("Nec_e", (ts + 3.0) * h1 + 2.0 * ts * (ts + 1.0) * h2,
                                 (ts,), tol))
-    _, cond_d = _coupled_conditions(ts, h1, h2)
-    reports.append(_grid_report("CorollaryBC", cond_d.coeff, (ts,), tol))
     return reports
 
 

@@ -31,15 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
-BACKEND = "python"
-
 # (sample, angle) pairs per block: bounds the temporaries at any batch size
 _BLOCK = 1 << 14
-
-
-def available_backends() -> dict:
-    """Kernel implementations by name; there is one."""
-    return {BACKEND: direction_min_batch}
 
 
 def _svd2(f00, f01, f10, f11):
@@ -104,18 +97,11 @@ def direction_min_batch(f00, f01, f10, f11, psi1, psi2, fpp, n_angles):
     grid = np.arange(n_angles) * step
     best = np.empty(n, dtype=np.intp)
     per_block = max(1, _BLOCK // n_angles)
-    # F's own frame is eta's when beta == 0 (every diagonal F with
-    # f00 >= f11): then grid + beta == grid exactly, and one cos/sin table
-    # of the grid serves every sample
-    rotated = bool(beta.any())
-    c, s = np.cos(grid), np.sin(grid)
     for lo in range(0, n, per_block):
         sl = slice(lo, lo + per_block)
-        if rotated:
-            phi = grid + beta[sl, None]
-            c, s = np.cos(phi), np.sin(phi)
+        phi = grid + beta[sl, None]
         d0, d1, u, v = _pieces(l1[sl, None], l2[sl, None], t[sl, None],
-                               psi1[sl, None], c, s)
+                               psi1[sl, None], np.cos(phi), np.sin(phi))
         lam = _min_eig(d0, d1, u, v, c_iso[sl, None], c_vol[sl, None])
         best[sl] = np.argmin(lam, axis=1)
 

@@ -17,7 +17,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .energy import SingularPair, SplitEnergy
-from .errors import DomainError, LeftGLplus, NonPositiveDeterminant, OverflowValue
+from .errors import (DegenerateGrid, DomainError, LeftGLplus,
+                     NonPositiveDeterminant, OverflowValue)
 from .kernels import _svd2, direction_min_batch
 
 # |t - 1| at or below which _psi_jets takes the limit branch: there its
@@ -233,7 +234,19 @@ def brute_force_check(
 ) -> BruteForceResult:
     """Grid search over sampled F and rank-one directions, then seeded
     random refinement around the worst point.  Deterministic given the seed.
+
+    ``DegenerateGrid`` is raised unless n_lambda, n_rotation_pairs and
+    n_angles are at least 1 and 0 < lambda_min < lambda_max < inf.
     """
+    lo, hi = lambda_range
+    if not 0.0 < lo < hi < math.inf:
+        raise DegenerateGrid(
+            f"oracle range [{lo:g}, {hi:g}] must satisfy 0 < lambda_min < "
+            "lambda_max < inf")
+    for name, size in (("n_lambda", n_lambda), ("n_rotation_pairs", n_rotation_pairs),
+                       ("n_angles", n_angles)):
+        if size < 1:
+            raise DegenerateGrid(f"{name} must be at least 1, got {size}")
     lg = np.log10(lambda_range)
     lam = np.logspace(lg[0], lg[1], n_lambda)
     l1, l2 = map(np.ravel, np.meshgrid(lam, lam, indexing="ij"))

@@ -3,22 +3,35 @@
 Each grid point is a diagonal deformation gradient diag(lambda1, lambda2);
 isotropy makes rotations redundant, and the symmetry (lambda1, lambda2) ->
 (lambda2, lambda1) is enforced exactly by computing only the upper triangle
-and mirroring.  Output goes to CSV (deterministic bytes) or a simple SVG
-heat map.
+(lambda1 >= lambda2) and mirroring.
+
+Under the split W = h(t) + f(z), Legendre-Hadamard ellipticity at one such
+F reduces to the split conditions at the pair t = lambda1/lambda2 >= 1 and
+w = z^2 f''(z), z = lambda1*lambda2:
+
+    A:   t^2 h''(t) + w,
+    B':  2t h'(t)/(t - 1), the Knowles-Sternberg condition (ii), with its
+         limit 2h''(1) at t = 1,
+    C:   max(q_C + w, a + (b - c) w), dropped at t = 1,
+    D:   max(q_D - w, a + (b + c) w),
+
+with C and D from ``criteria._coupled_conditions``.  A cell's margin is the
+smallest of the four.  The conditions are exact at each F, so no direction
+is sampled and a label can be wrong only through rounding.  Output goes to
+CSV (deterministic bytes) or a simple SVG heat map.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, TextIO, Tuple
+from typing import TextIO, Tuple
 
 import numpy as np
 
+from .criteria import _coupled_conditions
 from .energy import SplitEnergy
 from .errors import DegenerateGrid
-from .kernels import direction_min_batch
-from .oracle import _psi_jets
 
 DEFAULT_TOL = 1e-8
 
@@ -29,7 +42,7 @@ _LABELS = np.array(["Boundary", "Elliptic", "NonElliptic", "NonElliptic"],
 
 @dataclass
 class EllipticityMap:
-    """Scan result: per-cell minimal rank-one second derivative and verdict.
+    """Scan result: per-cell smallest split-condition margin and verdict.
 
     ``verdicts`` holds "Elliptic", "NonElliptic" or "Boundary" strings in
     the same (n_lambda1, n_lambda2) layout as ``margins``.
@@ -59,27 +72,26 @@ def scan_domain(
     e: SplitEnergy,
     lambda_range: Tuple[float, float] = (10**-2.5, 10**2.5),
     n_points: int = 256,
-    n_angles: int = 48,
     tol: float = DEFAULT_TOL,
     spacing: str = "log",
 ) -> EllipticityMap:
     """Scan a square grid of principal stretches.
 
-    ``spacing`` is "log" (default, matching the wide-range preset) or
-    "linear" for a plot range like 0..15; cells whose evaluation produces
-    NaN are marked "Boundary" with a NaN margin rather than aborting.
-    The range must satisfy 0 < lambda_min < lambda_max < inf and both
-    counts must be at least 1, otherwise ``DegenerateGrid`` is raised.
+    Each cell's margin is min(A, B', C, D) at its stretches: NonElliptic
+    below -tol, Elliptic above tol, Boundary in between.  ``spacing`` is
+    "log" (default, matching the wide-range preset) or "linear" for a plot
+    range like 0..15; cells whose evaluation produces NaN are marked
+    "Boundary" with a NaN margin rather than aborting.  The range must
+    satisfy 0 < lambda_min < lambda_max < inf and n_points must be at least
+    1, otherwise ``DegenerateGrid`` is raised.
     """
     lo, hi = lambda_range
     if not 0.0 < lo < hi < math.inf:
         raise DegenerateGrid(
             f"scan range [{lo:g}, {hi:g}] must satisfy 0 < lambda_min < "
             "lambda_max < inf")
-    if n_points < 1 or n_angles < 1:
-        raise DegenerateGrid(
-            f"scan needs at least one point and one angle, got {n_points} "
-            f"and {n_angles}")
+    if n_points < 1:
+        raise DegenerateGrid(f"scan needs at least one point, got {n_points}")
     if spacing == "log":
         lg = np.log10(lambda_range)
         lam = np.logspace(lg[0], lg[1], n_points)
@@ -91,14 +103,17 @@ def scan_domain(
     # only the upper triangle, columns the larger stretch; the rest is the
     # exact mirror
     ii, jj = np.triu_indices(n_points)
-    lam1 = lam[jj]
-    lam2 = lam[ii]
-
-    psi1, psi2 = _psi_jets(e, lam1 / lam2)
-    fpp = e.f_jet_array(lam1 * lam2).d2
-    zeros = np.zeros(lam1.size)
-    vals, _, _ = direction_min_batch(lam1, zeros, zeros, lam2, psi1, psi2, fpp,
-                                     n_angles)
+    t = lam[jj] / lam[ii]
+    z = lam[jj] * lam[ii]
+    hj = e.h_jet_array(t)
+    fpp = e.f_jet_array(z).d2
+    # A, B' (its limit on the diagonal) and D everywhere, C off the diagonal
+    with np.errstate(all="ignore"):
+        cond_c, cond_d = _coupled_conditions(t, hj.d1, hj.d2)
+        w = z**2 * fpp
+        b = np.where(cond_c.mask, 2.0 * t * hj.d1 / (t - 1.0), 2.0 * hj.d2)
+        vals = np.minimum(np.minimum(t**2 * hj.d2 + w, b), cond_d.margin(w))
+        vals = np.where(cond_c.mask, np.minimum(vals, cond_c.margin(w)), vals)
 
     margins = np.empty((n_points, n_points))
     margins[jj, ii] = vals

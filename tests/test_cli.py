@@ -40,7 +40,7 @@ class TestCheck:
         res = invoke(runner, "check", "--catalog", "example1",
                      "--report", "json")
         payload = json.loads(res.output)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["overall"] == "RankOneConvex"
         assert set(payload["routes"]) == {"main", "voliso", "ks"}
         assert payload["routes_agree"] is True
@@ -282,10 +282,15 @@ class TestScan:
         res = invoke(runner, "scan", "--energy-file", str(p), "--grid", "16",
                      "--report", "json")
         worst = json.loads(res.output)["worst"]
-        assert worst["margin"] == pytest.approx(1e-5, rel=1e-3)
+        # the smallest defined margin is condition A there,
+        # t^2 h''(t) + z^2 f''(z) = 1/t + (z/(z - 1))^2
+        l1, l2 = worst["lambda1"], worst["lambda2"]
+        t, z = max(l1, l2) / min(l1, l2), l1 * l2
+        assert worst["margin"] == pytest.approx(1 / t + (z / (z - 1))**2,
+                                                rel=1e-9)
         text = invoke(runner, "scan", "--energy-file", str(p), "--grid", "16")
         assert text.exit_code == 2  # two Boundary cells with NaN margins
-        assert "worst margin 1e-05 at" in text.output
+        assert "worst margin 0.000948983177 at" in text.output
 
     @pytest.mark.parametrize("flag", ["--out-csv", "--out-svg"])
     @pytest.mark.parametrize("where", ["missing_dir", "directory"])

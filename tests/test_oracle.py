@@ -170,3 +170,21 @@ class TestBruteForce:
         res = brute_force_check(catalog("example1"), n_lambda=8, n_refine=50)
         assert np.linalg.norm(res.xi) == pytest.approx(1.0)
         assert np.linalg.norm(res.eta) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("size", ["n_lambda", "n_rotation_pairs", "n_angles"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_empty_sizes_rejected(self, size, value):
+        with pytest.raises(errors.DegenerateGrid, match=f"{size} must be at least 1"):
+            brute_force_check(catalog("example1"), n_refine=0, **{size: value})
+
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 2.0), (0.0, 2.0), (5.0, 1.0),
+                                        (2.0, 2.0), (float("nan"), 2.0),
+                                        (0.5, float("inf"))])
+    def test_bad_range_rejected(self, lo, hi):
+        with pytest.raises(errors.DegenerateGrid, match="0 < lambda_min < lambda_max"):
+            brute_force_check(catalog("example1"), lambda_range=(lo, hi))
+
+    def test_single_sample_grid_runs(self):
+        res = brute_force_check(catalog("example1"), n_lambda=1,
+                                n_rotation_pairs=1, n_angles=1, n_refine=0)
+        assert res.summary == "NoViolationFound"

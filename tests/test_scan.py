@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankone2d import (catalog, emit_csv, emit_svg, main_check, make_split,
-                       scan_domain)
+from rankone2d import (analytic_second_derivative, catalog, emit_csv,
+                       emit_svg, main_check, make_split, scan_domain)
+from rankone2d.energy import CATALOG
 from rankone2d.errors import DegenerateGrid
+from rankone2d.kernels import direction_min_batch
+from rankone2d.oracle import _psi_jets
 from rankone2d.scan import _COLORS, EllipticityMap
 
 LABELS = ("Elliptic", "NonElliptic", "Boundary")
@@ -81,13 +84,15 @@ class TestScanDomain:
         assert not elliptic_map.any_nonelliptic
 
     def test_ray_invariance_of_cone_structure(self):
-        # f == 0: margins scale exactly like 1/z along each ray
+        # f == 0: w = 0 and every condition depends on t alone, so margins
+        # are constant along each ray lambda1/lambda2 = const
         e = catalog("exp_hencky_iso")
         base = scan_domain(e, lambda_range=(0.1, 10.0), n_points=11)
         for s in (0.5, 2.0):
             scaled = scan_domain(e, lambda_range=(0.1 * s, 10.0 * s), n_points=11)
-            assert np.allclose(scaled.margins * s**2, base.margins,
+            assert np.allclose(scaled.margins, base.margins,
                                rtol=1e-9, atol=1e-12)
+            assert (scaled.verdicts == base.verdicts).all()
 
     def test_linear_spacing(self):
         m = scan_domain(catalog("example1"), lambda_range=(0.5, 3.0),
@@ -104,11 +109,10 @@ class TestScanDomain:
             scan_domain(catalog("hadamard_k"), lambda_range=(lo, hi),
                         n_points=4, spacing=spacing)
 
-    @pytest.mark.parametrize("n_points, n_angles", [(0, 48), (4, 0)])
-    def test_empty_grid_rejected(self, n_points, n_angles):
+    @pytest.mark.parametrize("n_points", [0, -3])
+    def test_empty_grid_rejected(self, n_points):
         with pytest.raises(DegenerateGrid, match="at least one point"):
-            scan_domain(catalog("hadamard_k"), n_points=n_points,
-                        n_angles=n_angles)
+            scan_domain(catalog("hadamard_k"), n_points=n_points)
 
     @pytest.mark.parametrize("tol", [1e-8, 0.0, 1e-2, -1.0])
     def test_labels_match_nested_where(self, tol):
@@ -119,6 +123,17 @@ class TestScanDomain:
         assert nan.any() and (emap.margins[~nan] < 0).any()
         assert emap.verdicts.dtype == object
         assert (emap.verdicts == _verdicts_where(emap.margins, tol)).all()
+
+    def test_overflowing_h_gives_boundary_cells(self):
+        # h = exp(6 log(t)^2)/12: beyond t ~ 2e3 the products of its
+        # derivatives in C and D overflow to inf - inf.  Those cells are
+        # undefined, not an error, and no RuntimeWarning escapes
+        emap = scan_domain(catalog("exp_hencky", k=12.0), n_points=32)
+        nan = np.isnan(emap.margins)
+        assert nan.any() and (emap.verdicts[nan] == "Boundary").all()
+        t = emap.lambda1[:, None] / emap.lambda2[None, :]
+        assert (np.maximum(t, 1.0 / t)[nan] > 2e3).all()
+        assert set(emap.verdicts[~nan]) == {"Elliptic"}
 
     def test_bad_spacing_rejected(self):
         with pytest.raises(ValueError):
@@ -245,3 +260,157 @@ class TestEmitters:
                 a = (str(margin + i * 12), str(margin + (n - 1 - j) * 12))
                 b = (str(margin + j * 12), str(margin + (n - 1 - i) * 12))
                 assert fills[a] == fills[b]
+
+
+# ---------------------------------------------------------------------------
+# the labels against independent references
+
+
+RANK_ONE_CONVEX = ("example1", "example2", "k_energy", "hadamard_k",
+                   "exp_hencky", "idealized")
+
+
+def _energies():
+    """The catalog at its defaults, three non-default parameter sets and an
+    energy whose f'' reaches ~1e74 on the default range."""
+    out = {cid: catalog(cid) for cid in sorted(CATALOG)}
+    out["hencky(1.28, 1.558)"] = catalog("hencky", mu=1.28, kappa=1.558)
+    out["exp_hencky(0.3, 0.105)"] = catalog("exp_hencky", k=0.3, khat=0.105)
+    out["exp_hencky(0.2, 0.2)"] = catalog("exp_hencky", k=0.2, khat=0.2)
+    out["stiff"] = make_split("0.35*log(t)^2", "2.6*exp(1.4*log(z)^2)")
+    return out
+
+
+ENERGIES = _energies()
+
+
+def _kernel_cells(e, lam1, lam2, n_angles):
+    """The direction kernel at diag(lam1, lam2), lam1 >= lam2."""
+    psi1, psi2 = _psi_jets(e, lam1 / lam2)
+    fpp = e.f_jet_array(lam1 * lam2).d2
+    zeros = np.zeros(lam1.size)
+    with np.errstate(all="ignore"):
+        return direction_min_batch(lam1, zeros, zeros, lam2, psi1, psi2, fpp,
+                                   n_angles)
+
+
+def _mp_function(ast, mp):
+    """The expression tree of ``rankone2d.expr`` as an mpmath function."""
+    tag = ast[0]
+    if tag == "num":
+        c = mp.mpf(ast[1])
+        return lambda x: c
+    if tag == "const":
+        c = mp.pi if ast[1] == "pi" else mp.e
+        return lambda x: +c
+    if tag == "var":
+        return lambda x: x
+    if tag == "neg":
+        a = _mp_function(ast[1], mp)
+        return lambda x: -a(x)
+    if tag == "call":
+        fn = {"exp": mp.exp, "log": mp.log, "sqrt": mp.sqrt, "cosh": mp.cosh,
+              "sinh": mp.sinh, "tanh": mp.tanh, "arcosh": mp.acosh}[ast[1]]
+        a = _mp_function(ast[2], mp)
+        return lambda x: fn(a(x))
+    a, b = _mp_function(ast[1], mp), _mp_function(ast[2], mp)
+    op = {"add": lambda u, v: u + v, "sub": lambda u, v: u - v,
+          "mul": lambda u, v: u * v, "div": lambda u, v: u / v,
+          "pow": lambda u, v: u**v}[tag]
+    return lambda x: op(a(x), b(x))
+
+
+def _mp_ks_margin(e, x, y, mp):
+    """Smallest Knowles-Sternberg margin of g(x, y) = h(x/y) + f(xy) at
+    diag(x, y), x >= y, with the partials of g taken by mpmath."""
+    h, f = _mp_function(e.h.ast, mp), _mp_function(e.f.ast, mp)
+
+    def g(u, v):
+        return h(u / v) + f(u * v)
+
+    x, y = mp.mpf(x), mp.mpf(y)
+    gx, gy, gxx, gxy, gyy = (mp.diff(g, (x, y), order) for order in
+                             ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+    root = mp.sqrt(max(gxx * gyy, 0))
+    m = [gxx, gyy, root - gxy + (gx + gy) / (x + y)]
+    if x == y:
+        m.append(gxx - gxy + gx / x)
+    else:
+        m += [(x * gx - y * gy) / (x - y), root + gxy + (gx - gy) / (x - y)]
+    return min(m)
+
+
+@pytest.mark.parametrize("spacing", ["log", "linear"])
+@pytest.mark.parametrize("cid", RANK_ONE_CONVEX)
+def test_rank_one_convex_diagonal_is_elliptic(cid, spacing):
+    rng = (10**-2.5, 10**2.5) if spacing == "log" else (0.05, 15.0)
+    emap = scan_domain(catalog(cid), lambda_range=rng, n_points=128,
+                       spacing=spacing)
+    assert set(np.diagonal(emap.verdicts)) == {"Elliptic"}
+
+
+@pytest.mark.parametrize("name", sorted(ENERGIES))
+def test_labels_match_high_precision_knowles_sternberg(name):
+    # on the upper triangle: random NonElliptic and Elliptic cells, cells on
+    # the edge of the NonElliptic region, and cells a 48-angle kernel passes
+    # but the labels do not
+    mp = pytest.importorskip("mpmath")
+    e = ENERGIES[name]
+    emap = scan_domain(e, n_points=128)
+    ii, jj = np.triu_indices(128)
+    verdicts = emap.verdicts[jj, ii]
+    lam1, lam2 = emap.lambda1[jj], emap.lambda2[ii]
+    bad = emap.verdicts == "NonElliptic"
+    edge = bad != np.roll(bad, 1, axis=0)
+    kernel, _, _ = _kernel_cells(e, lam1, lam2, 48)
+    groups = [verdicts == "NonElliptic", verdicts == "Elliptic", edge[jj, ii],
+              (verdicts == "NonElliptic") & (kernel >= -1e-8)]
+    pick = np.random.RandomState(sorted(ENERGIES).index(name))
+    cells = np.unique(np.concatenate([
+        pick.choice(np.flatnonzero(g), min(4, int(g.sum())), replace=False)
+        for g in groups]))
+    cells = cells[verdicts[cells] != "Boundary"]
+    # the partials of g reach ~1e79 on stiff, so 60 digits can lose a sign
+    with mp.workdps(100):
+        for k in cells:
+            ks = _mp_ks_margin(e, lam1[k], lam2[k], mp)
+            assert (ks < 0) == (verdicts[k] == "NonElliptic"), (
+                lam1[k], lam2[k], verdicts[k], ks)
+
+
+def test_condition_c_alone_decides():
+    # w = z^2 f'' = -5 everywhere; for t in about [9.6, 13.9] A, B' and D
+    # hold and only C fails, which no energy above shows
+    mp = pytest.importorskip("mpmath")
+    e = make_split("exp(0.3*log(t)^2)", "5*log(z)")
+    emap = scan_domain(e, n_points=128)
+    t = emap.lambda1[:, None] / emap.lambda2[None, :]
+    band = np.flatnonzero((t > 9.7) & (t < 13.8))
+    assert (emap.verdicts.ravel()[band] == "NonElliptic").all()
+    cells = np.random.RandomState(0).choice(band, 6, replace=False)
+    with mp.workdps(30):
+        for i, j in zip(*np.unravel_index(cells, t.shape)):
+            assert _mp_ks_margin(e, emap.lambda1[i], emap.lambda2[j], mp) < 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(ENERGIES)),
+       lo=st.floats(-2.5, 2.0), width=st.floats(0.05, 2.5),
+       n=st.integers(1, 9), spacing=st.sampled_from(["log", "linear"]))
+def test_kernel_violations_are_nonelliptic(name, lo, width, n, spacing):
+    # a violation the kernel finds and exact arithmetic confirms at its
+    # directions lies in a NonElliptic cell
+    e = ENERGIES[name]
+    emap = scan_domain(e, lambda_range=(10**lo, 10**(lo + width)),
+                       n_points=n, spacing=spacing)
+    ii, jj = np.triu_indices(n)
+    lam1, lam2 = emap.lambda1[jj], emap.lambda2[ii]
+    vals, xis, etas = _kernel_cells(e, lam1, lam2, 480)
+    for k in np.flatnonzero(vals < -emap.tol):
+        xi = np.array([math.cos(xis[k]), math.sin(xis[k])])
+        eta = np.array([math.cos(etas[k]), math.sin(etas[k])])
+        exact = analytic_second_derivative(e, np.diag([lam1[k], lam2[k]]),
+                                           xi, eta)
+        if exact < -emap.tol:
+            assert emap.verdicts[jj[k], ii[k]] == "NonElliptic", (
+                lam1[k], lam2[k], exact)
