@@ -4,8 +4,14 @@ Decides Legendre-Hadamard ellipticity of isotropic planar energies of the
 form W(F) = h(lambda1/lambda2) + f(lambda1*lambda2) through several
 equivalent criteria, cross-validated by a brute-force matrix oracle, with
 stress-stretch invertibility analysis and ellipticity-domain scans.
+
+``import rankone2d`` loads numpy and none of the submodules.  Each name in
+``__all__`` is imported from its submodule on first access (PEP 562) and
+then kept in the package namespace, so ``from rankone2d import ks_check``
+loads ``criteria`` and its imports, and nothing else.
 """
 
+import importlib as _importlib
 import os as _os
 
 # The package's only BLAS/LAPACK calls are det, eigvalsh and norm of 2x2
@@ -22,102 +28,43 @@ if not any(v in _os.environ for v in _BLAS_THREAD_VARS):
         import numpy  # noqa: F401
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
-
-from .criteria import (
-    ConditionReport,
-    GridSpec,
-    MainCheckResult,
-    RankOneVerdict,
-    StructureClassification,
-    classify_structure,
-    ks_check,
-    main_check,
-    necessary_battery,
-    voliso_check,
-)
-from .energy import (
-    SingularPair,
-    SplitCoordinates,
-    SplitEnergy,
-    as_general,
-    catalog,
-    eval_W,
-    eval_W_matrix,
-    make_split,
-)
-from .errors import RankOneError
-from .expr import Expr, Jet2, eval_jet2, parse, pretty
-from .oracle import (
-    AcousticTensor,
-    BruteForceResult,
-    acoustic_tensor,
-    analytic_second_derivative,
-    brute_force_check,
-    fd_second_derivative,
-    svd2,
-)
-from .scalar_inf import InfimumResult, convexity_verdict, infimum_weighted_second
-from .scan import EllipticityMap, emit_csv, emit_svg, scan_domain
-from .stress import (
-    InfinitesimalModuli,
-    InvertibilityReport,
-    StressState,
-    infinitesimal_moduli,
-    invertibility_verdict,
-    linear_rank_one_check,
-    principal_cauchy,
-    stress_jacobian_det,
-    w_lin,
-)
+else:
+    import numpy  # noqa: F401  -- every submodule needs it, so load it here too
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcousticTensor",
-    "BruteForceResult",
-    "ConditionReport",
-    "EllipticityMap",
-    "Expr",
-    "GridSpec",
-    "InfimumResult",
-    "InfinitesimalModuli",
-    "InvertibilityReport",
-    "Jet2",
-    "MainCheckResult",
-    "RankOneError",
-    "RankOneVerdict",
-    "SingularPair",
-    "SplitCoordinates",
-    "SplitEnergy",
-    "StressState",
-    "StructureClassification",
-    "acoustic_tensor",
-    "analytic_second_derivative",
-    "as_general",
-    "brute_force_check",
-    "catalog",
-    "classify_structure",
-    "convexity_verdict",
-    "emit_csv",
-    "emit_svg",
-    "eval_W",
-    "eval_W_matrix",
-    "eval_jet2",
-    "fd_second_derivative",
-    "infimum_weighted_second",
-    "infinitesimal_moduli",
-    "invertibility_verdict",
-    "ks_check",
-    "linear_rank_one_check",
-    "main_check",
-    "make_split",
-    "necessary_battery",
-    "parse",
-    "pretty",
-    "principal_cauchy",
-    "scan_domain",
-    "stress_jacobian_det",
-    "svd2",
-    "voliso_check",
-    "w_lin",
-]
+_EXPORTS = {
+    "criteria": ("ConditionReport", "MainCheckResult", "RankOneVerdict",
+                 "StructureClassification", "classify_structure", "ks_check",
+                 "main_check", "necessary_battery", "voliso_check"),
+    "energy": ("GridSpec", "SingularPair", "SplitCoordinates", "SplitEnergy",
+               "as_general", "catalog", "eval_W", "eval_W_matrix", "make_split"),
+    "errors": ("RankOneError",),
+    "expr": ("Expr", "Jet2", "eval_jet2", "parse", "pretty"),
+    "oracle": ("AcousticTensor", "BruteForceResult", "acoustic_tensor",
+               "analytic_second_derivative", "brute_force_check",
+               "fd_second_derivative", "svd2"),
+    "scalar_inf": ("InfimumResult", "convexity_verdict", "infimum_weighted_second"),
+    "scan": ("EllipticityMap", "emit_csv", "emit_svg", "scan_domain"),
+    "stress": ("InfinitesimalModuli", "InvertibilityReport", "StressState",
+               "infinitesimal_moduli", "invertibility_verdict",
+               "linear_rank_one_check", "principal_cauchy", "stress_jacobian_det",
+               "w_lin"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    try:
+        module = _SOURCE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(_importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

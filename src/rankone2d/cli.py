@@ -18,6 +18,10 @@ A key that is not an identifier, that names the variable (``t`` in h, ``z``
 in f), a function (``exp``, ``log``, ...) or a constant (``e``, ``pi``), or
 whose value is not a finite number is an input error.  Keys that neither
 source uses are ignored.
+
+Each subcommand imports the modules it runs inside its body, and option
+defaults come from ``energy``, so a process loads only what its subcommand
+uses.
 """
 
 from __future__ import annotations
@@ -25,13 +29,15 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import click
 
-from . import criteria, energy, oracle, scan, stress
+from . import energy
 from .errors import RankOneError
-from .scalar_inf import InfimumResult
+
+if TYPE_CHECKING:
+    from .scalar_inf import InfimumResult
 
 SCHEMA_VERSION = 2
 
@@ -107,15 +113,18 @@ def _energy_options(fn):
     return fn
 
 
+_tol_option = click.option("--tol", type=float, default=energy.DEFAULT_TOL)
+
+
 def _grid_options(fn):
     for deco in reversed([
-        click.option("--t-min", type=float, default=criteria.DEFAULT_T_GRID.lo),
-        click.option("--t-max", type=float, default=criteria.DEFAULT_T_GRID.hi),
-        click.option("--t-points", type=int, default=criteria.DEFAULT_T_GRID.n),
-        click.option("--z-min", type=float, default=criteria.DEFAULT_Z_GRID.lo),
-        click.option("--z-max", type=float, default=criteria.DEFAULT_Z_GRID.hi),
-        click.option("--z-points", type=int, default=criteria.DEFAULT_Z_GRID.n),
-        click.option("--tol", type=float, default=criteria.DEFAULT_TOL),
+        click.option("--t-min", type=float, default=energy.DEFAULT_T_GRID.lo),
+        click.option("--t-max", type=float, default=energy.DEFAULT_T_GRID.hi),
+        click.option("--t-points", type=int, default=energy.DEFAULT_T_GRID.n),
+        click.option("--z-min", type=float, default=energy.DEFAULT_Z_GRID.lo),
+        click.option("--z-max", type=float, default=energy.DEFAULT_Z_GRID.hi),
+        click.option("--z-points", type=int, default=energy.DEFAULT_Z_GRID.n),
+        _tol_option,
     ]):
         fn = deco(fn)
     return fn
@@ -209,11 +218,13 @@ def check(catalog_id, energy_file, t_min, t_max, t_points, z_min, z_max,
     """Full cross-route rank-one convexity check."""
 
     def body():
+        from . import criteria
+
         _check_positive_tol(tol)
         e = _resolve_energy(catalog_id, energy_file, params)
-        t_grid = criteria.GridSpec(t_min, t_max, t_points)
-        z_grid = criteria.GridSpec(z_min, z_max, z_points)
-        xy_grid = criteria.DEFAULT_XY_GRID
+        t_grid = energy.GridSpec(t_min, t_max, t_points)
+        z_grid = energy.GridSpec(z_min, z_max, z_points)
+        xy_grid = energy.DEFAULT_XY_GRID
 
         main_res = criteria.main_check(e, t_grid=t_grid, tol=tol)
         vol = criteria.voliso_check(e, t_grid=t_grid, z_grid=z_grid, tol=tol)
@@ -261,6 +272,8 @@ def classify(catalog_id, energy_file, report_format, **params):
     """Structural classification with short-circuit verdict."""
 
     def body():
+        from . import criteria
+
         e = _resolve_energy(catalog_id, energy_file, params)
         cls = criteria.classify_structure(e)
         payload = {"schema_version": SCHEMA_VERSION, "energy": e.name}
@@ -289,12 +302,14 @@ def classify(catalog_id, energy_file, report_format, **params):
               help="Random refinement samples around the worst grid point.")
 @click.option("--grid", "grid_n", type=int, default=20,
               help="Stretch samples per axis.")
-@click.option("--tol", type=float, default=criteria.DEFAULT_TOL)
+@_tol_option
 def oracle_cmd(catalog_id, energy_file, report_format, seed, samples, grid_n,
                tol, **params):
     """Brute-force Legendre-Hadamard violation search."""
 
     def body():
+        from . import oracle
+
         _check_positive_tol(tol)
         _check_at_least("--grid", grid_n, 1)
         _check_at_least("--samples", samples, 0)
@@ -327,11 +342,13 @@ def oracle_cmd(catalog_id, energy_file, report_format, seed, samples, grid_n,
 @_report_option
 @click.option("--at", nargs=2, type=float, default=(1.0, 1.0),
               help="Principal stretches lambda1 lambda2.")
-@click.option("--tol", type=float, default=criteria.DEFAULT_TOL)
+@_tol_option
 def stress_cmd(catalog_id, energy_file, report_format, at, tol, **params):
     """Principal stresses, moduli and stress-map invertibility."""
 
     def body():
+        from . import stress
+
         _check_positive_tol(tol)
         e = _resolve_energy(catalog_id, energy_file, params)
         pair = energy.SingularPair(at[0], at[1])
@@ -389,7 +406,7 @@ def stress_cmd(catalog_id, energy_file, report_format, at, tol, **params):
               help="Accepted for compatibility and checked to be at least 1; "
                    "it no longer affects the map, whose labels come from the "
                    "exact split conditions.")
-@click.option("--tol", type=float, default=criteria.DEFAULT_TOL)
+@_tol_option
 @click.option("--out-csv", type=click.Path(), default=None)
 @click.option("--out-svg", type=click.Path(), default=None)
 def scan_cmd(catalog_id, energy_file, report_format, grid_n, lambda_min,
@@ -397,6 +414,8 @@ def scan_cmd(catalog_id, energy_file, report_format, grid_n, lambda_min,
     """Ellipticity-domain map over the (lambda1, lambda2) plane."""
 
     def body():
+        from . import scan
+
         _check_positive_tol(tol)
         _check_at_least("--grid", grid_n, 1)
         _check_at_least("--angles", angles, 1)

@@ -39,32 +39,20 @@ from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .energy import GeneralIsotropicEnergy, SplitEnergy, as_general
+from .energy import (
+    DEFAULT_T_GRID,
+    DEFAULT_TOL,
+    DEFAULT_XY_GRID,
+    DEFAULT_Z_GRID,
+    GeneralIsotropicEnergy,
+    GridSpec,
+    SplitEnergy,
+    as_general,
+)
 from .errors import DegenerateGrid, DomainError
 from .scalar_inf import InfimumResult, convexity_verdict, infimum_weighted_second
 
-DEFAULT_TOL = 1e-8
-
 Witness = Union[None, str, List[float]]
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Log-spaced 1-D grid specification."""
-
-    lo: float
-    hi: float
-    n: int
-
-    def points(self) -> np.ndarray:
-        if not (0.0 < self.lo < self.hi) or self.n < 2:
-            raise DegenerateGrid(f"bad grid [{self.lo}, {self.hi}] x {self.n}")
-        return np.logspace(math.log10(self.lo), math.log10(self.hi), self.n)
-
-
-DEFAULT_T_GRID = GridSpec(1e-4, 1e4, 4001)
-DEFAULT_Z_GRID = GridSpec(1e-4, 1e4, 1001)
-DEFAULT_XY_GRID = GridSpec(1e-2, 1e2, 201)
 
 
 @dataclass
@@ -368,8 +356,12 @@ def voliso_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
     ts = t_grid.points()
     zs = z_grid.points()
     hj = e.h_jet_array(ts)
-    wz = zs**2 * e.f_jet_array(zs).d2  # z^2 f''(z)
-    wt = ts**2 * hj.d2                 # t^2 h''(t)
+    # z^2 f''(z) may overflow to +inf.  C and D then take their w -> +inf
+    # limits at that sample; a zero slope times the infinite w is NaN and,
+    # like a NaN jet, raises DomainError naming the sample.
+    with np.errstate(over="ignore"):
+        wz = zs**2 * e.f_jet_array(zs).d2
+    wt = ts**2 * hj.d2  # t^2 h''(t)
     # A) separate convexity: min decouples into the two 1-D minima
     it, iz = int(np.argmin(wt)), int(np.argmin(wz))
     reports = [_report("A", float(wt[it] + wz[iz]), [float(ts[it]), float(zs[iz])],

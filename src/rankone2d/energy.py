@@ -2,8 +2,10 @@
 
 The isochoric part h must satisfy h(t) = h(1/t); this is validated on a log
 grid at construction.  The module also carries the built-in catalog of named
-energies and the assembly of a general two-variable representation g(x, y)
-with all first and second partials.
+energies, the assembly of a general two-variable representation g(x, y)
+with all first and second partials, and the sampling defaults every check
+shares: the tolerance and the log grids.  The command line reads those
+defaults from here, so its options load none of the checking modules.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from . import expr
 from .errors import (
+    DegenerateGrid,
     DomainError,
     NonPositiveDeterminant,
     SymmetryViolation,
@@ -25,6 +28,27 @@ from .expr import Expr, Jet2, eval_jet2, eval_jet2_array
 
 _SYMMETRY_POINTS = 64
 _SYMMETRY_TOL = 1e-9
+
+DEFAULT_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Log-spaced 1-D grid specification."""
+
+    lo: float
+    hi: float
+    n: int
+
+    def points(self) -> np.ndarray:
+        if not (0.0 < self.lo < self.hi) or self.n < 2:
+            raise DegenerateGrid(f"bad grid [{self.lo}, {self.hi}] x {self.n}")
+        return np.logspace(math.log10(self.lo), math.log10(self.hi), self.n)
+
+
+DEFAULT_T_GRID = GridSpec(1e-4, 1e4, 4001)
+DEFAULT_Z_GRID = GridSpec(1e-4, 1e4, 1001)
+DEFAULT_XY_GRID = GridSpec(1e-2, 1e2, 201)
 
 
 @dataclass(frozen=True)
@@ -124,7 +148,9 @@ class GeneralIsotropicEnergy:
     """Two-variable representation g(x, y) with all partials up to order 2.
 
     ``partials(x, y)`` returns (g, g_x, g_y, g_xx, g_xy, g_yy); arguments may
-    be floats or broadcastable numpy arrays.
+    be floats or broadcastable numpy arrays.  The h and f jets are evaluated
+    once per distinct x/y and x*y, which on a tensor grid is far fewer than
+    the points.
     """
 
     partials: Callable
@@ -137,8 +163,8 @@ def as_general(e: SplitEnergy) -> GeneralIsotropicEnergy:
     def partials(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        hj = e.h_jet_array(x / y)
-        fj = e.f_jet_array(x * y)
+        hj = _per_distinct(e.h_jet_array, x / y)
+        fj = _per_distinct(e.f_jet_array, x * y)
         g = hj.value + fj.value
         g_x = hj.d1 / y + y * fj.d1
         g_y = -x / y**2 * hj.d1 + x * fj.d1
@@ -148,6 +174,18 @@ def as_general(e: SplitEnergy) -> GeneralIsotropicEnergy:
         return g, g_x, g_y, g_xx, g_xy, g_yy
 
     return GeneralIsotropicEnergy(partials=partials, name=e.name)
+
+
+def _per_distinct(jet_array: Callable, args: np.ndarray) -> Jet2:
+    """``jet_array(args)``, evaluated once per distinct argument and gathered
+    back.  The jets are elementwise, so the result is bit-identical.  Distinct
+    means distinct bits, which keeps -0.0 apart from 0.0."""
+    if args.ndim == 0:
+        return jet_array(args)
+    keys, inverse = np.unique(args.ravel().view(np.int64), return_inverse=True)
+    jet = jet_array(keys.view(np.float64))
+    return Jet2(*(part[inverse].reshape(args.shape)
+                  for part in (jet.value, jet.d1, jet.d2)))
 
 
 # ---------------------------------------------------------------------------

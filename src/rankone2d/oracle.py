@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .energy import SingularPair, SplitEnergy
+from .energy import DEFAULT_TOL, SingularPair, SplitEnergy
 from .errors import (DegenerateGrid, DomainError, LeftGLplus,
                      NonPositiveDeterminant, OverflowValue)
 from .kernels import _svd2, direction_min_batch
@@ -230,7 +230,7 @@ def brute_force_check(
     n_angles: int = 24,
     n_refine: int = 1000,
     seed: int = 0,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
 ) -> BruteForceResult:
     """Grid search over sampled F and rank-one directions, then seeded
     random refinement around the worst point.  Deterministic given the seed.

@@ -30,10 +30,8 @@ from typing import TextIO, Tuple
 import numpy as np
 
 from .criteria import _coupled_conditions
-from .energy import SplitEnergy
+from .energy import DEFAULT_TOL, SplitEnergy
 from .errors import DegenerateGrid
-
-DEFAULT_TOL = 1e-8
 
 # verdict by code 2 * (margin < -tol) + (margin > tol)
 _LABELS = np.array(["Boundary", "Elliptic", "NonElliptic", "NonElliptic"],

@@ -22,9 +22,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .energy import SingularPair, SplitEnergy
-
-DEFAULT_TOL = 1e-8
+from .energy import DEFAULT_TOL, SingularPair, SplitEnergy
 
 
 @dataclass

@@ -16,6 +16,7 @@ from rankone2d import (
     necessary_battery,
     voliso_check,
 )
+from rankone2d.energy import DEFAULT_Z_GRID
 
 SMALL_T = GridSpec(1e-3, 1e3, 801)
 SMALL_Z = GridSpec(1e-3, 1e3, 301)
@@ -134,6 +135,43 @@ class TestVolisoCheck:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(errors.DomainError):
                 voliso_check(catalog("exp_hencky", k=12))
+
+    @pytest.mark.parametrize("c", [1.4, 3, 6, 10])
+    def test_stiff_volumetric_part_gives_no_warning(self, c):
+        # f = 2.6 exp(c log(z)^2): z^2 f''(z) overflows on the default z grid
+        # from c = 10 on, where f's jets are inf - inf = NaN at the grid's ends
+        e = make_split(STIFF_HENCKY[0], f"2.6*exp({c}*log(z)^2)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if c < 10:
+                v = voliso_check(e)
+                by_id = {r.condition_id: r for r in v.reports}
+                assert v.overall == "NotRankOneConvex"
+                assert by_id["D"].verdict == "Fails"
+                assert not any(math.isnan(r.worst_margin) for r in v.reports)
+            else:
+                # the first NaN sample is z = 1e-4
+                with pytest.raises(errors.DomainError,
+                                   match=r"^C undefined at \[0\.0001, 0\.0001\]$"):
+                    voliso_check(e)
+
+    def test_overflowing_w_takes_its_limit(self):
+        # z^2 f''(z) = 2e300 z^2 is +inf beyond z ~ 9.5e3 while f's jets are
+        # finite; there C holds and D holds iff b + c > 0
+        f = "1e300*(z - 1)^2"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            convex = voliso_check(make_split("(t + 1/t)/2", f))
+            hencky = voliso_check(make_split("0.5*log(t)^2", f))
+        assert convex.overall == "RankOneConvex"
+        by_id = {r.condition_id: r for r in hencky.reports}
+        assert by_id["C"].verdict == "Holds"
+        # b + c < 0 at t = 1e-4, so D -> -inf at the first infinite w
+        assert by_id["D"].verdict == "Unbounded"
+        zs = DEFAULT_Z_GRID.points()
+        with np.errstate(over="ignore"):
+            first_inf = zs[np.argmax(np.isinf(zs**2 * 2e300))]
+        assert by_id["D"].witness == [1e-4, first_inf]
 
     def test_undefined_volumetric_jets_raise(self):
         e = make_split("(t + 1/t)/2 - 1", "log(z - 1)")

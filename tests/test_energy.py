@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from rankone2d import energy, errors, expr
 
@@ -115,6 +116,78 @@ class TestAsGeneral:
         g = energy.as_general(e)
         assert float(g.partials(1.7, 0.6)[0]) == pytest.approx(
             energy.eval_W(e, energy.SingularPair(1.7, 0.6)), rel=1e-12)
+
+
+def _direct_partials(e, x, y):
+    """The partials of g(x, y) = h(x/y) + f(x*y) with one jet per point."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    hj = e.h_jet_array(x / y)
+    fj = e.f_jet_array(x * y)
+    return (hj.value + fj.value,
+            hj.d1 / y + y * fj.d1,
+            -x / y**2 * hj.d1 + x * fj.d1,
+            hj.d2 / y**2 + y**2 * fj.d2,
+            -hj.d1 / y**2 - x / y**3 * hj.d2 + fj.d1 + x * y * fj.d2,
+            2.0 * x / y**3 * hj.d1 + x**2 / y**4 * hj.d2 + x**2 * fj.d2)
+
+
+def _assert_bit_identical(got, want):
+    for a, b in zip(got, want):
+        assert np.shape(a) == np.shape(b)
+        assert np.array_equal(a, b, equal_nan=True)
+        zero = np.asarray(b) == 0.0
+        assert np.array_equal(np.signbit(a)[zero], np.signbit(b)[zero])
+
+
+@st.composite
+def repeated_arguments(draw):
+    """(x, y) as Python floats, 0-d arrays, or arrays drawn from a few
+    positive values, so that x/y and x*y repeat; y may broadcast."""
+    value = st.floats(min_value=1e-300, max_value=1e300)
+    kind = draw(st.sampled_from(["float", "0-d", "array", "broadcast"]))
+    if kind == "float":
+        return draw(value), draw(value)
+    if kind == "0-d":
+        return np.array(draw(value)), np.array(draw(value))
+    shape = draw(array_shapes(min_dims=1, max_dims=2, max_side=7))
+    pool = st.sampled_from(draw(st.lists(value, min_size=1, max_size=4)))
+    x = draw(arrays(np.float64, shape, elements=pool))
+    y = draw(value) if kind == "broadcast" else draw(arrays(np.float64, shape,
+                                                             elements=pool))
+    return x, y
+
+
+class TestPartialsPerDistinctArgument:
+    """``as_general`` evaluates each jet once per distinct argument; the
+    partials must equal those of one jet per point, bit for bit."""
+
+    @pytest.mark.parametrize("cid", sorted(energy.CATALOG))
+    def test_catalog_on_the_default_ks_grid(self, cid):
+        e = energy.catalog(cid)
+        pts = energy.DEFAULT_XY_GRID.points()
+        x, y = np.meshgrid(pts, pts, indexing="ij")
+        g = energy.as_general(e)
+        with np.errstate(all="ignore"):
+            _assert_bit_identical(g.partials(x, y), _direct_partials(e, x, y))
+            _assert_bit_identical(g.partials(pts, pts), _direct_partials(e, pts, pts))
+
+    def test_signed_zero_arguments_stay_apart(self):
+        # 1/t is +inf at t = 0.0 and -inf at t = -0.0
+        e = energy.catalog("k_energy")
+        x = np.array([0.0, -0.0, 0.0, 2.0])
+        y = np.array([1.0, 1.0, 1.0, -0.0])
+        with np.errstate(all="ignore"):
+            _assert_bit_identical(energy.as_general(e).partials(x, y),
+                                  _direct_partials(e, x, y))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cid=st.sampled_from(sorted(energy.CATALOG)), xy=repeated_arguments())
+    def test_arbitrary_positive_arguments(self, cid, xy):
+        e = energy.catalog(cid)
+        with np.errstate(all="ignore"):
+            _assert_bit_identical(energy.as_general(e).partials(*xy),
+                                  _direct_partials(e, *xy))
 
 
 class TestCatalog:
