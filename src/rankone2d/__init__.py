@@ -37,12 +37,12 @@ _EXPORTS = {
     "criteria": ("ConditionReport", "MainCheckResult", "RankOneVerdict",
                  "StructureClassification", "classify_structure", "ks_check",
                  "main_check", "necessary_battery", "voliso_check"),
-    "energy": ("GridSpec", "SingularPair", "SplitCoordinates", "SplitEnergy",
-               "as_general", "catalog", "eval_W", "eval_W_matrix", "make_split"),
+    "energy": ("GridSpec", "SingularPair", "SplitEnergy", "as_general", "catalog",
+               "eval_W", "make_split"),
     "errors": ("RankOneError",),
     "expr": ("Expr", "Jet2", "eval_jet2", "parse", "pretty"),
     "oracle": ("AcousticTensor", "BruteForceResult", "acoustic_tensor",
-               "analytic_second_derivative", "brute_force_check",
+               "analytic_second_derivative", "brute_force_check", "eval_W_matrix",
                "fd_second_derivative", "svd2"),
     "scalar_inf": ("InfimumResult", "convexity_verdict", "infimum_weighted_second"),
     "scan": ("EllipticityMap", "emit_csv", "emit_svg", "scan_domain"),

@@ -16,8 +16,8 @@ Keys other than ``name``, ``h`` and ``f`` are numeric parameters.  They
 are bound at parse time: a parameter name in h or f reads as its number.
 A key that is not an identifier, that names the variable (``t`` in h, ``z``
 in f), a function (``exp``, ``log``, ...) or a constant (``e``, ``pi``), or
-whose value is not a finite number is an input error.  Keys that neither
-source uses are ignored.
+whose value is not a finite number is an input error, and so is a key given
+twice.  Keys that neither source uses are ignored.
 
 Each subcommand imports the modules it runs inside its body, and option
 defaults come from ``energy``, so a process loads only what its subcommand
@@ -67,7 +67,11 @@ def _load_energy_file(path: str) -> energy.SplitEnergy:
                 raise click.ClickException(
                     f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
+            key = key.strip()
+            if key in entries:
+                raise click.ClickException(
+                    f"{path}:{lineno}: duplicate key {key!r}")
+            entries[key] = value.strip()
     for required in ("h", "f"):
         if required not in entries:
             raise click.ClickException(f"{path}: missing required key {required!r}")
@@ -136,8 +140,16 @@ _report_option = click.option(
 
 
 def _check_positive_tol(tol: float) -> None:
-    if tol <= 0.0:
-        raise click.ClickException("--tol must be positive")
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise click.ClickException("--tol must be positive and finite")
+
+
+_SEED_MAX = 2**32 - 1  # the largest seed numpy's RandomState accepts
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= _SEED_MAX:
+        raise click.ClickException(f"--seed must be in [0, {_SEED_MAX}]")
 
 
 def _check_at_least(option: str, value: int, lowest: int) -> None:
@@ -313,6 +325,7 @@ def oracle_cmd(catalog_id, energy_file, report_format, seed, samples, grid_n,
         _check_positive_tol(tol)
         _check_at_least("--grid", grid_n, 1)
         _check_at_least("--samples", samples, 0)
+        _check_seed(seed)
         e = _resolve_energy(catalog_id, energy_file, params)
         res = oracle.brute_force_check(e, n_lambda=grid_n, n_refine=samples,
                                        seed=seed, tol=tol)

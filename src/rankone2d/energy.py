@@ -20,7 +20,6 @@ from . import expr
 from .errors import (
     DegenerateGrid,
     DomainError,
-    NonPositiveDeterminant,
     SymmetryViolation,
     UnknownCatalogId,
 )
@@ -63,22 +62,6 @@ class SingularPair:
             raise DomainError(
                 f"singular values must be positive, got ({self.lambda1}, {self.lambda2})"
             )
-
-
-@dataclass(frozen=True)
-class SplitCoordinates:
-    """Isochoric ratio t = lambda1/lambda2 and determinant z = lambda1*lambda2."""
-
-    t: float
-    z: float
-
-
-def to_coordinates(p: SingularPair) -> SplitCoordinates:
-    return SplitCoordinates(t=p.lambda1 / p.lambda2, z=p.lambda1 * p.lambda2)
-
-
-def from_coordinates(c: SplitCoordinates) -> SingularPair:
-    return SingularPair(math.sqrt(c.z * c.t), math.sqrt(c.z / c.t))
 
 
 @dataclass(frozen=True)
@@ -128,19 +111,8 @@ def make_split(h_source: str, f_source: str, name: str = "",
 
 def eval_W(e: SplitEnergy, p: SingularPair) -> float:
     """Energy value at the given singular values."""
-    c = to_coordinates(p)
-    return float(e.h_jet(c.t).value + e.f_jet(c.z).value)
-
-
-def eval_W_matrix(e: SplitEnergy, F: np.ndarray) -> float:
-    """Energy value on a 2x2 matrix with positive determinant."""
-    from .oracle import svd2  # local import to avoid a cycle
-
-    F = np.asarray(F, dtype=float)
-    if np.linalg.det(F) <= 0.0:
-        raise NonPositiveDeterminant(f"det F = {np.linalg.det(F):.6g} <= 0")
-    pair, _, _ = svd2(F)
-    return eval_W(e, pair)
+    return float(e.h_jet(p.lambda1 / p.lambda2).value
+                 + e.f_jet(p.lambda1 * p.lambda2).value)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Independent brute-force verification on matrices.
 
 Everything here works directly with 2x2 deformation gradients: a closed-form
-SVD, second directional derivatives along rank-one lines (both by finite
-differences of the energy and by the closed-form expression through the
-distortion function), the acoustic tensor, and a sampled search for
-violating (F, xi, eta) triples.
+SVD, the energy of a matrix, second directional derivatives along rank-one
+lines (both by finite differences of the energy and by the closed-form
+expression through the distortion function), the acoustic tensor, and a
+sampled search for violating (F, xi, eta) triples.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .energy import DEFAULT_TOL, SingularPair, SplitEnergy
+from .energy import DEFAULT_TOL, SingularPair, SplitEnergy, eval_W
 from .errors import (DegenerateGrid, DomainError, LeftGLplus,
                      NonPositiveDeterminant, OverflowValue)
 from .kernels import _svd2, direction_min_batch
@@ -46,6 +46,12 @@ def svd2(F: np.ndarray) -> Tuple[SingularPair, float, float]:
     lambda1, lambda2, theta_left, theta_right, _ = _svd2(a, b, c, d)
     return (SingularPair(float(lambda1), float(lambda2)),
             float(theta_left), float(theta_right))
+
+
+def eval_W_matrix(e: SplitEnergy, F: np.ndarray) -> float:
+    """Energy value on a 2x2 matrix with positive determinant."""
+    pair, _, _ = svd2(F)
+    return eval_W(e, pair)
 
 
 def _psi_jets(e: SplitEnergy, t) -> Tuple[np.ndarray, np.ndarray]:
@@ -112,8 +118,6 @@ def analytic_second_derivative(e: SplitEnergy, F: np.ndarray,
 def fd_second_derivative(e: SplitEnergy, F: np.ndarray, xi: np.ndarray,
                          eta: np.ndarray, step: Optional[float] = None) -> float:
     """5-point central second difference of s -> W(F + s * xi (x) eta)."""
-    from .energy import eval_W_matrix
-
     F = np.asarray(F, dtype=float)
     D = np.outer(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
     if step is None:
@@ -144,8 +148,6 @@ class AcousticTensor:
 def acoustic_tensor(e: SplitEnergy, F: np.ndarray, eta: np.ndarray,
                     step: Optional[float] = None) -> AcousticTensor:
     """Contract the full FD Hessian of W with eta in both slots."""
-    from .energy import eval_W_matrix
-
     F = np.asarray(F, dtype=float)
     eta = np.asarray(eta, dtype=float)
     if step is None:

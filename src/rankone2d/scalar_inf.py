@@ -19,7 +19,10 @@ from .errors import NonFinite
 from .expr import Expr, eval_jet2, eval_jet2_array
 
 DEFAULT_DOMAIN = (1e-6, 1e6)
-DEFAULT_GRID_POINTS = 8192
+_GRID_POINTS = 8192
+_REL_TOL = 1e-10  # golden-section bracket width, relative
+_CONVEXITY_SAMPLES = 4096
+_CONVEXITY_TOL = 1e-10
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _DIVERGENCE_VALUE = -1e12
 
@@ -52,13 +55,13 @@ def _weighted_second_scalar(e: Expr, x: float) -> float:
     return x * x * eval_jet2(e, x).d2
 
 
-def _golden_section(fun, lo: float, hi: float, rel_tol: float = 1e-10) -> Tuple[float, float]:
+def _golden_section(fun, lo: float, hi: float) -> Tuple[float, float]:
     """Minimize a unimodal function on [lo, hi]; returns (x, f(x))."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fun(c), fun(d)
-    while abs(b - a) > rel_tol * (abs(a) + abs(b)) and abs(b - a) > 1e-300:
+    while abs(b - a) > _REL_TOL * (abs(a) + abs(b)) and abs(b - a) > 1e-300:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -75,8 +78,6 @@ def infimum_weighted_second(
     e: Expr,
     domain_lo: float = DEFAULT_DOMAIN[0],
     domain_hi: float = DEFAULT_DOMAIN[1],
-    levels: int = 1,
-    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> InfimumResult:
     """Minimum of x^2 * u''(x) on [domain_lo, domain_hi].
 
@@ -88,43 +89,34 @@ def infimum_weighted_second(
     """
     if not (0.0 < domain_lo < domain_hi):
         raise ValueError(f"invalid domain [{domain_lo}, {domain_hi}]")
-    history: List[Tuple[int, float]] = []
-    s_lo, s_hi = math.log(domain_lo), math.log(domain_hi)
-    best_x = domain_lo
-    best_val = math.inf
-    n = grid_points
-    for level in range(max(1, levels)):
-        xs = np.exp(np.linspace(s_lo, s_hi, n))
-        vals = weighted_second(e, xs)
-        if np.isnan(vals).any():
-            bad = xs[int(np.argmax(np.isnan(vals)))]
-            raise NonFinite(f"weighted second derivative is NaN at x = {bad:.6g}")
-        idx = int(np.argmin(vals))
-        if vals[idx] < best_val:
-            best_val = float(vals[idx])
-            best_x = float(xs[idx])
-        history.append((level, best_val))
-        if vals[idx] < _DIVERGENCE_VALUE:
-            marker = LIMIT_LOWER if idx < len(xs) // 2 else LIMIT_UPPER
+    xs = np.exp(np.linspace(math.log(domain_lo), math.log(domain_hi), _GRID_POINTS))
+    vals = weighted_second(e, xs)
+    if np.isnan(vals).any():
+        bad = xs[int(np.argmax(np.isnan(vals)))]
+        raise NonFinite(f"weighted second derivative is NaN at x = {bad:.6g}")
+    idx = int(np.argmin(vals))
+    best_val = float(vals[idx])
+    history: List[Tuple[int, float]] = [(0, best_val)]
+    if best_val < _DIVERGENCE_VALUE:
+        marker = LIMIT_LOWER if idx < len(xs) // 2 else LIMIT_UPPER
+        return InfimumResult(-math.inf, marker, history)
+    at_lower = idx < 2
+    at_upper = idx > len(xs) - 3
+    if at_lower or at_upper:
+        marker = LIMIT_LOWER if at_lower else LIMIT_UPPER
+        if _diverges_into_boundary(xs, vals, at_upper):
             return InfimumResult(-math.inf, marker, history)
-        at_lower = idx < 2
-        at_upper = idx > len(xs) - 3
-        if at_lower or at_upper:
-            marker = LIMIT_LOWER if at_lower else LIMIT_UPPER
-            if _diverges_into_boundary(xs, vals, at_upper):
-                return InfimumResult(-math.inf, marker, history)
-            return InfimumResult(best_val, marker, history)
-        # refine the winning bracket
-        lo_b, hi_b = float(xs[idx - 1]), float(xs[idx + 1])
-        x_star, v_star = _golden_section(
-            lambda s: _weighted_second_scalar(e, math.exp(s)),
-            math.log(lo_b), math.log(hi_b),
-        )
-        if v_star < best_val:
-            best_val = v_star
-            best_x = math.exp(x_star)
-        history.append((level + 1, best_val))
-        n *= 2
+        return InfimumResult(best_val, marker, history)
+    # refine the winning bracket
+    best_x = float(xs[idx])
+    x_star, v_star = _golden_section(
+        lambda s: _weighted_second_scalar(e, math.exp(s)),
+        math.log(float(xs[idx - 1])), math.log(float(xs[idx + 1])),
+    )
+    if v_star < best_val:
+        best_val = v_star
+        best_x = math.exp(x_star)
+    history.append((1, best_val))
     return InfimumResult(best_val, best_x, history)
 
 
@@ -154,22 +146,20 @@ def convexity_verdict(
     e: Expr,
     domain_lo: float = DEFAULT_DOMAIN[0],
     domain_hi: float = DEFAULT_DOMAIN[1],
-    n_samples: int = 4096,
-    tol_abs: float = 1e-10,
 ) -> Tuple[str, Optional[float]]:
     """Sampled convexity check of a scalar function on a log-grid.
 
     Returns ("Convex", None), ("NonConvex", witness) or ("Marginal", witness)
     according to the sign of the second derivative at the samples.
     """
-    xs = np.logspace(math.log10(domain_lo), math.log10(domain_hi), n_samples)
+    xs = np.logspace(math.log10(domain_lo), math.log10(domain_hi), _CONVEXITY_SAMPLES)
     d2 = eval_jet2_array(e, xs).d2
     if np.isnan(d2).any():
         bad = xs[int(np.argmax(np.isnan(d2)))]
         raise NonFinite(f"second derivative is NaN at x = {bad:.6g}")
     idx = int(np.argmin(d2))
     worst = float(d2[idx])
-    if worst < -tol_abs:
+    if worst < -_CONVEXITY_TOL:
         return "NonConvex", float(xs[idx])
     if worst < 0.0:
         return "Marginal", float(xs[idx])

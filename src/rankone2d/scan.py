@@ -143,9 +143,9 @@ def emit_csv(emap: EllipticityMap, stream: TextIO) -> None:
 _COLORS = {"Elliptic": "#3a7ca5", "NonElliptic": "#d1495b", "Boundary": "#edae49"}
 
 
-def emit_svg(emap: EllipticityMap, stream: TextIO,
-             cell: int = 12, margin: int = 40) -> None:
+def emit_svg(emap: EllipticityMap, stream: TextIO) -> None:
     """Render the verdict grid as an SVG 1.1 heat map in log coordinates."""
+    cell, margin = 12, 40  # pixels: side of a cell, border around the grid
     n = emap.lambda1.size
     side = n * cell
     width = side + 2 * margin

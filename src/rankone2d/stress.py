@@ -18,7 +18,7 @@ shear modulus mu = h''(1) and bulk-type modulus kappa = f''(1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -81,25 +81,18 @@ class InvertibilityReport:
     min_isochoric: float
 
 
-def invertibility_verdict(
-    e: SplitEnergy,
-    t_grid: Optional[np.ndarray] = None,
-    z_grid: Optional[np.ndarray] = None,
-    tol: float = DEFAULT_TOL,
-) -> InvertibilityReport:
+def invertibility_verdict(e: SplitEnergy, tol: float = DEFAULT_TOL) -> InvertibilityReport:
     """Certify the sign of both Jacobian factors on sample grids.
 
     ``LocallyInvertible`` requires f'' > tol on the z grid and
-    t h'' + h' > tol on the t grid; a factor dipping below -tol yields
-    ``Degenerate`` with a witness; anything else is ``NotCertified``.
+    t h'' + h' > tol on the t grid, both 2001 log-spaced points on
+    [1e-3, 1e3]; a factor dipping below -tol yields ``Degenerate`` with a
+    witness; anything else is ``NotCertified``.
     """
-    if t_grid is None:
-        t_grid = np.logspace(-3, 3, 2001)
-    if z_grid is None:
-        z_grid = np.logspace(-3, 3, 2001)
-    fpp = e.f_jet_array(np.asarray(z_grid, dtype=float)).d2
-    hj = e.h_jet_array(np.asarray(t_grid, dtype=float))
-    iso = t_grid * hj.d2 + hj.d1
+    grid = np.logspace(-3, 3, 2001)  # the t grid and the z grid
+    fpp = e.f_jet_array(grid).d2
+    hj = e.h_jet_array(grid)
+    iso = grid * hj.d2 + hj.d1
 
     kz = int(np.argmin(fpp))
     kt = int(np.argmin(iso))
@@ -107,10 +100,10 @@ def invertibility_verdict(
     min_iso = float(iso[kt])
 
     if min_vol <= -tol:
-        witness = {"factor": "volumetric", "z": float(z_grid[kz]), "value": min_vol}
+        witness = {"factor": "volumetric", "z": float(grid[kz]), "value": min_vol}
         return InvertibilityReport("Degenerate", witness, min_vol, min_iso)
     if min_iso <= -tol:
-        witness = {"factor": "isochoric", "t": float(t_grid[kt]), "value": min_iso}
+        witness = {"factor": "isochoric", "t": float(grid[kt]), "value": min_iso}
         return InvertibilityReport("Degenerate", witness, min_vol, min_iso)
     if min_vol > tol and min_iso > tol:
         return InvertibilityReport("LocallyInvertible", None, min_vol, min_iso)
@@ -145,14 +138,14 @@ def w_lin(mu: float, kappa: float, xi: np.ndarray, eta: np.ndarray) -> float:
     return 0.5 * mu * float(xi @ xi) * float(eta @ eta) + 0.5 * kappa * dot * dot
 
 
-def linear_rank_one_check(mu: float, kappa: float, tol: float = 0.0) -> str:
+def linear_rank_one_check(mu: float, kappa: float) -> str:
     """Exact rank-one convexity classification of the linearized energy.
 
     The quadratic form w_lin is rank-one convex iff mu >= 0 and
     mu + kappa >= 0, strictly so iff both inequalities are strict.
     """
-    if mu < -tol or mu + kappa < -tol:
+    if mu < 0.0 or mu + kappa < 0.0:
         return "NotRankOneConvex"
-    if mu > tol and mu + kappa > tol:
+    if mu > 0.0 and mu + kappa > 0.0:
         return "StrictlyRankOneConvex"
     return "RankOneConvex"

@@ -77,8 +77,11 @@ class TestCheck:
         assert res.exit_code == 3
 
     def test_bad_tolerance_rejected(self, runner):
-        res = invoke(runner, "check", "--catalog", "example1", "--tol", "-1")
-        assert res.exit_code == 3
+        for command in ("check", "oracle", "stress", "scan"):
+            for tol in ("-1", "nan", "inf", "-inf"):
+                res = invoke(runner, command, "--catalog", "example1", "--tol", tol)
+                assert res.exit_code == 3, (command, tol)
+                assert "error: --tol must be positive" in res.output
 
     def test_nan_infimum_reports_error_without_runtime_warning(self):
         # a fresh process, so stderr is what a user sees: Python shows a
@@ -155,6 +158,17 @@ class TestEnergyFile:
         p.write_text("h = t^2\nf = z^2\n")
         assert invoke(runner, "check", "--energy-file", str(p)).exit_code == 3
 
+    @pytest.mark.parametrize("text, lineno, key", [
+        ("h = mu*((t + 1/t)/2 - 1)\nf = (z - 1)^2\nmu = 0.5\nmu = -3\n", 4, "mu"),
+        ("h = 0\nf = z^2\nh = (t + 1/t)/2\n", 3, "h"),
+    ], ids=["parameter", "h"])
+    def test_duplicate_key_is_input_error(self, runner, tmp_path, text, lineno, key):
+        p = tmp_path / "dup.txt"
+        p.write_text(text)
+        res = invoke(runner, "classify", "--energy-file", str(p))
+        assert res.exit_code == 3
+        assert f"error: {p}:{lineno}: duplicate key {key!r}" in res.output
+
     def test_param_flags_rejected_with_energy_file(self, runner, tmp_path):
         p = tmp_path / "e.txt"
         p.write_text("h = 0\nf = z^2\n")
@@ -195,6 +209,20 @@ class TestOracle:
         res = invoke(runner, "oracle", "--catalog", "example1", flag, value)
         assert res.exit_code == 3
         assert f"{flag} must be at least" in res.output
+
+    @pytest.mark.parametrize("samples", ["5", "0"])
+    @pytest.mark.parametrize("seed", ["-1", "4294967296"])
+    def test_seed_out_of_range_rejected(self, runner, seed, samples):
+        res = invoke(runner, "oracle", "--catalog", "example1", "--seed", seed,
+                     "--samples", samples)
+        assert res.exit_code == 3
+        assert "error: --seed must be in [0, 4294967295]" in res.output
+
+    @pytest.mark.parametrize("seed", ["0", "4294967295"])
+    def test_seed_range_ends_accepted(self, runner, seed):
+        res = invoke(runner, "oracle", "--catalog", "example1", "--grid", "4",
+                     "--samples", "5", "--seed", seed)
+        assert res.exit_code == 0
 
     def test_stiff_volumetric_part_exits_one(self, runner, tmp_path):
         p = tmp_path / "stiff.energy"

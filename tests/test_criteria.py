@@ -6,6 +6,7 @@ import pytest
 
 from rankone2d import (
     GridSpec,
+    criteria,
     as_general,
     catalog,
     classify_structure,
@@ -16,7 +17,7 @@ from rankone2d import (
     necessary_battery,
     voliso_check,
 )
-from rankone2d.energy import DEFAULT_Z_GRID
+from rankone2d.energy import CATALOG, DEFAULT_Z_GRID
 
 SMALL_T = GridSpec(1e-3, 1e3, 801)
 SMALL_Z = GridSpec(1e-3, 1e3, 301)
@@ -188,6 +189,24 @@ class TestKsCheck:
     def test_nonconvex_isochoric_fails(self):
         v = ks_check(as_general(catalog("exp_hencky_iso")), grid=SMALL_XY)
         assert v.overall == "NotRankOneConvex"
+
+    @pytest.mark.parametrize("cid", sorted(CATALOG))
+    def test_ks_iii_equals_a_separate_diagonal_evaluation(self, cid):
+        # the route reads KS_iii off the diagonal of its grid partials
+        grid = GridSpec(1e-2, 1e2, 21)
+        g = as_general(catalog(cid))
+        got = ks_check(g, grid=grid).reports[2]
+        assert got.condition_id == "KS_iii"
+        pts = grid.points()
+        with np.errstate(all="ignore"):
+            _, g_x, g_y, g_xx, g_xy, g_yy = g.partials(pts, pts)
+            margin = np.minimum(g_xx - g_xy + g_x / pts, g_yy - g_xy + g_y / pts)
+            scale = (np.abs(g_xx) + np.abs(g_yy) + np.abs(g_xy)
+                     + (np.abs(g_x) + np.abs(g_y)) / pts)
+        want = criteria._normalized(margin, scale)
+        i = int(np.argmin(want))
+        assert got.worst_margin == want[i]
+        assert got.witness == [pts[i], pts[i]]
 
     def test_report_serialization(self):
         v = ks_check(as_general(catalog("example1")), grid=SMALL_XY)
