@@ -19,13 +19,25 @@ in f), a function (``exp``, ``log``, ...) or a constant (``e``, ``pi``), or
 whose value is not a finite number is an input error, and so is a key given
 twice.  Keys that neither source uses are ignored.
 
-Each subcommand imports the modules it runs inside its body, and option
-defaults come from ``energy``, so a process loads only what its subcommand
-uses.
+Every subcommand is declared with ``_command``, which owns the frame they
+share.  It adds the energy source options (``--catalog``, ``--energy-file``
+and one flag per catalog parameter) and ``--report``.  It checks ``--tol``
+where the command has one, resolves the energy and calls the body with it
+and the command's own options.  The body returns ``(exit code, payload,
+text lines)``; ``_command`` prints the JSON payload with ``schema_version``
+and ``energy`` added, or the text lines after ``energy: <name>``.  A
+``RankOneError`` or ``ClickException`` from any of these steps becomes one
+``error:`` line on stderr and exit 3.  ``--tol`` is checked first, then the
+energy, then the body's own inputs, so with two bad inputs the first of
+these is the one reported.
+
+Each body imports the modules it runs, and option defaults come from
+``energy``, so a process loads only what its subcommand uses.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -102,54 +114,20 @@ def _resolve_energy(catalog: Optional[str], energy_file: Optional[str],
     return energy.catalog(catalog, **kwargs)
 
 
-def _energy_options(fn):
-    """Energy source options plus one flag per catalog parameter; a command
-    takes the parameter flags as ``**params``."""
-    names = dict.fromkeys(p for entry in energy.CATALOG.values()
-                          for p in entry.defaults)
-    for deco in reversed([
-        click.option("--catalog", "catalog_id", default=None,
-                     help="Catalog energy id."),
-        click.option("--energy-file", default=None, type=click.Path(),
-                     help="Energy definition file (key=value text)."),
-    ] + [click.option(f"--{name}", type=float, default=None) for name in names]):
-        fn = deco(fn)
-    return fn
+_PARAM_NAMES = tuple(dict.fromkeys(p for entry in energy.CATALOG.values()
+                                   for p in entry.defaults))
 
+_SHARED_OPTIONS = [
+    click.option("--catalog", "catalog_id", default=None,
+                 help="Catalog energy id."),
+    click.option("--energy-file", default=None, type=click.Path(),
+                 help="Energy definition file (key=value text)."),
+    *(click.option(f"--{name}", type=float, default=None) for name in _PARAM_NAMES),
+    click.option("--report", "report_format", type=click.Choice(["json", "text"]),
+                 default="text", help="Report format."),
+]
 
 _tol_option = click.option("--tol", type=float, default=energy.DEFAULT_TOL)
-
-
-def _grid_options(fn):
-    for deco in reversed([
-        click.option("--t-min", type=float, default=energy.DEFAULT_T_GRID.lo),
-        click.option("--t-max", type=float, default=energy.DEFAULT_T_GRID.hi),
-        click.option("--t-points", type=int, default=energy.DEFAULT_T_GRID.n),
-        click.option("--z-min", type=float, default=energy.DEFAULT_Z_GRID.lo),
-        click.option("--z-max", type=float, default=energy.DEFAULT_Z_GRID.hi),
-        click.option("--z-points", type=int, default=energy.DEFAULT_Z_GRID.n),
-        _tol_option,
-    ]):
-        fn = deco(fn)
-    return fn
-
-
-_report_option = click.option(
-    "--report", "report_format", type=click.Choice(["json", "text"]),
-    default="text", help="Report format.")
-
-
-def _check_positive_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:  # NaN fails too
-        raise click.ClickException("--tol must be positive and finite")
-
-
-_SEED_MAX = 2**32 - 1  # the largest seed numpy's RandomState accepts
-
-
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed <= _SEED_MAX:
-        raise click.ClickException(f"--seed must be in [0, {_SEED_MAX}]")
 
 
 def _check_at_least(option: str, value: int, lowest: int) -> None:
@@ -173,17 +151,8 @@ def _inf_dict(r: InfimumResult) -> dict:
     return {
         "value": None if r.unbounded else r.value,
         "unbounded": r.unbounded,
-        "attained_at": (r.attained_at if isinstance(r.attained_at, str)
-                        else float(r.attained_at)),
+        "attained_at": r.attained_at,
     }
-
-
-def _emit(payload: dict, report_format: str, text_lines) -> None:
-    if report_format == "json":
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            click.echo(line)
 
 
 def _verdict_exit(overall: str) -> int:
@@ -209,265 +178,242 @@ def main() -> None:
     """Rank-one convexity checks for planar volumetric-isochoric energies."""
 
 
-def _run(fn, *args, **kwargs) -> None:
-    try:
-        code = fn(*args, **kwargs)
-    except RankOneError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(EXIT_INPUT)
-    sys.exit(code)
+def _command(name: str, *options):
+    """Register ``body(e, **options) -> (exit code, payload, text lines)`` as
+    a subcommand taking the shared options, then ``options`` in order."""
+
+    def decorate(body):
+        @functools.wraps(body)
+        def run(catalog_id, energy_file, report_format, **kwargs):
+            params = {p: kwargs.pop(p) for p in _PARAM_NAMES}
+            try:
+                # NaN fails the bounds too
+                if "tol" in kwargs and not 0.0 < kwargs["tol"] < math.inf:
+                    raise click.ClickException("--tol must be positive and finite")
+                e = _resolve_energy(catalog_id, energy_file, params)
+                code, payload, lines = body(e, **kwargs)
+            except (RankOneError, click.ClickException) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_INPUT)
+            if report_format == "json":
+                click.echo(json.dumps({"schema_version": SCHEMA_VERSION,
+                                       "energy": e.name, **payload},
+                                      indent=2, sort_keys=True))
+            else:
+                for line in [f"energy: {e.name}", *lines]:
+                    click.echo(line)
+            sys.exit(code)
+
+        for deco in reversed([*_SHARED_OPTIONS, *options]):
+            run = deco(run)
+        return main.command(name)(run)
+
+    return decorate
 
 
-@main.command()
-@_energy_options
-@_grid_options
-@_report_option
-def check(catalog_id, energy_file, t_min, t_max, t_points, z_min, z_max,
-          z_points, tol, report_format, **params):
+@_command(
+    "check",
+    click.option("--t-min", type=float, default=energy.DEFAULT_T_GRID.lo),
+    click.option("--t-max", type=float, default=energy.DEFAULT_T_GRID.hi),
+    click.option("--t-points", type=int, default=energy.DEFAULT_T_GRID.n),
+    click.option("--z-min", type=float, default=energy.DEFAULT_Z_GRID.lo),
+    click.option("--z-max", type=float, default=energy.DEFAULT_Z_GRID.hi),
+    click.option("--z-points", type=int, default=energy.DEFAULT_Z_GRID.n),
+    _tol_option,
+)
+def check(e, t_min, t_max, t_points, z_min, z_max, z_points, tol):
     """Full cross-route rank-one convexity check."""
+    from . import criteria
 
-    def body():
-        from . import criteria
+    t_grid = energy.GridSpec(t_min, t_max, t_points)
+    z_grid = energy.GridSpec(z_min, z_max, z_points)
+    main_res = criteria.main_check(e, t_grid=t_grid, tol=tol)
+    vol = criteria.voliso_check(e, t_grid=t_grid, z_grid=z_grid, tol=tol)
+    ks = criteria.ks_check(energy.as_general(e), grid=energy.DEFAULT_XY_GRID, tol=tol)
+    nec = criteria.necessary_battery(e, t_grid=t_grid, tol=tol)
 
-        _check_positive_tol(tol)
-        e = _resolve_energy(catalog_id, energy_file, params)
-        t_grid = energy.GridSpec(t_min, t_max, t_points)
-        z_grid = energy.GridSpec(z_min, z_max, z_points)
-        xy_grid = energy.DEFAULT_XY_GRID
-
-        main_res = criteria.main_check(e, t_grid=t_grid, tol=tol)
-        vol = criteria.voliso_check(e, t_grid=t_grid, z_grid=z_grid, tol=tol)
-        ks = criteria.ks_check(energy.as_general(e), grid=xy_grid, tol=tol)
-        nec = criteria.necessary_battery(e, t_grid=t_grid, tol=tol)
-
-        overall = main_res.verdict.overall
-        agree = len({main_res.verdict.overall, vol.overall, ks.overall}) == 1
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "energy": e.name,
-            "h0": _inf_dict(main_res.h0),
-            "f0": _inf_dict(main_res.f0),
-            "routes": {
-                "main": main_res.verdict.to_dict(e.name),
-                "voliso": vol.to_dict(e.name),
-                "ks": ks.to_dict(e.name),
-            },
-            "necessary": [r.to_dict() for r in nec],
-            "routes_agree": agree,
-            "overall": overall,
-        }
-        lines = [f"energy: {e.name}",
-                 f"h0: {'-inf' if main_res.h0.unbounded else f'{main_res.h0.value:.9g}'}"
-                 f" at {payload['h0']['attained_at']}",
-                 f"f0: {'-inf' if main_res.f0.unbounded else f'{main_res.f0.value:.9g}'}"
-                 f" at {payload['f0']['attained_at']}"]
-        for label, verdict in (("main", main_res.verdict), ("voliso", vol), ("ks", ks)):
-            lines.append(f"route {label}: {verdict.overall}")
-            lines.extend(_condition_lines(verdict.reports))
-        lines.append("necessary battery:")
-        lines.extend(_condition_lines(nec))
-        lines.append(f"routes agree: {agree}")
-        lines.append(f"overall: {overall}")
-        _emit(payload, report_format, lines)
-        return _verdict_exit(overall)
-
-    _run(body)
+    overall = main_res.verdict.overall
+    agree = len({main_res.verdict.overall, vol.overall, ks.overall}) == 1
+    payload = {
+        "h0": _inf_dict(main_res.h0),
+        "f0": _inf_dict(main_res.f0),
+        "routes": {
+            "main": main_res.verdict.to_dict(e.name),
+            "voliso": vol.to_dict(e.name),
+            "ks": ks.to_dict(e.name),
+        },
+        "necessary": [r.to_dict() for r in nec],
+        "routes_agree": agree,
+        "overall": overall,
+    }
+    lines = [f"h0: {'-inf' if main_res.h0.unbounded else f'{main_res.h0.value:.9g}'}"
+             f" at {main_res.h0.attained_at}",
+             f"f0: {'-inf' if main_res.f0.unbounded else f'{main_res.f0.value:.9g}'}"
+             f" at {main_res.f0.attained_at}"]
+    for label, verdict in (("main", main_res.verdict), ("voliso", vol), ("ks", ks)):
+        lines.append(f"route {label}: {verdict.overall}")
+        lines.extend(_condition_lines(verdict.reports))
+    lines.append("necessary battery:")
+    lines.extend(_condition_lines(nec))
+    lines.append(f"routes agree: {agree}")
+    lines.append(f"overall: {overall}")
+    return _verdict_exit(overall), payload, lines
 
 
-@main.command()
-@_energy_options
-@_report_option
-def classify(catalog_id, energy_file, report_format, **params):
+@_command("classify")
+def classify(e):
     """Structural classification with short-circuit verdict."""
+    from . import criteria
 
-    def body():
-        from . import criteria
-
-        e = _resolve_energy(catalog_id, energy_file, params)
-        cls = criteria.classify_structure(e)
-        payload = {"schema_version": SCHEMA_VERSION, "energy": e.name}
-        payload.update(cls.to_dict())
-        lines = [f"energy: {e.name}", f"kind: {cls.kind}"]
-        if cls.mu is not None:
-            lines.append(f"mu: {cls.mu:.9g}")
-        if cls.ratio is not None:
-            lines.append(f"ratio: {cls.ratio:.9g}")
-        if cls.convexity is not None:
-            lines.append(f"deciding part: {cls.convexity}")
-        lines.append(f"overall: {cls.verdict}")
-        _emit(payload, report_format, lines)
-        if cls.verdict is None:
-            return EXIT_INCONCLUSIVE
-        return _verdict_exit(cls.verdict)
-
-    _run(body)
+    cls = criteria.classify_structure(e)
+    lines = [f"kind: {cls.kind}"]
+    if cls.mu is not None:
+        lines.append(f"mu: {cls.mu:.9g}")
+    if cls.ratio is not None:
+        lines.append(f"ratio: {cls.ratio:.9g}")
+    if cls.convexity is not None:
+        lines.append(f"deciding part: {cls.convexity}")
+    lines.append(f"overall: {cls.verdict}")
+    code = EXIT_INCONCLUSIVE if cls.verdict is None else _verdict_exit(cls.verdict)
+    return code, cls.to_dict(), lines
 
 
-@main.command("oracle")
-@_energy_options
-@_report_option
-@click.option("--seed", type=int, default=0)
-@click.option("--samples", type=int, default=1000,
-              help="Random refinement samples around the worst grid point.")
-@click.option("--grid", "grid_n", type=int, default=20,
-              help="Stretch samples per axis.")
-@_tol_option
-def oracle_cmd(catalog_id, energy_file, report_format, seed, samples, grid_n,
-               tol, **params):
+@_command(
+    "oracle",
+    click.option("--seed", type=int, default=0),
+    click.option("--samples", type=int, default=1000,
+                 help="Random refinement samples around the worst grid point."),
+    click.option("--grid", "grid_n", type=int, default=20,
+                 help="Stretch samples per axis."),
+    _tol_option,
+)
+def oracle_cmd(e, seed, samples, grid_n, tol):
     """Brute-force Legendre-Hadamard violation search."""
+    from . import oracle
 
-    def body():
-        from . import oracle
-
-        _check_positive_tol(tol)
-        _check_at_least("--grid", grid_n, 1)
-        _check_at_least("--samples", samples, 0)
-        _check_seed(seed)
-        e = _resolve_energy(catalog_id, energy_file, params)
-        res = oracle.brute_force_check(e, n_lambda=grid_n, n_refine=samples,
-                                       seed=seed, tol=tol)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "energy": e.name,
-            "result": res.summary,
-            "min_value": res.value,
-            "F": [[res.F[0, 0], res.F[0, 1]], [res.F[1, 0], res.F[1, 1]]],
-            "xi": list(res.xi),
-            "eta": list(res.eta),
-        }
-        lines = [f"energy: {e.name}", f"result: {res.summary}",
-                 f"min second derivative: {res.value:.9g}"]
-        if res.violation:
-            lines.append(f"witness F: {res.F.tolist()}")
-            lines.append(f"witness xi: {res.xi.tolist()}")
-            lines.append(f"witness eta: {res.eta.tolist()}")
-        _emit(payload, report_format, lines)
-        return EXIT_FAIL if res.violation else EXIT_OK
-
-    _run(body)
+    _check_at_least("--grid", grid_n, 1)
+    _check_at_least("--samples", samples, 0)
+    if not 0 <= seed <= oracle.SEED_MAX:
+        raise click.ClickException(f"--seed must be in [0, {oracle.SEED_MAX}]")
+    res = oracle.brute_force_check(e, n_lambda=grid_n, n_refine=samples,
+                                   seed=seed, tol=tol)
+    payload = {
+        "result": res.summary,
+        "min_value": res.value,
+        "F": [[res.F[0, 0], res.F[0, 1]], [res.F[1, 0], res.F[1, 1]]],
+        "xi": list(res.xi),
+        "eta": list(res.eta),
+    }
+    lines = [f"result: {res.summary}", f"min second derivative: {res.value:.9g}"]
+    if res.violation:
+        lines.append(f"witness F: {res.F.tolist()}")
+        lines.append(f"witness xi: {res.xi.tolist()}")
+        lines.append(f"witness eta: {res.eta.tolist()}")
+    return (EXIT_FAIL if res.violation else EXIT_OK), payload, lines
 
 
-@main.command("stress")
-@_energy_options
-@_report_option
-@click.option("--at", nargs=2, type=float, default=(1.0, 1.0),
-              help="Principal stretches lambda1 lambda2.")
-@_tol_option
-def stress_cmd(catalog_id, energy_file, report_format, at, tol, **params):
+@_command(
+    "stress",
+    click.option("--at", nargs=2, type=float, default=(1.0, 1.0),
+                 help="Principal stretches lambda1 lambda2."),
+    _tol_option,
+)
+def stress_cmd(e, at, tol):
     """Principal stresses, moduli and stress-map invertibility."""
+    from . import stress
 
-    def body():
-        from . import stress
-
-        _check_positive_tol(tol)
-        e = _resolve_energy(catalog_id, energy_file, params)
-        pair = energy.SingularPair(at[0], at[1])
-        st = stress.principal_cauchy(e, pair)
-        det = stress.stress_jacobian_det(e, pair)
-        moduli = stress.infinitesimal_moduli(e, tol=tol)
-        linear = stress.linear_rank_one_check(moduli.mu, moduli.kappa)
-        inv = stress.invertibility_verdict(e, tol=tol)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "energy": e.name,
-            "at": [pair.lambda1, pair.lambda2],
-            "sigma1": st.sigma1,
-            "sigma2": st.sigma2,
-            "tau_iso": st.tau_iso,
-            "tau_vol": st.tau_vol,
-            "det_D_sigma": det,
-            "moduli": {"mu": moduli.mu, "kappa": moduli.kappa,
-                       "lame_lambda": moduli.lame_lambda,
-                       "stress_free": moduli.stress_free},
-            "verdicts": {"linear": linear, "invertibility": inv.verdict,
-                         "invertibility_witness": inv.witness},
-        }
-        lines = [
-            f"energy: {e.name}",
-            f"at (lambda1, lambda2) = ({pair.lambda1:g}, {pair.lambda2:g})",
-            f"sigma1 = {st.sigma1:.9g}",
-            f"sigma2 = {st.sigma2:.9g}",
-            f"tau_iso = {st.tau_iso:.9g}, tau_vol = {st.tau_vol:.9g}",
-            f"det D sigma = {det:.9g}",
-            f"moduli: mu = {moduli.mu:.9g}, kappa = {moduli.kappa:.9g}"
-            f" (stress-free reference: {moduli.stress_free})",
-            f"linearized verdict: {linear}",
-            f"invertibility: {inv.verdict} witness={inv.witness}",
-        ]
-        _emit(payload, report_format, lines)
-        if inv.verdict == "Degenerate" or linear == "NotRankOneConvex":
-            return EXIT_FAIL
-        if inv.verdict == "NotCertified":
-            return EXIT_INCONCLUSIVE
-        return EXIT_OK
-
-    _run(body)
+    pair = energy.SingularPair(at[0], at[1])
+    st = stress.principal_cauchy(e, pair)
+    det = stress.stress_jacobian_det(e, pair)
+    moduli = stress.infinitesimal_moduli(e, tol=tol)
+    linear = stress.linear_rank_one_check(moduli.mu, moduli.kappa)
+    inv = stress.invertibility_verdict(e, tol=tol)
+    payload = {
+        "at": [pair.lambda1, pair.lambda2],
+        "sigma1": st.sigma1,
+        "sigma2": st.sigma2,
+        "tau_iso": st.tau_iso,
+        "tau_vol": st.tau_vol,
+        "det_D_sigma": det,
+        "moduli": {"mu": moduli.mu, "kappa": moduli.kappa,
+                   "lame_lambda": moduli.lame_lambda,
+                   "stress_free": moduli.stress_free},
+        "verdicts": {"linear": linear, "invertibility": inv.verdict,
+                     "invertibility_witness": inv.witness},
+    }
+    lines = [
+        f"at (lambda1, lambda2) = ({pair.lambda1:g}, {pair.lambda2:g})",
+        f"sigma1 = {st.sigma1:.9g}",
+        f"sigma2 = {st.sigma2:.9g}",
+        f"tau_iso = {st.tau_iso:.9g}, tau_vol = {st.tau_vol:.9g}",
+        f"det D sigma = {det:.9g}",
+        f"moduli: mu = {moduli.mu:.9g}, kappa = {moduli.kappa:.9g}"
+        f" (stress-free reference: {moduli.stress_free})",
+        f"linearized verdict: {linear}",
+        f"invertibility: {inv.verdict} witness={inv.witness}",
+    ]
+    if inv.verdict == "Degenerate" or linear == "NotRankOneConvex":
+        code = EXIT_FAIL
+    elif inv.verdict == "NotCertified":
+        code = EXIT_INCONCLUSIVE
+    else:
+        code = EXIT_OK
+    return code, payload, lines
 
 
-@main.command("scan")
-@_energy_options
-@_report_option
-@click.option("--grid", "grid_n", type=int, default=128,
-              help="Grid points per stretch axis.")
-@click.option("--lambda-min", type=float, default=10**-2.5)
-@click.option("--lambda-max", type=float, default=10**2.5)
-@click.option("--spacing", type=click.Choice(["log", "linear"]), default="log")
-@click.option("--angles", type=int, default=48,
-              help="Accepted for compatibility and checked to be at least 1; "
-                   "it no longer affects the map, whose labels come from the "
-                   "exact split conditions.")
-@_tol_option
-@click.option("--out-csv", type=click.Path(), default=None)
-@click.option("--out-svg", type=click.Path(), default=None)
-def scan_cmd(catalog_id, energy_file, report_format, grid_n, lambda_min,
-             lambda_max, spacing, angles, tol, out_csv, out_svg, **params):
+@_command(
+    "scan",
+    click.option("--grid", "grid_n", type=int, default=128,
+                 help="Grid points per stretch axis."),
+    click.option("--lambda-min", type=float, default=10**-2.5),
+    click.option("--lambda-max", type=float, default=10**2.5),
+    click.option("--spacing", type=click.Choice(["log", "linear"]), default="log"),
+    click.option("--angles", type=int, default=48,
+                 help="Accepted for compatibility and checked to be at least 1; "
+                      "it no longer affects the map, whose labels come from the "
+                      "exact split conditions."),
+    _tol_option,
+    click.option("--out-csv", type=click.Path(), default=None),
+    click.option("--out-svg", type=click.Path(), default=None),
+)
+def scan_cmd(e, grid_n, lambda_min, lambda_max, spacing, angles, tol, out_csv,
+             out_svg):
     """Ellipticity-domain map over the (lambda1, lambda2) plane."""
+    from . import scan
 
-    def body():
-        from . import scan
-
-        _check_positive_tol(tol)
-        _check_at_least("--grid", grid_n, 1)
-        _check_at_least("--angles", angles, 1)
-        e = _resolve_energy(catalog_id, energy_file, params)
-        emap = scan.scan_domain(e, lambda_range=(lambda_min, lambda_max),
-                                n_points=grid_n, tol=tol, spacing=spacing)
-        if out_csv:
-            with _open_output(out_csv, newline="") as fh:
-                scan.emit_csv(emap, fh)
-        if out_svg:
-            with _open_output(out_svg) as fh:
-                scan.emit_svg(emap, fh)
-        counts = {v: int((emap.verdicts == v).sum())
-                  for v in ("Elliptic", "NonElliptic", "Boundary")}
-        wl1, wl2, wmargin = emap.worst()
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "energy": e.name,
-            "grid": grid_n,
-            "counts": counts,
-            "worst": {"lambda1": wl1, "lambda2": wl2,
-                      "margin": None if math.isnan(wmargin) else wmargin},
-        }
-        lines = [f"energy: {e.name}",
-                 f"cells: {counts}",
-                 f"worst margin {wmargin:.9g} at "
-                 f"(lambda1, lambda2) = ({wl1:.6g}, {wl2:.6g})"]
-        if out_csv:
-            lines.append(f"csv written to {out_csv}")
-        if out_svg:
-            lines.append(f"svg written to {out_svg}")
-        _emit(payload, report_format, lines)
-        if counts["NonElliptic"] > 0:
-            return EXIT_FAIL
-        if counts["Boundary"] > 0:
-            return EXIT_INCONCLUSIVE
-        return EXIT_OK
-
-    _run(body)
+    _check_at_least("--grid", grid_n, 1)
+    _check_at_least("--angles", angles, 1)
+    emap = scan.scan_domain(e, lambda_range=(lambda_min, lambda_max),
+                            n_points=grid_n, tol=tol, spacing=spacing)
+    if out_csv:
+        with _open_output(out_csv, newline="") as fh:
+            scan.emit_csv(emap, fh)
+    if out_svg:
+        with _open_output(out_svg) as fh:
+            scan.emit_svg(emap, fh)
+    counts = {v: int((emap.verdicts == v).sum())
+              for v in ("Elliptic", "NonElliptic", "Boundary")}
+    wl1, wl2, wmargin = emap.worst()
+    payload = {
+        "grid": grid_n,
+        "counts": counts,
+        "worst": {"lambda1": wl1, "lambda2": wl2,
+                  "margin": None if math.isnan(wmargin) else wmargin},
+    }
+    lines = [f"cells: {counts}",
+             f"worst margin {wmargin:.9g} at "
+             f"(lambda1, lambda2) = ({wl1:.6g}, {wl2:.6g})"]
+    if out_csv:
+        lines.append(f"csv written to {out_csv}")
+    if out_svg:
+        lines.append(f"svg written to {out_svg}")
+    if counts["NonElliptic"] > 0:
+        code = EXIT_FAIL
+    elif counts["Boundary"] > 0:
+        code = EXIT_INCONCLUSIVE
+    else:
+        code = EXIT_OK
+    return code, payload, lines
 
 
 if __name__ == "__main__":

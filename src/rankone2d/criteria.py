@@ -151,8 +151,8 @@ class _Coupled(NamedTuple):
 
 def _coupled_conditions(ts: np.ndarray, h1: np.ndarray, h2: np.ndarray):
     """Conditions C and D; they share a(t)."""
-    wt = ts**2 * h2
     with np.errstate(all="ignore"):
+        wt = ts**2 * h2
         a = ts**2 * (ts**2 - 1.0) * h1 * h2 - 2.0 * ts * h1**2
         b = (ts**2 + 3.0) * h1 + 2.0 * ts * (ts**2 + 1.0) * h2
         c = 4.0 * ts * (h1 + ts * h2)
@@ -360,9 +360,9 @@ def voliso_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
     # z^2 f''(z) may overflow to +inf.  C and D then take their w -> +inf
     # limits at that sample; a zero slope times the infinite w is NaN and,
     # like a NaN jet, raises DomainError naming the sample.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         wz = zs**2 * e.f_jet_array(zs).d2
-    wt = ts**2 * hj.d2  # t^2 h''(t)
+        wt = ts**2 * hj.d2  # t^2 h''(t)
     # A) separate convexity: min decouples into the two 1-D minima
     it, iz = int(np.argmin(wt)), int(np.argmin(wz))
     reports = [_report("A", float(wt[it] + wz[iz]), [float(ts[it]), float(zs[iz])],
@@ -405,7 +405,7 @@ def main_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
         reports.append(_report("Main1", -math.inf, str(marker), 2, tol))
     else:
         reports.append(_report("Main1", h0.value + f0.value,
-                               [_loc(h0), _loc(f0)], 2, tol))
+                               [h0.attained_at, f0.attained_at], 2, tol))
 
     ts = t_grid.points()
     hj = e.h_jet_array(ts)
@@ -424,10 +424,6 @@ def main_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
         reports.append(_grid_report(cid, m[cond.mask], (ts[cond.mask],), tol))
 
     return MainCheckResult(_overall(reports, "MainTheorem"), h0, f0)
-
-
-def _loc(r: InfimumResult):
-    return r.attained_at if isinstance(r.attained_at, str) else float(r.attained_at)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from . import expr
 from .errors import (
     DegenerateGrid,
     DomainError,
+    OverflowValue,
     SymmetryViolation,
     UnknownCatalogId,
 )
@@ -40,7 +41,7 @@ class GridSpec:
     n: int
 
     def points(self) -> np.ndarray:
-        if not (0.0 < self.lo < self.hi) or self.n < 2:
+        if not 0.0 < self.lo < self.hi < math.inf or self.n < 2:
             raise DegenerateGrid(f"bad grid [{self.lo}, {self.hi}] x {self.n}")
         return np.logspace(math.log10(self.lo), math.log10(self.hi), self.n)
 
@@ -92,15 +93,27 @@ def make_split(h_source: str, f_source: str, name: str = "",
     """Parse and validate a split energy from expression sources.
 
     ``params`` binds parameter names in both sources (see ``expr.parse``).
+    h is sampled at t and 1/t for t on [1e-3, 1e3]: a NaN sample raises
+    ``DomainError``, an infinite one ``OverflowValue``, and a residual
+    |h(t) - h(1/t)| / (1 + |h(t)|) above 1e-9 ``SymmetryViolation``.
     """
     h = expr.parse(h_source, "t", params)
     f = expr.parse(f_source, "z", params)
     ts = np.logspace(-3.0, 3.0, _SYMMETRY_POINTS)
-    ht = eval_jet2_array(h, ts).value
-    hrec = eval_jet2_array(h, 1.0 / ts).value
-    residual = np.abs(ht - hrec) / (1.0 + np.abs(ht))
-    worst = int(np.nanargmax(residual))
-    if not np.all(residual <= _SYMMETRY_TOL):
+    args = np.concatenate([ts, 1.0 / ts])
+    values = eval_jet2_array(h, args).value
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        error, what = ((DomainError, "undefined") if np.isnan(values[i])
+                       else (OverflowValue, "overflowed"))
+        raise error(f"{h.source_text!r} {what} at t = {args[i]:.6g} "
+                    "in the symmetry check")
+    ht, hrec = np.split(values, 2)
+    with np.errstate(over="ignore"):  # an infinite residual fails the check
+        residual = np.abs(ht - hrec) / (1.0 + np.abs(ht))
+    worst = int(np.argmax(residual))
+    if residual[worst] > _SYMMETRY_TOL:
         raise SymmetryViolation(float(ts[worst]), float(residual[worst]))
     d1_at_one = eval_jet2(h, 1.0).d1
     if abs(d1_at_one) >= 1e-9:

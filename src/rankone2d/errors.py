@@ -57,7 +57,8 @@ class UnknownCatalogId(RankOneError):
 
 
 class DegenerateGrid(RankOneError, ValueError):
-    """Grid specification is empty, collapsed or out of range."""
+    """A grid or sampling setting (size, range, seed) is empty, collapsed or
+    out of range."""
 
 
 class LeftGLplus(RankOneError):

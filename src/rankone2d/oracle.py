@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -25,6 +25,13 @@ from .kernels import _svd2, direction_min_batch
 # O((t - 1)^2) error meets the O(eps/|t - 1|) rounding of the chain rule,
 # so psi' and c_iso jump by about 2e-11 * h''(1) across the switch
 _PSI_EPS = 3e-6
+
+# finite-difference steps relative to |F|: the 5-point second difference
+# along xi (x) eta and the Hessian stencil of the acoustic tensor
+_FD_STEP = 1e-3
+_HESSIAN_STEP = 3e-4
+
+SEED_MAX = 2**32 - 1  # the largest seed numpy's RandomState accepts
 
 
 def rotation(angle: float) -> np.ndarray:
@@ -116,12 +123,12 @@ def analytic_second_derivative(e: SplitEnergy, F: np.ndarray,
 
 
 def fd_second_derivative(e: SplitEnergy, F: np.ndarray, xi: np.ndarray,
-                         eta: np.ndarray, step: Optional[float] = None) -> float:
-    """5-point central second difference of s -> W(F + s * xi (x) eta)."""
+                         eta: np.ndarray) -> float:
+    """5-point central second difference of s -> W(F + s * xi (x) eta),
+    with step 1e-3 |F|."""
     F = np.asarray(F, dtype=float)
     D = np.outer(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
-    if step is None:
-        step = float(np.linalg.norm(F)) * 1e-3
+    step = float(np.linalg.norm(F)) * _FD_STEP
     samples = []
     for k in (-2, -1, 0, 1, 2):
         Fk = F + k * step * D
@@ -145,13 +152,13 @@ class AcousticTensor:
         return float(np.linalg.eigvalsh(self.Q)[0])
 
 
-def acoustic_tensor(e: SplitEnergy, F: np.ndarray, eta: np.ndarray,
-                    step: Optional[float] = None) -> AcousticTensor:
-    """Contract the full FD Hessian of W with eta in both slots."""
+def acoustic_tensor(e: SplitEnergy, F: np.ndarray,
+                    eta: np.ndarray) -> AcousticTensor:
+    """Contract the full FD Hessian of W, step 3e-4 |F|, with eta in both
+    slots."""
     F = np.asarray(F, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    if step is None:
-        step = float(np.linalg.norm(F)) * 3e-4
+    step = float(np.linalg.norm(F)) * _HESSIAN_STEP
 
     def w(M: np.ndarray) -> float:
         if np.linalg.det(M) <= 0.0:
@@ -238,7 +245,8 @@ def brute_force_check(
     random refinement around the worst point.  Deterministic given the seed.
 
     ``DegenerateGrid`` is raised unless n_lambda, n_rotation_pairs and
-    n_angles are at least 1 and 0 < lambda_min < lambda_max < inf.
+    n_angles are at least 1, 0 < lambda_min < lambda_max < inf and the seed
+    is in [0, SEED_MAX], whether or not n_refine draws from it.
     """
     lo, hi = lambda_range
     if not 0.0 < lo < hi < math.inf:
@@ -249,6 +257,8 @@ def brute_force_check(
                        ("n_angles", n_angles)):
         if size < 1:
             raise DegenerateGrid(f"{name} must be at least 1, got {size}")
+    if not 0 <= seed <= SEED_MAX:
+        raise DegenerateGrid(f"seed must be in [0, {SEED_MAX}], got {seed}")
     lg = np.log10(lambda_range)
     lam = np.logspace(lg[0], lg[1], n_lambda)
     l1, l2 = map(np.ravel, np.meshgrid(lam, lam, indexing="ij"))

@@ -101,12 +101,13 @@ def scan_domain(
     # only the upper triangle, columns the larger stretch; the rest is the
     # exact mirror
     ii, jj = np.triu_indices(n_points)
-    t = lam[jj] / lam[ii]
-    z = lam[jj] * lam[ii]
-    hj = e.h_jet_array(t)
-    fpp = e.f_jet_array(z).d2
-    # A, B' (its limit on the diagonal) and D everywhere, C off the diagonal
     with np.errstate(all="ignore"):
+        t = lam[jj] / lam[ii]
+        z = lam[jj] * lam[ii]
+        hj = e.h_jet_array(t)
+        fpp = e.f_jet_array(z).d2
+        # A, B' (its limit on the diagonal) and D everywhere, C off the
+        # diagonal
         cond_c, cond_d = _coupled_conditions(t, hj.d1, hj.d2)
         w = z**2 * fpp
         b = np.where(cond_c.mask, 2.0 * t * hj.d1 / (t - 1.0), 2.0 * hj.d2)

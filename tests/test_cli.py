@@ -19,6 +19,16 @@ def invoke(runner, *args):
     return runner.invoke(main, list(args))
 
 
+def run_fresh(*args):
+    """The CLI in a fresh process, so stderr is what a user sees: Python
+    shows a warning once per location and process, and pytest captures
+    them."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(rankone2d.__file__)))
+    return subprocess.run([sys.executable, "-m", "rankone2d.cli", *args],
+                          env=env, capture_output=True, text=True)
+
+
 # Hencky isochoric part with a stiff volumetric part; not rank-one convex
 STIFF_HENCKY_FILE = "h = 0.35*log(t)^2\nf = 2.6*exp(1.4*log(z)^2)\n"
 
@@ -84,17 +94,56 @@ class TestCheck:
                 assert "error: --tol must be positive" in res.output
 
     def test_nan_infimum_reports_error_without_runtime_warning(self):
-        # a fresh process, so stderr is what a user sees: Python shows a
-        # warning once per location and process, and pytest captures them
-        env = dict(os.environ,
-                   PYTHONPATH=os.path.dirname(os.path.dirname(rankone2d.__file__)))
-        res = subprocess.run(
-            [sys.executable, "-m", "rankone2d.cli", "check",
-             "--catalog", "exp_hencky", "--k", "12"],
-            env=env, capture_output=True, text=True)
+        res = run_fresh("check", "--catalog", "exp_hencky", "--k", "12")
         assert res.returncode == 3
         assert "error: weighted second derivative is NaN" in res.stderr
         assert "RuntimeWarning" not in res.stderr
+
+
+class TestExtremeInputs:
+    """Grids at the ends of the float range and overflowing energies give
+    their exit code and at most one error line, never a RuntimeWarning."""
+
+    @pytest.mark.parametrize("args, code, message", [
+        (("check", "--catalog", "example1", "--t-max", "inf"), 3,
+         "error: bad grid [0.0001, inf] x 4001"),
+        (("check", "--catalog", "example1", "--z-max", "inf"), 3,
+         "error: bad grid [0.0001, inf] x 1001"),
+        (("check", "--catalog", "hadamard_k", "--t-max", "1e300"), 3,
+         "error: Main3 undefined at"),
+        (("check", "--catalog", "example1", "--t-min", "1e-300"), 3,
+         "error: Main3 undefined at [1e-300]"),
+        (("scan", "--catalog", "example1", "--lambda-min", "1e-200",
+          "--lambda-max", "1e200"), 2, ""),
+        (("classify", "--catalog", "exp_hencky", "--k", "40"), 3,
+         "overflowed at t = 0.001 in the symmetry check"),
+    ], ids=["t-max-inf", "z-max-inf", "t-max-1e300", "t-min-1e-300",
+            "scan-1e200", "exp-hencky-k40"])
+    def test_exit_code_without_runtime_warning(self, args, code, message):
+        res = run_fresh(*args)
+        assert res.returncode == code, res.stderr
+        assert message in res.stderr
+        assert len(res.stderr.splitlines()) <= 1
+        assert "RuntimeWarning" not in res.stderr
+
+
+class TestReportFrame:
+    """Every subcommand's report starts with the energy: JSON carries
+    schema_version and energy, text opens with an energy line."""
+
+    @pytest.mark.parametrize("args", [
+        ("check",), ("classify",), ("stress", "--at", "2", "0.5"),
+        ("oracle", "--grid", "2", "--samples", "0"), ("scan", "--grid", "4"),
+    ], ids=lambda args: args[0])
+    def test_header(self, runner, args):
+        res = invoke(runner, *args, "--catalog", "hencky", "--mu", "2",
+                     "--report", "json")
+        payload = json.loads(res.output)
+        assert payload["schema_version"] == 2
+        assert payload["energy"] == "hencky(mu=2)"
+        text = invoke(runner, *args, "--catalog", "hencky", "--mu", "2")
+        assert text.exit_code == res.exit_code
+        assert text.output.startswith("energy: hencky(mu=2)\n")
 
 
 class TestEnergyFile:

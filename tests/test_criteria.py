@@ -46,6 +46,8 @@ class TestGridSpec:
             GridSpec(1.0, 0.5, 10).points()
         with pytest.raises(errors.DegenerateGrid):
             GridSpec(0.5, 1.0, 1).points()
+        with pytest.raises(errors.DegenerateGrid):
+            GridSpec(0.5, math.inf, 10).points()
 
 
 class TestRouteAgreement:
@@ -155,6 +157,14 @@ class TestVolisoCheck:
                 with pytest.raises(errors.DomainError,
                                    match=r"^C undefined at \[0\.0001, 0\.0001\]$"):
                     voliso_check(e)
+
+    def test_extreme_t_grid_gives_no_warning(self):
+        # t^2 h''(t) is inf * 0 at the far end of the grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.DomainError, match="^C undefined at"):
+                voliso_check(catalog("hadamard_k"),
+                             t_grid=GridSpec(1e-4, 1e300, 101))
 
     def test_overflowing_w_takes_its_limit(self):
         # z^2 f''(z) = 2e300 z^2 is +inf beyond z ~ 9.5e3 while f's jets are

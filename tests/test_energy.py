@@ -26,6 +26,18 @@ class TestConstruction:
         with pytest.raises(errors.SymmetryViolation):
             energy.make_split("t - 1", "z")
 
+    def test_overflowing_h_is_overflow_not_asymmetry(self):
+        # h = exp(20 log(t)^2)/40 is +inf at both t and 1/t near the ends
+        # of the [1e-3, 1e3] sample grid; inf - inf must not read as a
+        # residual
+        with pytest.raises(errors.OverflowValue, match="at t = 0.001 in the symmetry"):
+            energy.catalog("exp_hencky", k=40.0)
+        assert energy.catalog("exp_hencky", k=29.0).h_jet(1e3).value > 0.0
+
+    def test_undefined_h_is_domain_error(self):
+        with pytest.raises(errors.DomainError, match="undefined at t = 0.001"):
+            energy.make_split("sqrt(t - 1)", "z")
+
     def test_nonpositive_singular_values_rejected(self):
         with pytest.raises(errors.DomainError):
             energy.SingularPair(1.0, 0.0)

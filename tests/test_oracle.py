@@ -99,11 +99,12 @@ class TestSecondDerivatives:
             4.0 * base, rel=1e-12)
 
     def test_fd_rejects_stencil_leaving_gl_plus(self):
+        # the step is 1e-3 |F|, twice of which exceeds the small stretch
         e = catalog("example1")
-        F = np.diag([1e-4, 1e-4])
+        F = np.diag([1.0, 1e-4])
         with pytest.raises(errors.LeftGLplus):
-            fd_second_derivative(e, F, np.array([1.0, 0.0]),
-                                 np.array([1.0, 0.0]), step=1.0)
+            fd_second_derivative(e, F, np.array([0.0, 1.0]),
+                                 np.array([0.0, 1.0]))
 
 
 class TestAcousticTensor:
@@ -183,6 +184,15 @@ class TestBruteForce:
     def test_bad_range_rejected(self, lo, hi):
         with pytest.raises(errors.DegenerateGrid, match="0 < lambda_min < lambda_max"):
             brute_force_check(catalog("example1"), lambda_range=(lo, hi))
+
+    @pytest.mark.parametrize("n_refine", [5, 0])
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_seed_out_of_range_rejected(self, seed, n_refine):
+        with pytest.raises(errors.DegenerateGrid,
+                           match=r"seed must be in \[0, 4294967295\]") as exc:
+            brute_force_check(catalog("example1"), n_lambda=3,
+                              n_refine=n_refine, seed=seed)
+        assert isinstance(exc.value, ValueError)
 
     def test_single_sample_grid_runs(self):
         res = brute_force_check(catalog("example1"), n_lambda=1,
