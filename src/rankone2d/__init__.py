@@ -37,8 +37,8 @@ _EXPORTS = {
     "criteria": ("ConditionReport", "MainCheckResult", "RankOneVerdict",
                  "StructureClassification", "classify_structure", "ks_check",
                  "main_check", "necessary_battery", "voliso_check"),
-    "energy": ("GridSpec", "SingularPair", "SplitEnergy", "as_general", "catalog",
-               "eval_W", "make_split"),
+    "energy": ("GridSpec", "SingularPair", "SplitEnergy", "catalog", "eval_W",
+               "g_partials", "make_split"),
     "errors": ("RankOneError",),
     "expr": ("Expr", "Jet2", "eval_jet2", "parse", "pretty"),
     "oracle": ("AcousticTensor", "BruteForceResult", "acoustic_tensor",

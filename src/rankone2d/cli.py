@@ -229,7 +229,7 @@ def check(e, t_min, t_max, t_points, z_min, z_max, z_points, tol):
     z_grid = energy.GridSpec(z_min, z_max, z_points)
     main_res = criteria.main_check(e, t_grid=t_grid, tol=tol)
     vol = criteria.voliso_check(e, t_grid=t_grid, z_grid=z_grid, tol=tol)
-    ks = criteria.ks_check(energy.as_general(e), grid=energy.DEFAULT_XY_GRID, tol=tol)
+    ks = criteria.ks_check(e, t_grid=t_grid, z_grid=z_grid, tol=tol)
     nec = criteria.necessary_battery(e, t_grid=t_grid, tol=tol)
 
     overall = main_res.verdict.overall

@@ -2,7 +2,8 @@
 
 Four routes are provided and must agree:
 
-* ``ks_check``      -- the five classical singular-value conditions on g(x, y);
+* ``ks_check``      -- the five classical singular-value conditions on g(x, y),
+                       sampled at the (t, z) points of a stride of both grids;
 * ``voliso_check``  -- the equivalent four split conditions on (h, f) over (t, z);
 * ``main_check``    -- the reduced one-dimensional conditions coupled through
                        the scalar infima h0 and f0;
@@ -42,12 +43,10 @@ import numpy as np
 from .energy import (
     DEFAULT_T_GRID,
     DEFAULT_TOL,
-    DEFAULT_XY_GRID,
     DEFAULT_Z_GRID,
-    GeneralIsotropicEnergy,
     GridSpec,
     SplitEnergy,
-    as_general,
+    g_partials,
 )
 from .errors import DegenerateGrid, DomainError
 from .scalar_inf import InfimumResult, convexity_verdict, infimum_weighted_second
@@ -294,17 +293,33 @@ def _normalized(margin: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return out
 
 
-def ks_check(g: GeneralIsotropicEnergy, grid: GridSpec = DEFAULT_XY_GRID,
+_KS_AXIS_POINTS = 201
+
+
+def _ks_axis(grid: GridSpec) -> np.ndarray:
+    """At most 201 of the grid's points: an even stride from the first, plus
+    the last.  Plain integer indices, because ``np.unique`` would import
+    ``numpy.ma`` on its hash path and slow the first call."""
+    stride = -(-(grid.n - 1) // (_KS_AXIS_POINTS - 1))
+    return grid.points()[np.r_[0:grid.n - 1:stride, grid.n - 1]]
+
+
+def ks_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
+             z_grid: GridSpec = DEFAULT_Z_GRID,
              tol: float = DEFAULT_TOL) -> RankOneVerdict:
     """Evaluate the five classical conditions for rank-one convexity on GL+(2).
 
-    Reported margins are normalized to dimensionless form (see
+    The conditions are sampled at x = sqrt(t*z), y = sqrt(z/t) over a stride
+    of each of the t and z grids (``_ks_axis``; 201 x 201 on the defaults),
+    so every sample is also a vol-iso sample.  The diagonal condition (iii)
+    is sampled on the row t = 1 over the same z, whether or not the t grid
+    holds 1.  Reported margins are normalized to dimensionless form (see
     ``_normalized``); signs and verdicts are unaffected.
     """
-    pts = grid.points()
-    x, y = np.meshgrid(pts, pts, indexing="ij")
+    ts = _ks_axis(t_grid)[:, np.newaxis]
+    zs = _ks_axis(z_grid)
     with np.errstate(all="ignore"):
-        _, g_x, g_y, g_xx, g_xy, g_yy = g.partials(x, y)
+        x, y, _, g_x, g_y, g_xx, g_xy, g_yy = g_partials(e, ts, zs)
 
         off = np.abs(x - y) > 1e-9 * (x + y)
 
@@ -319,15 +334,13 @@ def ks_check(g: GeneralIsotropicEnergy, grid: GridSpec = DEFAULT_XY_GRID,
         reports.append(_grid_report("KS_ii", _normalized(m_ii, s_ii)[off],
                                     (x[off], y[off]), tol))
 
-        # condition on the diagonal x = y
-        dg_x, dg_y, dg_xx, dg_xy, dg_yy = (np.diagonal(p)
-                                           for p in (g_x, g_y, g_xx, g_xy, g_yy))
-        diag_margin = np.minimum(dg_xx - dg_xy + dg_x / pts,
-                                 dg_yy - dg_xy + dg_y / pts)
+        # condition on the diagonal x = y, the row t = 1
+        d, _, _, dg_x, dg_y, dg_xx, dg_xy, dg_yy = g_partials(e, 1.0, zs)
+        diag_margin = np.minimum(dg_xx - dg_xy + dg_x / d, dg_yy - dg_xy + dg_y / d)
         diag_scale = (np.abs(dg_xx) + np.abs(dg_yy) + np.abs(dg_xy)
-                      + (np.abs(dg_x) + np.abs(dg_y)) / pts)
+                      + (np.abs(dg_x) + np.abs(dg_y)) / d)
         reports.append(_grid_report("KS_iii", _normalized(diag_margin, diag_scale),
-                                    (pts, pts), tol))
+                                    (d, d), tol))
 
         prod = g_xx * g_yy
         root = np.sqrt(np.maximum(prod, 0.0))

@@ -2,8 +2,8 @@
 
 The isochoric part h must satisfy h(t) = h(1/t); this is validated on a log
 grid at construction.  The module also carries the built-in catalog of named
-energies, the assembly of a general two-variable representation g(x, y)
-with all first and second partials, and the sampling defaults every check
+energies, the first and second partials of the general two-variable form
+g(x, y) on (t, z) samples, and the sampling defaults every check
 shares: the tolerance and the log grids.  The command line reads those
 defaults from here, so its options load none of the checking modules.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class GridSpec:
 
 DEFAULT_T_GRID = GridSpec(1e-4, 1e4, 4001)
 DEFAULT_Z_GRID = GridSpec(1e-4, 1e4, 1001)
-DEFAULT_XY_GRID = GridSpec(1e-2, 1e2, 201)
 
 
 @dataclass(frozen=True)
@@ -63,6 +62,11 @@ class SingularPair:
             raise DomainError(
                 f"singular values must be positive, got ({self.lambda1}, {self.lambda2})"
             )
+        l1, l2 = float(self.lambda1), float(self.lambda2)
+        if not (0.0 < l1 / l2 < math.inf and 0.0 < l1 * l2 < math.inf):
+            raise DomainError(
+                f"singular values ({self.lambda1}, {self.lambda2}) have a ratio or "
+                "product that is not a finite positive float")
 
 
 @dataclass(frozen=True)
@@ -128,49 +132,28 @@ def eval_W(e: SplitEnergy, p: SingularPair) -> float:
                  + e.f_jet(p.lambda1 * p.lambda2).value)
 
 
-@dataclass(frozen=True)
-class GeneralIsotropicEnergy:
-    """Two-variable representation g(x, y) with all partials up to order 2.
+def g_partials(e: SplitEnergy, ts, zs):
+    """The general form g(x, y) = h(x/y) + f(x*y) and its partials up to
+    order 2, at x = sqrt(t*z), y = sqrt(z/t).
 
-    ``partials(x, y)`` returns (g, g_x, g_y, g_xx, g_xy, g_yy); arguments may
-    be floats or broadcastable numpy arrays.  The h and f jets are evaluated
-    once per distinct x/y and x*y, which on a tensor grid is far fewer than
-    the points.
+    Returns (x, y, g, g_x, g_y, g_xx, g_xy, g_yy) on ``ts`` and ``zs``
+    broadcast together.  The h jets are evaluated once per element of ``ts``
+    and the f jets once per element of ``zs``, so a column of T values of t
+    against a row of Z values of z costs T + Z jets for T x Z points.
     """
-
-    partials: Callable
-    name: str = ""
-
-
-def as_general(e: SplitEnergy) -> GeneralIsotropicEnergy:
-    """Assemble g(x, y) = h(x/y) + f(x*y) and its closed-form partials."""
-
-    def partials(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        hj = _per_distinct(e.h_jet_array, x / y)
-        fj = _per_distinct(e.f_jet_array, x * y)
-        g = hj.value + fj.value
-        g_x = hj.d1 / y + y * fj.d1
-        g_y = -x / y**2 * hj.d1 + x * fj.d1
-        g_xx = hj.d2 / y**2 + y**2 * fj.d2
-        g_xy = -hj.d1 / y**2 - x / y**3 * hj.d2 + fj.d1 + x * y * fj.d2
-        g_yy = 2.0 * x / y**3 * hj.d1 + x**2 / y**4 * hj.d2 + x**2 * fj.d2
-        return g, g_x, g_y, g_xx, g_xy, g_yy
-
-    return GeneralIsotropicEnergy(partials=partials, name=e.name)
-
-
-def _per_distinct(jet_array: Callable, args: np.ndarray) -> Jet2:
-    """``jet_array(args)``, evaluated once per distinct argument and gathered
-    back.  The jets are elementwise, so the result is bit-identical.  Distinct
-    means distinct bits, which keeps -0.0 apart from 0.0."""
-    if args.ndim == 0:
-        return jet_array(args)
-    keys, inverse = np.unique(args.ravel().view(np.int64), return_inverse=True)
-    jet = jet_array(keys.view(np.float64))
-    return Jet2(*(part[inverse].reshape(args.shape)
-                  for part in (jet.value, jet.d1, jet.d2)))
+    t = np.asarray(ts, dtype=float)
+    z = np.asarray(zs, dtype=float)
+    hj = e.h_jet_array(t)
+    fj = e.f_jet_array(z)
+    x = np.sqrt(t * z)
+    y = np.sqrt(z / t)
+    return (x, y,
+            hj.value + fj.value,
+            hj.d1 / y + y * fj.d1,
+            -x / y**2 * hj.d1 + x * fj.d1,
+            hj.d2 / y**2 + y**2 * fj.d2,
+            -hj.d1 / y**2 - x / y**3 * hj.d2 + fj.d1 + x * y * fj.d2,
+            2.0 * x / y**3 * hj.d1 + x**2 / y**4 * hj.d2 + x**2 * fj.d2)
 
 
 # ---------------------------------------------------------------------------

@@ -379,7 +379,8 @@ def eval_jet2(e: Expr, x: float) -> Jet2:
     """Evaluate value, first and second derivative of ``e`` at ``x > 0``."""
     if not x > 0.0:
         raise DomainError(f"evaluation point must be positive, got {x}")
-    jet = _eval(e.ast, Jet2(float(x), 1.0, 0.0))
+    with np.errstate(all="ignore"):  # the checks below raise the typed errors
+        jet = _eval(e.ast, Jet2(float(x), 1.0, 0.0))
     parts = (jet.value, jet.d1, jet.d2)
     if any(math.isnan(p) for p in parts):
         raise DomainError(f"{e.source_text!r} undefined at {x}")

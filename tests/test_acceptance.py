@@ -12,7 +12,6 @@ import pytest
 
 from rankone2d import (
     analytic_second_derivative,
-    as_general,
     brute_force_check,
     catalog,
     classify_structure,
@@ -115,7 +114,7 @@ def test_criterion_03_k_energy_family():
 def test_criterion_04_exp_hencky_iso_cone():
     e = catalog("exp_hencky_iso", mu=1.0, k=0.1)
     assert main_check(e).verdict.overall == "NotRankOneConvex"
-    assert ks_check(as_general(e)).overall == "NotRankOneConvex"
+    assert ks_check(e).overall == "NotRankOneConvex"
     base = scan_domain(e, lambda_range=(0.1, 10.0), n_points=21)
     for s in (0.5, 2.0):
         scaled = scan_domain(e, lambda_range=(0.1 * s, 10.0 * s), n_points=21)
@@ -141,7 +140,7 @@ def test_criterion_05_route_equivalence():
         overall = {
             main_check(e, tol=1e-8).verdict.overall,
             voliso_check(e, tol=1e-8).overall,
-            ks_check(as_general(e), tol=1e-8).overall,
+            ks_check(e, tol=1e-8).overall,
         }
         assert len(overall) == 1, (e.name, overall)
 

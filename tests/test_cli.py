@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -66,6 +67,21 @@ class TestCheck:
         assert {r["overall"] for r in payload["routes"].values()} == {
             "NotRankOneConvex"}
 
+    def test_ks_samples_the_check_grids(self, runner):
+        res = invoke(runner, "check", "--catalog", "example1", "--report", "json",
+                     "--t-min", "0.1", "--t-max", "10", "--t-points", "801",
+                     "--z-min", "0.01", "--z-max", "100", "--z-points", "61")
+        ks = json.loads(res.output)["routes"]["ks"]["conditions"]
+        samples = {c["id"]: c["samples"] for c in ks}
+        # a stride of 4 keeps 201 of the 801 t, and all 61 z are kept
+        assert samples["KS_i"] == 201 * 61
+        assert samples["KS_iii"] == 61
+        ts, zs = np.logspace(-1, 1, 801), np.logspace(-2, 2, 61)
+        for c in ks:
+            x, y = c["witness"]
+            assert np.min(np.abs(ts / (x / y) - 1.0)) < 1e-12, c
+            assert np.min(np.abs(zs / (x * y) - 1.0)) < 1e-12, c
+
     def test_json_is_deterministic(self, runner):
         outs = [invoke(runner, "check", "--catalog", "example2",
                        "--report", "json").output for _ in range(2)]
@@ -117,8 +133,10 @@ class TestExtremeInputs:
           "--lambda-max", "1e200"), 2, ""),
         (("classify", "--catalog", "exp_hencky", "--k", "40"), 3,
          "overflowed at t = 0.001 in the symmetry check"),
+        (("stress", "--catalog", "example1", "--at", "1e200", "1e-200"), 3,
+         "error: singular values (1e+200, 1e-200) have a ratio or product"),
     ], ids=["t-max-inf", "z-max-inf", "t-max-1e300", "t-min-1e-300",
-            "scan-1e200", "exp-hencky-k40"])
+            "scan-1e200", "exp-hencky-k40", "stress-1e200"])
     def test_exit_code_without_runtime_warning(self, args, code, message):
         res = run_fresh(*args)
         assert res.returncode == code, res.stderr

@@ -7,10 +7,10 @@ import pytest
 from rankone2d import (
     GridSpec,
     criteria,
-    as_general,
     catalog,
     classify_structure,
     errors,
+    g_partials,
     ks_check,
     main_check,
     make_split,
@@ -21,7 +21,6 @@ from rankone2d.energy import CATALOG, DEFAULT_Z_GRID
 
 SMALL_T = GridSpec(1e-3, 1e3, 801)
 SMALL_Z = GridSpec(1e-3, 1e3, 301)
-SMALL_XY = GridSpec(1e-2, 1e2, 81)
 
 # Hencky isochoric part with a stiff volumetric part: KS (v) fails at
 # F = diag(10, 0.1), where the rank-one second derivative is about -0.0365
@@ -32,7 +31,7 @@ def overall_all_routes(e):
     return (
         main_check(e, t_grid=SMALL_T).verdict.overall,
         voliso_check(e, t_grid=SMALL_T, z_grid=SMALL_Z).overall,
-        ks_check(as_general(e), grid=SMALL_XY).overall,
+        ks_check(e, t_grid=SMALL_T, z_grid=SMALL_Z).overall,
     )
 
 
@@ -192,34 +191,44 @@ class TestVolisoCheck:
 
 class TestKsCheck:
     def test_margins_are_normalized(self):
-        v = ks_check(as_general(catalog("example2")), grid=SMALL_XY)
+        v = ks_check(catalog("example2"), t_grid=SMALL_T, z_grid=SMALL_Z)
         for r in v.reports:
             assert abs(r.worst_margin) < 10.0
 
     def test_nonconvex_isochoric_fails(self):
-        v = ks_check(as_general(catalog("exp_hencky_iso")), grid=SMALL_XY)
+        v = ks_check(catalog("exp_hencky_iso"), t_grid=SMALL_T, z_grid=SMALL_Z)
         assert v.overall == "NotRankOneConvex"
 
     @pytest.mark.parametrize("cid", sorted(CATALOG))
     def test_ks_iii_equals_a_separate_diagonal_evaluation(self, cid):
-        # the route reads KS_iii off the diagonal of its grid partials
-        grid = GridSpec(1e-2, 1e2, 21)
-        g = as_general(catalog(cid))
-        got = ks_check(g, grid=grid).reports[2]
+        # the route reads KS_iii off the row t = 1, which this t grid lacks
+        e = catalog(cid)
+        z_grid = GridSpec(1e-4, 1e4, 21)
+        got = ks_check(e, t_grid=GridSpec(2.0, 50.0, 21), z_grid=z_grid).reports[2]
         assert got.condition_id == "KS_iii"
-        pts = grid.points()
+        zs = z_grid.points()
         with np.errstate(all="ignore"):
-            _, g_x, g_y, g_xx, g_xy, g_yy = g.partials(pts, pts)
-            margin = np.minimum(g_xx - g_xy + g_x / pts, g_yy - g_xy + g_y / pts)
+            x, y, _, g_x, g_y, g_xx, g_xy, g_yy = g_partials(e, np.ones_like(zs), zs)
+            margin = np.minimum(g_xx - g_xy + g_x / x, g_yy - g_xy + g_y / y)
             scale = (np.abs(g_xx) + np.abs(g_yy) + np.abs(g_xy)
-                     + (np.abs(g_x) + np.abs(g_y)) / pts)
+                     + (np.abs(g_x) + np.abs(g_y)) / x)
         want = criteria._normalized(margin, scale)
         i = int(np.argmin(want))
         assert got.worst_margin == want[i]
-        assert got.witness == [pts[i], pts[i]]
+        assert got.witness == [np.sqrt(zs[i])] * 2
+        assert got.samples_used == zs.size
+
+    def test_diamond_energy_is_not_certified(self):
+        # A = t^2 h'' + z^2 f'' is -0.0193 at (t, z) = (1e4, 1e4), a point
+        # the x, y square [1e-2, 1e2] never reached; on the (t, z) stride
+        # KS_i falls below zero there, inside tol, so Marginal
+        e = make_split("(t + 1/t)/2", "(1/100)*log(1 + (z/1000)^2)")
+        v = ks_check(e)
+        assert v.overall != "RankOneConvex"
+        assert v.reports[0].verdict == "Marginal"
 
     def test_report_serialization(self):
-        v = ks_check(as_general(catalog("example1")), grid=SMALL_XY)
+        v = ks_check(catalog("example1"), t_grid=SMALL_T, z_grid=SMALL_Z)
         d = v.to_dict("example1")
         assert d["overall"] == "RankOneConvex"
         assert len(d["conditions"]) == 5

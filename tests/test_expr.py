@@ -153,6 +153,13 @@ class TestJets:
         with pytest.raises(errors.DomainError):
             expr.eval_jet2(e, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_undefined_jet_raises_without_warning(self):
+        # at t = inf the chain rule multiplies inf by 0
+        e = expr.parse("exp((1/10)*log(t)^2)", "t")
+        with pytest.raises(errors.DomainError, match="undefined at inf"):
+            expr.eval_jet2(e, math.inf)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflow_raises(self):
         e = expr.parse("exp(exp(t))", "t")

@@ -15,23 +15,24 @@ SUBMODULES = {"cli", "criteria", "energy", "errors", "expr", "kernels", "oracle"
               "scalar_inf", "scan", "stress"}
 
 # subcommand -> (argv, modules it must load, modules it must not load);
-# "fractions" is the standard-library module only the oracle needs
+# "fractions" is the standard-library module only the oracle needs, and
+# "numpy.ma" is what np.unique without return_inverse would import
 SUBCOMMANDS = {
     "check": (["check", "--catalog", "example1"],
               {"errors", "expr", "energy", "scalar_inf", "criteria"},
-              {"oracle", "kernels", "scan", "stress", "fractions"}),
+              {"oracle", "kernels", "scan", "stress", "fractions", "numpy.ma"}),
     "classify": (["classify", "--catalog", "example1"],
                  {"errors", "expr", "energy", "scalar_inf", "criteria"},
-                 {"oracle", "kernels", "scan", "stress", "fractions"}),
+                 {"oracle", "kernels", "scan", "stress", "fractions", "numpy.ma"}),
     "oracle": (["oracle", "--catalog", "example1", "--grid", "3", "--samples", "10"],
                {"errors", "expr", "energy", "kernels", "oracle"},
-               {"criteria", "scalar_inf", "scan", "stress"}),
+               {"criteria", "scalar_inf", "scan", "stress", "numpy.ma"}),
     "scan": (["scan", "--catalog", "example1", "--grid", "8"],
              {"criteria"},
-             {"oracle", "kernels", "stress", "fractions"}),
+             {"oracle", "kernels", "stress", "fractions", "numpy.ma"}),
     "stress": (["stress", "--catalog", "example1"],
                {"stress"},
-               {"criteria", "scalar_inf", "oracle", "kernels", "scan"}),
+               {"criteria", "scalar_inf", "oracle", "kernels", "scan", "numpy.ma"}),
 }
 
 RUN_PROBE = """
