@@ -9,7 +9,7 @@ literal would, so no value is ever formatted into source text.
 
 Evaluation propagates (value, d1, d2) through every operation, so first and
 second derivatives are exact to machine rounding; no numeric differencing is
-involved.  Jets propagate NaN/Inf, the public scalar entry point converts
+involved.  Jets propagate NaN/Inf; eval_jet2_finite and eval_jet2 convert
 non-finite results into errors.
 """
 
@@ -74,7 +74,7 @@ class Jet2:
 
 
 def jet_constant(c: float, like: Jet2) -> Jet2:
-    zero = np.zeros_like(like.value) if isinstance(like.value, np.ndarray) else 0.0
+    zero = np.zeros_like(like.value)
     return Jet2(c + zero, zero, zero)
 
 
@@ -145,9 +145,7 @@ def _is_constant_jet(x: Jet2) -> bool:
 def jet_pow(base: Jet2, exponent: Jet2) -> Jet2:
     with np.errstate(all="ignore"):
         if _is_constant_jet(exponent):
-            p = exponent.value
-            if isinstance(p, np.ndarray):
-                p = float(p.flat[0])
+            p = float(exponent.value.flat[0])
             v = base.value**p
             g1 = p * base.value ** (p - 1.0)
             g2 = p * (p - 1.0) * base.value ** (p - 2.0)
@@ -376,17 +374,12 @@ def _eval(ast: tuple, x: Jet2) -> Jet2:
 
 
 def eval_jet2(e: Expr, x: float) -> Jet2:
-    """Evaluate value, first and second derivative of ``e`` at ``x > 0``."""
+    """Evaluate value, first and second derivative of ``e`` at ``x > 0``:
+    ``eval_jet2_finite`` on a 0-d array, returned as floats."""
     if not x > 0.0:
         raise DomainError(f"evaluation point must be positive, got {x}")
-    with np.errstate(all="ignore"):  # the checks below raise the typed errors
-        jet = _eval(e.ast, Jet2(float(x), 1.0, 0.0))
-    parts = (jet.value, jet.d1, jet.d2)
-    if any(math.isnan(p) for p in parts):
-        raise DomainError(f"{e.source_text!r} undefined at {x}")
-    if any(math.isinf(p) for p in parts):
-        raise OverflowValue(f"{e.source_text!r} overflowed at {x}")
-    return jet
+    jet = eval_jet2_finite(e, x)
+    return Jet2(float(jet.value), float(jet.d1), float(jet.d2))
 
 
 def eval_jet2_array(e: Expr, xs: np.ndarray) -> Jet2:
@@ -399,3 +392,17 @@ def eval_jet2_array(e: Expr, xs: np.ndarray) -> Jet2:
         np.broadcast_to(jet.d1, xs.shape).astype(float),
         np.broadcast_to(jet.d2, xs.shape).astype(float),
     )
+
+
+def eval_jet2_finite(e: Expr, xs: np.ndarray) -> Jet2:
+    """``eval_jet2_array`` that raises at the first point whose jet is not
+    finite: ``DomainError`` if a part is NaN, else ``OverflowValue``."""
+    jet = eval_jet2_array(e, xs)
+    parts = np.stack([np.ravel(jet.value), np.ravel(jet.d1), np.ravel(jet.d2)])
+    bad = np.flatnonzero(~np.isfinite(parts).all(axis=0))
+    if bad.size:
+        at = float(np.ravel(xs)[bad[0]])
+        if np.isnan(parts[:, bad[0]]).any():
+            raise DomainError(f"{e.source_text!r} undefined at {at}")
+        raise OverflowValue(f"{e.source_text!r} overflowed at {at}")
+    return jet

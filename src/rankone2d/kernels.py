@@ -82,8 +82,8 @@ def direction_min_batch(f00, f01, f10, f11, psi1, psi2, fpp, n_angles):
 
     All matrix/jet arguments are 1-D float arrays of equal length.  Returns
     (min_values, xi_angles, eta_angles) as float arrays; the angles lie in
-    [0, pi), eta's on the grid k*pi/n_angles, and each value is the second
-    derivative at the reported pair of directions.
+    [0, pi), eta's on the grid k*pi/n_angles, and each value is the smaller
+    eigenvalue of Q at the reported eta, the one the eta angle was ranked by.
     """
     f00, f01, f10, f11, psi1, psi2, fpp = (
         np.asarray(a, dtype=float) for a in (f00, f01, f10, f11, psi1, psi2, fpp))
@@ -96,6 +96,7 @@ def direction_min_batch(f00, f01, f10, f11, psi1, psi2, fpp, n_angles):
     step = np.pi / n_angles
     grid = np.arange(n_angles) * step
     best = np.empty(n, dtype=np.intp)
+    vals = np.empty(n)
     per_block = max(1, _BLOCK // n_angles)
     for lo in range(0, n, per_block):
         sl = slice(lo, lo + per_block)
@@ -104,15 +105,13 @@ def direction_min_batch(f00, f01, f10, f11, psi1, psi2, fpp, n_angles):
                                psi1[sl, None], np.cos(phi), np.sin(phi))
         lam = _min_eig(d0, d1, u, v, c_iso[sl, None], c_vol[sl, None])
         best[sl] = np.argmin(lam, axis=1)
+        vals[sl] = np.min(lam, axis=1)
 
     # the minimizing xi' is the eigenvector of Q' for its smaller eigenvalue
     phi = best * step + beta
     d0, d1, u, v = _pieces(l1, l2, t, psi1, np.cos(phi), np.sin(phi))
     a, d, b = _entries(d0, d1, u, v, c_iso, c_vol)
     theta = 0.5 * np.arctan2(2.0 * b, a - d) + 0.5 * np.pi
-    x1, x2 = np.cos(theta), np.sin(theta)
-    vals = (d0 * x1 * x1 + d1 * x2 * x2
-            + c_iso * (u * x1 - v * x2) ** 2 + c_vol * (u * x1 + v * x2) ** 2)
     # back to F's frame: xi = R(alpha) xi', eta = R(-beta) eta'
     xis = np.mod(theta + alpha, np.pi)
     xis = np.where(xis >= np.pi, 0.0, xis)  # mod rounds -1e-17 up to pi

@@ -10,6 +10,7 @@ sampled search for violating (F, xi, eta) triples.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -17,8 +18,8 @@ from typing import Tuple
 import numpy as np
 
 from .energy import DEFAULT_TOL, SingularPair, SplitEnergy, eval_W
-from .errors import (DegenerateGrid, DomainError, LeftGLplus,
-                     NonPositiveDeterminant, OverflowValue)
+from .errors import DegenerateGrid, LeftGLplus, NonPositiveDeterminant
+from .expr import eval_jet2_finite
 from .kernels import _svd2, direction_min_batch
 
 # |t - 1| at or below which _psi_jets takes the limit branch: there its
@@ -31,7 +32,7 @@ _PSI_EPS = 3e-6
 _FD_STEP = 1e-3
 _HESSIAN_STEP = 3e-4
 
-SEED_MAX = 2**32 - 1  # the largest seed numpy's RandomState accepts
+SEED_MAX = 2**32 - 1  # seeds are unsigned 32-bit integers
 
 
 def rotation(angle: float) -> np.ndarray:
@@ -71,17 +72,10 @@ def _psi_jets(e: SplitEnergy, t) -> Tuple[np.ndarray, np.ndarray]:
     order in t - 1), psi'' = 0 is used; psi'' enters the second derivative
     only through psi'' * (t - 1/t)^2 / 4, which is continuous across the
     switch.
-    Non-finite jets raise the typed errors of the scalar evaluation.
+    Non-finite jets raise the typed errors of ``eval_jet2_finite``.
     """
     t = np.asarray(t, dtype=float)
-    hj = e.h_jet_array(t)
-    parts = np.stack([np.ravel(hj.value), np.ravel(hj.d1), np.ravel(hj.d2)])
-    bad = np.flatnonzero(~np.isfinite(parts).all(axis=0))
-    if bad.size:
-        at = float(np.ravel(t)[bad[0]])
-        if np.isnan(parts[:, bad[0]]).any():
-            raise DomainError(f"{e.h.source_text!r} undefined at {at}")
-        raise OverflowValue(f"{e.h.source_text!r} overflowed at {at}")
+    hj = eval_jet2_finite(e.h, t)
     near = np.abs(t - 1.0) <= _PSI_EPS
     with np.errstate(divide="ignore", invalid="ignore"):
         half_gap = (t - 1.0) * (t + 1.0) / (2.0 * t)  # (t - 1/t)/2 = t*K'(t)
@@ -274,11 +268,11 @@ def brute_force_check(
     winners = [_pack(e, mats, xis, etas, k)]
 
     if n_refine > 0:
-        rng = np.random.RandomState(seed)
-        s1 = np.exp(np.log(lam1[k]) + 0.2 * rng.randn(n_refine))
-        s2 = np.exp(np.log(lam2[k]) + 0.2 * rng.randn(n_refine))
-        sa = alpha[k] + 0.2 * rng.randn(n_refine)
-        sb = beta[k] + 0.2 * rng.randn(n_refine)
+        n1, n2, na, nb = 0.2 * _normals(seed, n_refine)
+        s1 = np.exp(np.log(lam1[k]) + n1)
+        s2 = np.exp(np.log(lam2[k]) + n2)
+        sa = alpha[k] + na
+        sb = beta[k] + nb
         mats_r, (vals_r, xis_r, etas_r) = _kernel_batch(
             e, s1, s2, sa, sb, 2 * n_angles)
         winners.append(_pack(e, mats_r, xis_r, etas_r, int(np.argmin(vals_r))))
@@ -288,6 +282,16 @@ def brute_force_check(
     best = min(winners, key=lambda r: r.value)
     best.violation = best.value < -tol
     return best
+
+
+def _normals(seed: int, n: int) -> np.ndarray:
+    """4 x n standard normals, Box-Muller on ``random.Random(seed).random()``,
+    the stream Python keeps the same across versions."""
+    rng = random.Random(seed)
+    u1, u2 = np.array([rng.random() for _ in range(4 * n)]).reshape(2, 2 * n)
+    r = np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 lies in (0, 1]
+    angle = 2.0 * np.pi * u2
+    return (r * np.stack([np.cos(angle), np.sin(angle)])).reshape(4, n)
 
 
 def _pack(e: SplitEnergy, mats, xis, etas, k) -> BruteForceResult:

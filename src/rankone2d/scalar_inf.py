@@ -3,8 +3,8 @@
 These two scalars (one for the isochoric part, one for the volumetric part)
 couple the reduced one-dimensional rank-one convexity conditions.  The
 infimum over (0, inf) is approximated on a truncated log-domain by a dense
-grid followed by golden-section refinement of the best bracket; boundary
-minima and divergence to -inf are reported explicitly.
+grid followed by sampled refinement of the best bracket; boundary minima
+and divergence to -inf are reported explicitly.
 """
 
 from __future__ import annotations
@@ -16,14 +16,14 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import NonFinite
-from .expr import Expr, eval_jet2, eval_jet2_array
+from .expr import Expr, eval_jet2_array, eval_jet2_finite
 
 DEFAULT_DOMAIN = (1e-6, 1e6)
 _GRID_POINTS = 8192
-_REL_TOL = 1e-10  # golden-section bracket width, relative
+_REFINE_SAMPLES = 64  # per refinement round
+_REL_TOL = 1e-10  # refined bracket width, relative
 _CONVEXITY_SAMPLES = 4096
 _CONVEXITY_TOL = 1e-10
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _DIVERGENCE_VALUE = -1e12
 
 LIMIT_LOWER = "limit:x->0+"
@@ -51,27 +51,19 @@ def weighted_second(e: Expr, xs: np.ndarray) -> np.ndarray:
         return xs**2 * d2
 
 
-def _weighted_second_scalar(e: Expr, x: float) -> float:
-    return x * x * eval_jet2(e, x).d2
-
-
-def _golden_section(fun, lo: float, hi: float) -> Tuple[float, float]:
-    """Minimize a unimodal function on [lo, hi]; returns (x, f(x))."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    while abs(b - a) > _REL_TOL * (abs(a) + abs(b)) and abs(b - a) > 1e-300:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
-    x = 0.5 * (a + b)
-    return x, fun(x)
+def _refine(e: Expr, lo: float, hi: float) -> Tuple[float, float]:
+    """(x, x^2 * u''(x)) at the smallest sample of the bracket [lo, hi] of
+    log x.  Each round samples the bracket at even steps and narrows it to the
+    two steps around its smallest sample; a non-finite jet raises."""
+    while True:
+        s = np.linspace(lo, hi, _REFINE_SAMPLES)
+        xs = np.exp(s)
+        with np.errstate(over="ignore"):
+            vals = xs**2 * eval_jet2_finite(e, xs).d2
+        k = int(np.argmin(vals))
+        lo, hi = s[max(k - 1, 0)], s[min(k + 1, _REFINE_SAMPLES - 1)]
+        if not (hi - lo > _REL_TOL * (abs(lo) + abs(hi)) and hi - lo > 1e-300):
+            return float(xs[k]), float(vals[k])
 
 
 def infimum_weighted_second(
@@ -82,7 +74,7 @@ def infimum_weighted_second(
     """Minimum of x^2 * u''(x) on [domain_lo, domain_hi].
 
     A dense log-grid locates the best bracket (handling multimodality),
-    golden-section refines it.  Monotone decrease into a boundary that either
+    ``_refine`` narrows it.  Monotone decrease into a boundary that either
     falls below the divergence threshold or keeps shrinking by a large factor
     over the last two decades is reported as value -inf; a plain boundary
     minimum gets a limit marker with the boundary evaluation as value.
@@ -109,13 +101,10 @@ def infimum_weighted_second(
         return InfimumResult(best_val, marker, history)
     # refine the winning bracket
     best_x = float(xs[idx])
-    x_star, v_star = _golden_section(
-        lambda s: _weighted_second_scalar(e, math.exp(s)),
-        math.log(float(xs[idx - 1])), math.log(float(xs[idx + 1])),
-    )
+    x_star, v_star = _refine(e, math.log(float(xs[idx - 1])),
+                             math.log(float(xs[idx + 1])))
     if v_star < best_val:
-        best_val = v_star
-        best_x = math.exp(x_star)
+        best_val, best_x = v_star, x_star
     history.append((1, best_val))
     return InfimumResult(best_val, best_x, history)
 

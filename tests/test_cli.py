@@ -145,6 +145,26 @@ class TestExtremeInputs:
         assert "RuntimeWarning" not in res.stderr
 
 
+class TestSinglePointJets:
+    """A jet that is undefined or overflows at one evaluation point is an
+    input error (exit 3, one line), not a Python exception."""
+
+    @pytest.mark.parametrize("command", ["classify", "stress"])
+    def test_removable_singularity_at_one(self, tmp_path, command):
+        path = tmp_path / "log_ratio.txt"
+        path.write_text("h = (t + 1/t)/2\nf = log(z)/(z - 1)\n")
+        res = run_fresh(command, "--energy-file", str(path))
+        assert res.returncode == 3, res.stderr
+        assert res.stderr == "error: 'log(z)/(z - 1)' undefined at 1.0\n"
+
+    def test_stretch_ratio_overflows(self):
+        res = run_fresh("stress", "--catalog", "example2", "--at", "1e100", "1e-100")
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("error: '(6/5)*(t - 1/t)^2' ")
+        assert len(res.stderr.splitlines()) == 1
+        assert "Traceback" not in res.stderr
+
+
 class TestReportFrame:
     """Every subcommand's report starts with the energy: JSON carries
     schema_version and energy, text opens with an energy line."""

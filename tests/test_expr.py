@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankone2d import errors, expr
+from rankone2d.energy import CATALOG
 
 
 def jet(source, x, var="t"):
@@ -189,3 +190,26 @@ class TestArrayEvaluation:
         arr = expr.eval_jet2_array(e, np.ones(5))
         assert arr.value.shape == (5,)
         assert np.all(arr.d1 == 0.0)
+
+
+# every catalog source at its default parameters, and a pole at z = 1
+SOURCES = [expr.parse(src, var, entry.defaults)
+           for entry in CATALOG.values()
+           for src, var in ((entry.h, "t"), (entry.f, "z"))]
+SOURCES.append(expr.parse("1/(z - 1)", "z"))
+
+
+class TestSinglePointWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(e=st.sampled_from(SOURCES),
+           x=st.one_of(st.just(1.0), st.floats(min_value=1e-6, max_value=1e6)))
+    @example(e=SOURCES[-1], x=1.0)
+    def test_is_the_array_walk(self, e, x):
+        arr = expr.eval_jet2_array(e, x)
+        parts = [float(arr.value), float(arr.d1), float(arr.d2)]
+        if all(math.isfinite(p) for p in parts):
+            j = expr.eval_jet2(e, x)
+            assert [j.value.hex(), j.d1.hex(), j.d2.hex()] == [p.hex() for p in parts]
+        else:
+            with pytest.raises((errors.DomainError, errors.OverflowValue)):
+                expr.eval_jet2(e, x)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rankone2d import (analytic_second_derivative, brute_force_check, catalog,
-                       g_partials, scan_domain)
+                       g_partials, make_split, scan_domain)
 from rankone2d.energy import CATALOG
 from rankone2d.kernels import direction_min_batch
 from rankone2d.oracle import _PSI_EPS, _psi_jets, rotation, second_derivative_terms
@@ -48,6 +48,17 @@ class TestKernelContract:
         coarse, _, _ = direction_min_batch(*batch, 12)
         fine, _, _ = direction_min_batch(*batch, 48)
         assert np.all(fine <= coarse + 1e-12)
+
+    @pytest.mark.parametrize("n_angles", [48, 480, 4800])
+    def test_value_keeps_its_sign_under_stiff_volumetric_part(self, n_angles):
+        # c_vol = f'' J^2 is about 2e38 here, so a quadratic form taken at
+        # the rounded eigenvector would be rounding noise of order 1e10
+        e = make_split("0.35*log(t)^2", "2.6*exp(1.4*log(z)^2)")
+        F = np.diag([0.1559, 0.00316])
+        terms = second_derivative_terms(e, F)
+        vals, _, _ = direction_min_batch(
+            [F[0, 0]], [0.0], [0.0], [F[1, 1]], *([v] for v in terms), n_angles)
+        assert -96.5 < vals[0] < -96.3
 
     def test_angles_lie_in_half_circle(self):
         batch = make_batch(8, seed=5)

@@ -15,8 +15,10 @@ SUBMODULES = {"cli", "criteria", "energy", "errors", "expr", "kernels", "oracle"
               "scalar_inf", "scan", "stress"}
 
 # subcommand -> (argv, modules it must load, modules it must not load);
-# "fractions" is the standard-library module only the oracle needs, and
-# "numpy.ma" is what np.unique without return_inverse would import
+# "fractions" is the standard-library module only the oracle needs,
+# "numpy.ma" is what np.unique without return_inverse would import, and
+# "numpy.random" is numpy's generator package, which the oracle's seeded
+# refinement does without
 SUBCOMMANDS = {
     "check": (["check", "--catalog", "example1"],
               {"errors", "expr", "energy", "scalar_inf", "criteria"},
@@ -26,7 +28,8 @@ SUBCOMMANDS = {
                  {"oracle", "kernels", "scan", "stress", "fractions", "numpy.ma"}),
     "oracle": (["oracle", "--catalog", "example1", "--grid", "3", "--samples", "10"],
                {"errors", "expr", "energy", "kernels", "oracle"},
-               {"criteria", "scalar_inf", "scan", "stress", "numpy.ma"}),
+               {"criteria", "scalar_inf", "scan", "stress", "numpy.ma",
+                "numpy.random"}),
     "scan": (["scan", "--catalog", "example1", "--grid", "8"],
              {"criteria"},
              {"oracle", "kernels", "stress", "fractions", "numpy.ma"}),
