@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import sys
 from typing import TYPE_CHECKING, Optional
 
@@ -416,5 +417,31 @@ def scan_cmd(e, grid_n, lambda_min, lambda_max, spacing, angles, tol, out_csv,
     return code, payload, lines
 
 
+def run() -> None:
+    """Process entry point: run ``main``, flush stdout and stderr, and end
+    the process with ``os._exit``, skipping interpreter teardown.
+
+    Teardown, a full garbage-collector pass over numpy, click and this
+    package, costs a CLI process about as much as most commands compute.
+    Nothing is lost by skipping it: every file a command writes is closed by
+    its ``with`` block, and the package registers no ``atexit`` handler.
+    Any exception other than ``SystemExit``, or an exit code that is neither
+    None nor an int, takes the normal traceback and exit path, and so does
+    a flush that fails.
+    """
+    try:
+        main()
+    except SystemExit as exc:  # click's standalone mode always exits
+        if exc.code is not None and not isinstance(exc.code, int):
+            raise
+        code = exc.code or 0
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    main()
+    run()

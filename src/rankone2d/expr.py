@@ -345,6 +345,16 @@ def _pretty(ast: tuple, var: str) -> str:
 # evaluation
 
 
+def _is_constant(ast: tuple) -> bool:
+    """Whether the subtree has no ``("var",)`` node."""
+    return ast[0] != "var" and all(
+        _is_constant(child) for child in ast[1:] if isinstance(child, tuple))
+
+
+def _scale(x: Jet2, c) -> Jet2:
+    return Jet2(c * x.value, c * x.d1, c * x.d2)
+
+
 def _eval(ast: tuple, x: Jet2) -> Jet2:
     tag = ast[0]
     if tag == "num":
@@ -363,10 +373,18 @@ def _eval(ast: tuple, x: Jet2) -> Jet2:
         return lhs + rhs
     if tag == "sub":
         return lhs - rhs
+    # a constant factor or divisor scales the other jet: its zero
+    # derivatives would meet an infinite value as 0*inf = NaN
     if tag == "mul":
+        if _is_constant(ast[1]):
+            return _scale(rhs, lhs.value)
+        if _is_constant(ast[2]):
+            return _scale(lhs, rhs.value)
         return lhs * rhs
     if tag == "div":
         with np.errstate(all="ignore"):
+            if _is_constant(ast[2]):
+                return _scale(lhs, 1.0 / rhs.value)
             return lhs / rhs
     if tag == "pow":
         return jet_pow(lhs, rhs)

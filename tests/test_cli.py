@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -8,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import rankone2d
+from rankone2d import cli
 from rankone2d.cli import main
 
 
@@ -20,14 +23,14 @@ def invoke(runner, *args):
     return runner.invoke(main, list(args))
 
 
-def run_fresh(*args):
+def run_fresh(*args, stdout=subprocess.PIPE, python=("-m", "rankone2d.cli")):
     """The CLI in a fresh process, so stderr is what a user sees: Python
     shows a warning once per location and process, and pytest captures
-    them."""
+    them.  ``python`` is what the interpreter runs, with ``args`` after it."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(rankone2d.__file__)))
-    return subprocess.run([sys.executable, "-m", "rankone2d.cli", *args],
-                          env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *python, *args], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
 
 
 # Hencky isochoric part with a stiff volumetric part; not rank-one convex
@@ -163,6 +166,12 @@ class TestSinglePointJets:
         assert res.stderr.startswith("error: '(6/5)*(t - 1/t)^2' ")
         assert len(res.stderr.splitlines()) == 1
         assert "Traceback" not in res.stderr
+
+    def test_constant_factor_keeps_the_overflow(self, runner):
+        res = invoke(runner, "stress", "--catalog", "example2",
+                     "--at", "1e100", "1e-100")
+        assert res.exit_code == 3
+        assert res.output == "error: '(6/5)*(t - 1/t)^2' overflowed at 1e+200\n"
 
 
 class TestReportFrame:
@@ -417,3 +426,106 @@ class TestScan:
                      flag, str(target))
         assert res.exit_code == 3
         assert f"{target}: cannot write output file" in res.output
+
+
+# commands with small grids, so each fresh process costs mostly start-up
+EXIT_PATH_COMMANDS = {"check": (), "classify": (), "stress": (),
+                      "oracle": ("--grid", "3", "--samples", "10"),
+                      "scan": ("--grid", "8")}
+
+# a command whose body is the format field, run through cli.run
+COMMAND_SCRIPT = """
+import sys
+from rankone2d import cli
+
+@cli.main.command("boom")
+def boom():
+    {}
+
+cli.run()
+"""
+
+# the module's __main__ block with an exit handler that teardown would run
+MAIN_BLOCK_SCRIPT = """
+import atexit, runpy
+atexit.register(print, "teardown ran")
+runpy.run_module("rankone2d.cli", run_name="__main__")
+"""
+
+
+class TestExitPath:
+    """A CLI process ends through ``cli.run``, which skips interpreter
+    teardown: its output and exit code are what ``main`` gives in-process,
+    and an unexpected exception still ends with a traceback."""
+
+    def test_console_script_is_run(self):
+        pyproject = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
+        with open(pyproject) as fh:
+            target = re.search(r"^rankone2d = \"(.+)\"$", fh.read(), re.M).group(1)
+        module, _, name = target.partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.run
+
+    @pytest.mark.parametrize("catalog_id, codes", [
+        ("example1", {0, 2}), ("hencky", {1}), ("exp_hencky", {0, 2})])
+    @pytest.mark.parametrize("command", EXIT_PATH_COMMANDS)
+    def test_matches_in_process_run(self, runner, command, catalog_id, codes):
+        for report in ("json", "text"):
+            args = (command, *EXIT_PATH_COMMANDS[command], "--catalog",
+                    catalog_id, "--report", report)
+            fresh = run_fresh(*args)
+            in_process = invoke(runner, *args)
+            assert fresh.returncode == in_process.exit_code, report
+            assert fresh.returncode in codes, report
+            assert fresh.stdout == in_process.stdout, report
+            assert fresh.stderr == "", report
+
+    def test_scan_files_match_in_process_files(self, runner, tmp_path):
+        outputs = {}
+        for label in ("fresh", "in_process"):
+            paths = (tmp_path / f"{label}.csv", tmp_path / f"{label}.svg")
+            args = ("scan", "--catalog", "exp_hencky_iso", "--grid", "16",
+                    "--out-csv", str(paths[0]), "--out-svg", str(paths[1]))
+            if label == "fresh":
+                assert run_fresh(*args).returncode == 1
+            else:
+                assert invoke(runner, *args).exit_code == 1
+            outputs[label] = [p.read_bytes() for p in paths]
+        assert outputs["fresh"] == outputs["in_process"]
+
+    def test_usage_error_exits_two(self):
+        res = run_fresh("check", "--catalog", "example1", "--report", "xml")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "Usage: " in res.stderr
+        assert "Invalid value for '--report'" in res.stderr
+
+    def test_closed_stdout_exits_one_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            res = run_fresh("classify", "--catalog", "example1", "--report",
+                            "json", stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert res.returncode == 1
+        assert res.stderr == ""
+
+    def test_main_block_skips_teardown(self):
+        res = run_fresh("classify", "--catalog", "example1",
+                        python=("-c", MAIN_BLOCK_SCRIPT))
+        assert res.returncode == 2
+        assert res.stdout.startswith("energy: example1")
+        assert "teardown ran" not in res.stdout
+
+    def test_unexpected_exception_prints_traceback(self):
+        res = run_fresh("boom", python=("-c", COMMAND_SCRIPT.format(
+            'raise RuntimeError("boom")')))
+        assert res.returncode == 1
+        assert "Traceback" in res.stderr
+        assert "RuntimeError: boom" in res.stderr
+
+    def test_exit_with_message_takes_normal_exit(self):
+        res = run_fresh("boom", python=("-c", COMMAND_SCRIPT.format(
+            'sys.exit("boom")')))
+        assert res.returncode == 1
+        assert res.stderr == "boom\n"

@@ -167,6 +167,31 @@ class TestJets:
         with pytest.raises(errors.OverflowValue):
             expr.eval_jet2(e, 10.0)
 
+    @pytest.mark.parametrize("source", ["(6/5)*(t - 1/t)^2", "(t - 1/t)^2*(6/5)",
+                                        "(t - 1/t)^2/(5/6)"])
+    def test_constant_factor_keeps_an_overflow(self, source):
+        # the constant's zero derivatives would meet the infinite value as
+        # 0*inf, and the overflow would read as undefined
+        e = expr.parse(source, "t")
+        arr = expr.eval_jet2_array(e, np.array([1e200]))
+        assert arr.value[0] == math.inf
+        assert arr.d1[0] == pytest.approx(2.4e200)
+        assert arr.d2[0] == pytest.approx(2.4)
+        with pytest.raises(errors.OverflowValue, match=r"overflowed at 1e\+200$"):
+            expr.eval_jet2(e, 1e200)
+
+    def test_constant_factor_keeps_the_product_rule_rounding(self):
+        xs = np.logspace(-3, 3, 61)
+        g = expr.eval_jet2_array(expr.parse("(t - 1/t)^2", "t"), xs)
+        c = expr.eval_jet2_array(expr.parse("6/5", "t"), xs)
+        for source, want in (("(6/5)*(t - 1/t)^2", c * g),
+                             ("(t - 1/t)^2*(6/5)", g * c),
+                             ("(t - 1/t)^2/(6/5)", g / c)):
+            got = expr.eval_jet2_array(expr.parse(source, "t"), xs)
+            for part in ("value", "d1", "d2"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), \
+                    (source, part)
+
 
 class TestArrayEvaluation:
     def test_matches_scalar_path(self):
