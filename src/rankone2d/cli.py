@@ -364,10 +364,10 @@ def stress_cmd(e, at, tol):
 
 @_command(
     "scan",
-    click.option("--grid", "grid_n", type=int, default=128,
+    click.option("--grid", "grid_n", type=int, default=energy.DEFAULT_SCAN_GRID.n,
                  help="Grid points per stretch axis."),
-    click.option("--lambda-min", type=float, default=10**-2.5),
-    click.option("--lambda-max", type=float, default=10**2.5),
+    click.option("--lambda-min", type=float, default=energy.DEFAULT_SCAN_GRID.lo),
+    click.option("--lambda-max", type=float, default=energy.DEFAULT_SCAN_GRID.hi),
     click.option("--spacing", type=click.Choice(["log", "linear"]), default="log"),
     click.option("--angles", type=int, default=48,
                  help="Accepted for compatibility and checked to be at least 1; "

@@ -4,8 +4,9 @@ The isochoric part h must satisfy h(t) = h(1/t); this is validated on a log
 grid at construction.  The module also carries the built-in catalog of named
 energies, the first and second partials of the general two-variable form
 g(x, y) on (t, z) samples, and the sampling defaults every check
-shares: the tolerance and the log grids.  The command line reads those
-defaults from here, so its options load none of the checking modules.
+shares: the tolerance, the (t, z) log grids and the scan's stretch grid.
+The command line reads those defaults from here, so its options load none
+of the checking modules.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ class GridSpec:
 
 DEFAULT_T_GRID = GridSpec(1e-4, 1e4, 4001)
 DEFAULT_Z_GRID = GridSpec(1e-4, 1e4, 1001)
+# range and points per axis of the (lambda1, lambda2) scan
+DEFAULT_SCAN_GRID = GridSpec(10**-2.5, 10**2.5, 128)
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,6 @@ class SplitEnergy:
     h: Expr
     f: Expr
     name: str = ""
-    catalog_id: Optional[str] = None
 
     def h_jet(self, t: float) -> Jet2:
         return eval_jet2(self.h, t)
@@ -92,7 +94,6 @@ class SplitEnergy:
 
 
 def make_split(h_source: str, f_source: str, name: str = "",
-               catalog_id: Optional[str] = None,
                params: Optional[Mapping[str, float]] = None) -> SplitEnergy:
     """Parse and validate a split energy from expression sources.
 
@@ -122,8 +123,7 @@ def make_split(h_source: str, f_source: str, name: str = "",
     d1_at_one = eval_jet2(h, 1.0).d1
     if abs(d1_at_one) >= 1e-9:
         raise SymmetryViolation(1.0, abs(d1_at_one))
-    return SplitEnergy(h=h, f=f, name=name or h_source + " + " + f_source,
-                       catalog_id=catalog_id)
+    return SplitEnergy(h=h, f=f, name=name or h_source + " + " + f_source)
 
 
 def eval_W(e: SplitEnergy, p: SingularPair) -> float:
@@ -221,5 +221,5 @@ def catalog(catalog_id: str, **params) -> SplitEnergy:
         )
     shown = ", ".join(f"{k}={v:g}" for k, v in sorted(params.items()))
     name = catalog_id + (f"({shown})" if shown else "")
-    return make_split(entry.h, entry.f, name=name, catalog_id=catalog_id,
+    return make_split(entry.h, entry.f, name=name,
                       params={**entry.defaults, **params})

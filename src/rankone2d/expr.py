@@ -4,8 +4,11 @@ The grammar is a small infix language with precedence
 ``^`` (right-assoc) > unary ``-`` > ``*``, ``/`` > ``+``, ``-``,
 parentheses, the constants ``pi`` and ``e``, decimal/scientific literals and
 the unary functions exp, log, sqrt, cosh, sinh, tanh, arcosh.  Named
-parameters are bound at parse time: a bound name parses as its value's
-literal would, so no value is ever formatted into source text.
+parameters are bound at parse time: a bound name parses as its number, so
+no value is ever formatted into source text.  A node whose children are all
+numbers folds to the number the walk computes for it (``6/5`` is
+``6*(1/5)``), unless that value is not finite, so a tree holds each constant
+as one ``("num", value)`` node.
 
 Evaluation propagates (value, d1, d2) through every operation, so first and
 second derivatives are exact to machine rounding; no numeric differencing is
@@ -73,11 +76,6 @@ class Jet2:
         return self * inv
 
 
-def jet_constant(c: float, like: Jet2) -> Jet2:
-    zero = np.zeros_like(like.value)
-    return Jet2(c + zero, zero, zero)
-
-
 def _jet_chain(x: Jet2, g, g1, g2) -> Jet2:
     """Apply a scalar function g with derivatives g1, g2 through the jet."""
     v = g(x.value)
@@ -138,19 +136,12 @@ _JET_FUNCS = {
 }
 
 
-def _is_constant_jet(x: Jet2) -> bool:
-    return bool(np.all(x.d1 == 0.0) and np.all(x.d2 == 0.0))
-
-
-def jet_pow(base: Jet2, exponent: Jet2) -> Jet2:
-    with np.errstate(all="ignore"):
-        if _is_constant_jet(exponent):
-            p = float(exponent.value.flat[0])
-            v = base.value**p
-            g1 = p * base.value ** (p - 1.0)
-            g2 = p * (p - 1.0) * base.value ** (p - 2.0)
-            return Jet2(v, g1 * base.d1, g1 * base.d2 + g2 * base.d1**2)
-        return jet_exp(exponent * jet_log(base))
+def jet_pow(base: Jet2, p: float) -> Jet2:
+    """``base`` to the power of the number ``p``."""
+    v = base.value**p
+    g1 = p * base.value ** (p - 1.0)
+    g2 = p * (p - 1.0) * base.value ** (p - 2.0)
+    return Jet2(v, g1 * base.d1, g1 * base.d2 + g2 * base.d1**2)
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +188,20 @@ def _bind(params: Mapping[str, float], variable_name: str) -> dict:
         value = float(value)
         if not math.isfinite(value):
             raise BadParameter(f"parameter {name!r} is not finite: {value}")
-        # the node a literal of the value parses to (the grammar reads -x as
-        # a negation), so pretty() round-trips and signed zeros are kept
-        literal = ("num", abs(value))
-        bound[name] = ("neg", literal) if math.copysign(1.0, value) < 0 else literal
+        bound[name] = ("num", value)
     return bound
+
+
+def _fold(node: tuple) -> tuple:
+    """``node``, or the number the walk computes for it if all its children
+    are numbers.  A value that is not finite has no literal, so such a node
+    stays as written."""
+    if all(child[0] == "num" for child in node[1:] if isinstance(child, tuple)):
+        with np.errstate(all="ignore"):
+            value = float(_eval(node, None).value)
+        if math.isfinite(value):
+            return ("num", value)
+    return node
 
 
 class _Parser:
@@ -240,7 +240,7 @@ class _Parser:
             if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.term()
-                node = ("add" if text == "+" else "sub", node, rhs)
+                node = _fold(("add" if text == "+" else "sub", node, rhs))
             else:
                 return node
 
@@ -251,7 +251,7 @@ class _Parser:
             if kind == "op" and text in "*/":
                 self.advance()
                 rhs = self.factor()
-                node = ("mul" if text == "*" else "div", node, rhs)
+                node = _fold(("mul" if text == "*" else "div", node, rhs))
             else:
                 return node
 
@@ -259,7 +259,7 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return ("neg", self.factor())
+            return _fold(("neg", self.factor()))
         return self.power()
 
     def power(self):
@@ -267,7 +267,7 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            return ("pow", node, self.factor())
+            return _fold(("pow", node, self.factor()))
         return node
 
     def atom(self):
@@ -279,9 +279,9 @@ class _Parser:
                 self.expect_op("(")
                 arg = self.expression()
                 self.expect_op(")")
-                return ("call", text, arg)
+                return _fold(("call", text, arg))
             if text in CONSTANTS:
-                return ("const", text)
+                return ("num", CONSTANTS[text])
             if text == self.variable:
                 return ("var",)
             if text in self.params:
@@ -328,9 +328,9 @@ def pretty(e: Expr) -> str:
 def _pretty(ast: tuple, var: str) -> str:
     tag = ast[0]
     if tag == "num":
-        return repr(ast[1])
-    if tag == "const":
-        return ast[1]
+        # the grammar reads -x as a negation: (-2)^t is not -(2^t)
+        v = ast[1]
+        return f"(-{-v!r})" if math.copysign(1.0, v) < 0 else repr(v)
     if tag == "var":
         return var
     if tag == "neg":
@@ -345,22 +345,19 @@ def _pretty(ast: tuple, var: str) -> str:
 # evaluation
 
 
-def _is_constant(ast: tuple) -> bool:
-    """Whether the subtree has no ``("var",)`` node."""
-    return ast[0] != "var" and all(
-        _is_constant(child) for child in ast[1:] if isinstance(child, tuple))
-
-
 def _scale(x: Jet2, c) -> Jet2:
     return Jet2(c * x.value, c * x.d1, c * x.d2)
 
 
 def _eval(ast: tuple, x: Jet2) -> Jet2:
+    """The jet of ``ast`` at ``x``; callers run it under
+    ``np.errstate(all="ignore")``, as NaN and inf propagate."""
     tag = ast[0]
     if tag == "num":
-        return jet_constant(ast[1], x)
-    if tag == "const":
-        return jet_constant(CONSTANTS[ast[1]], x)
+        # 0-d arrays, not numpy floats, so that a power of numbers rounds as
+        # it does on arrays (numpy's scalar and array ** differ in the last bit)
+        zero = np.zeros(())
+        return Jet2(np.asarray(ast[1]), zero, zero)
     if tag == "var":
         return x
     if tag == "neg":
@@ -373,21 +370,22 @@ def _eval(ast: tuple, x: Jet2) -> Jet2:
         return lhs + rhs
     if tag == "sub":
         return lhs - rhs
-    # a constant factor or divisor scales the other jet: its zero
+    # a number factor or divisor scales the other jet: its zero
     # derivatives would meet an infinite value as 0*inf = NaN
     if tag == "mul":
-        if _is_constant(ast[1]):
+        if ast[1][0] == "num":
             return _scale(rhs, lhs.value)
-        if _is_constant(ast[2]):
+        if ast[2][0] == "num":
             return _scale(lhs, rhs.value)
         return lhs * rhs
     if tag == "div":
-        with np.errstate(all="ignore"):
-            if _is_constant(ast[2]):
-                return _scale(lhs, 1.0 / rhs.value)
-            return lhs / rhs
+        if ast[2][0] == "num":
+            return _scale(lhs, 1.0 / rhs.value)
+        return lhs / rhs
     if tag == "pow":
-        return jet_pow(lhs, rhs)
+        if ast[2][0] == "num":
+            return jet_pow(lhs, ast[2][1])
+        return jet_exp(rhs * jet_log(lhs))
     raise AssertionError(f"unhandled node {tag}")
 
 

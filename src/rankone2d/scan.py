@@ -30,7 +30,7 @@ from typing import TextIO, Tuple
 import numpy as np
 
 from .criteria import _coupled_conditions
-from .energy import DEFAULT_TOL, SplitEnergy
+from .energy import DEFAULT_SCAN_GRID, DEFAULT_TOL, SplitEnergy
 from .errors import DegenerateGrid
 
 # verdict by code 2 * (margin < -tol) + (margin > tol)
@@ -68,8 +68,8 @@ class EllipticityMap:
 
 def scan_domain(
     e: SplitEnergy,
-    lambda_range: Tuple[float, float] = (10**-2.5, 10**2.5),
-    n_points: int = 256,
+    lambda_range: Tuple[float, float] = (DEFAULT_SCAN_GRID.lo, DEFAULT_SCAN_GRID.hi),
+    n_points: int = DEFAULT_SCAN_GRID.n,
     tol: float = DEFAULT_TOL,
     spacing: str = "log",
 ) -> EllipticityMap:

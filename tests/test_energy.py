@@ -209,7 +209,6 @@ class TestCatalog:
         for cid in energy.CATALOG:
             e = energy.catalog(cid)
             assert isinstance(e, energy.SplitEnergy)
-            assert e.catalog_id == cid
 
     def test_unknown_id(self):
         with pytest.raises(errors.UnknownCatalogId):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rankone2d import errors, expr
 from rankone2d.energy import CATALOG
+import strategies
 
 
 def jet(source, x, var="t"):
@@ -57,16 +58,35 @@ class TestParsing:
             expr.parse("(t + 1))", "t")
 
     def test_pretty_roundtrip(self):
-        sources = [
-            "t^2 - 3*t + 1/t",
-            "-exp((1/10)*log(t)^2)",
-            "cosh(t) - sinh(t)*tanh(t)",
-            "2^-t",
-            "(t + 1/t)/2 - 1",
+        cases = [
+            ("t^2 - 3*t + 1/t", {}),
+            ("-exp((1/10)*log(t)^2)", {}),
+            ("cosh(t) - sinh(t)*tanh(t)", {}),
+            ("2^-t", {}),
+            ("(t + 1/t)/2 - 1", {}),
+            # a negative number prints as (-x): -2^t would read as -(2^t)
+            ("(-2)^t", {}),
+            ("k^t", {"k": -1.5}),
+            ("t*(-0.0)", {}),
+            # a constant part that is not finite has no literal and stays
+            # as written
+            ("1/0 + t", {}),
+            ("0/0 + t", {}),
+            ("exp(-exp(1000))*t", {}),
         ]
-        for src in sources:
-            e = expr.parse(src, "t")
-            assert expr.parse(expr.pretty(e), "t") == e
+        for src, params in cases:
+            e = expr.parse(src, "t", params)
+            again = expr.parse(expr.pretty(e), "t")
+            # repr tells -0.0 from 0.0, which == does not
+            assert again == e and repr(again.ast) == repr(e.ast), src
+
+    def test_constants_fold_to_numbers(self):
+        # a quotient of numbers rounds as the walk scales: 6*(1/5), not 6/5
+        assert expr.parse("(6/5)*t", "t").ast == ("mul", ("num", 6 * (1 / 5)),
+                                                  ("var",))
+        assert expr.parse("pi", "t").ast == ("num", math.pi)
+        assert repr(expr.parse("t*(-0.0)", "t").ast) == \
+            "('mul', ('var',), ('num', -0.0))"
 
     def test_expr_equality_ignores_source_text(self):
         assert expr.parse("t+1", "t") == expr.parse("t + 1", "t")
@@ -74,6 +94,28 @@ class TestParsing:
     def test_expr_equality_and_hash_use_ast_and_variable(self):
         assert expr.parse("z", "z") != expr.parse("t", "t")
         assert len({expr.parse("t^2", "t"), expr.parse("(t)^2", "t")}) == 1
+
+
+def _foldable(ast: tuple) -> list:
+    """Subtrees whose children are all numbers and whose value is finite."""
+    children = [c for c in ast[1:] if isinstance(c, tuple)]
+    found = [n for c in children for n in _foldable(c)]
+    if children and all(c[0] == "num" for c in children):
+        value = expr.eval_jet2_array(expr.Expr(ast, "t", ""), 1.0).value
+        if np.isfinite(value):
+            found.append(ast)
+    return found
+
+
+class TestFolding:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(source=strategies.sources("t", names=("k",)),
+           k=st.sampled_from([-1.5, -0.0, 0.0, 2.0, 1e300]))
+    def test_parse_folds_and_pretty_roundtrips(self, source, k):
+        e = expr.parse(source, "t", {"k": k})
+        assert _foldable(e.ast) == []
+        again = expr.parse(expr.pretty(e), "t")
+        assert again == e and repr(again.ast) == repr(e.ast)
 
 
 class TestParameterBinding:
@@ -238,3 +280,10 @@ class TestSinglePointWalk:
         else:
             with pytest.raises((errors.DomainError, errors.OverflowValue)):
                 expr.eval_jet2(e, x)
+
+    def test_power_of_numbers_rounds_as_the_array_walk(self):
+        # numpy's scalar ** and array ** differ in the last bit here; a folded
+        # number is computed once, so both walks read the same one
+        e = expr.parse("1.3205128205128207^0.7*t", "t")
+        assert (expr.eval_jet2(e, 1.0).value
+                == expr.eval_jet2_array(e, np.array([1.0])).value[0])

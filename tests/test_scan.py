@@ -300,9 +300,6 @@ def _mp_function(ast, mp):
     if tag == "num":
         c = mp.mpf(ast[1])
         return lambda x: c
-    if tag == "const":
-        c = mp.pi if ast[1] == "pi" else mp.e
-        return lambda x: +c
     if tag == "var":
         return lambda x: x
     if tag == "neg":
