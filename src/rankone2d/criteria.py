@@ -24,8 +24,10 @@ For fixed t each condition is convex and piecewise linear in w, so its
 minimum over the z samples lies at w_min, at w_max or next to the crossing
 of the two lines.  ``_coupled_min`` sorts the samples of w once and checks
 those four candidates per t: O((T + Z) log Z) for T t-samples and Z
-z-samples instead of the T x Z table.  Margins and witnesses are those of a
-first-index argmin over that table, ties included.
+z-samples instead of the T x Z table.  The first row with the smallest
+minimum holds the first-index argmin over that table, ties included, so
+``_coupled_report`` evaluates that one row over all z for the margin and
+witness.
 
 A sampled witness with a negative margin certifies non-convexity; positive
 margins support convexity up to grid resolution, which the reports record.
@@ -143,9 +145,11 @@ class _Coupled(NamedTuple):
     coeff: np.ndarray
     mask: np.ndarray  # the t at which the condition is defined
 
-    def margin(self, w):
-        """max(a + coeff*w, q + sign*w), elementwise in t and w."""
-        return np.maximum(self.a + self.coeff * w, self.q + self.sign * w)
+    def margin(self, w, rows=slice(None)):
+        """max(a + coeff*w, q + sign*w), elementwise in t and w: over the
+        t of ``rows``, or at the one t of an index ``rows``."""
+        a, coeff, q = self.a[rows], self.coeff[rows], self.q[rows]
+        return np.maximum(a + coeff * w, q + self.sign * w)
 
 
 def _coupled_conditions(ts: np.ndarray, h1: np.ndarray, h2: np.ndarray):
@@ -161,111 +165,62 @@ def _coupled_conditions(ts: np.ndarray, h1: np.ndarray, h2: np.ndarray):
                          np.ones_like(ts, dtype=bool)))
 
 
-def _coupled_min(cond: _Coupled, ws: np.ndarray):
+def _coupled_min(cond: _Coupled, ws: np.ndarray) -> np.ndarray:
     """Per t, the minimum over ``ws`` of max(q + sign*w, a + coeff*w), NaN
-    if the row is undefined at some w, and the index of the first minimizing
-    w: what a first-index argmin over the full (t, w) table returns.
+    if the row is undefined at some w.
 
-    Rounding keeps both lines monotone in w, so over the sorted distinct
-    samples every defined row is quasiconvex.  Where one line rises and the
-    other falls, the minimum lies on either side of the switch, the first
-    sample at which the rising line reaches the falling one; otherwise the
-    row is monotone and the minimum lies at w_min or w_max.  A bisection on
-    the rounded comparison finds the switch of every row at once, so these
-    four candidates hold the exact minimum.  A search for the computed
-    crossing (a - q)/(sign - coeff) would not: its rounding can put it on
-    the wrong side of samples that lie closer together.
+    Rounding keeps both lines monotone in w, so over the sorted samples every
+    defined row is quasiconvex.  Where one line rises and the other falls,
+    the minimum lies on either side of the switch, the first sample at which
+    the rising line reaches the falling one; otherwise the row is monotone
+    and the minimum lies at w_min or w_max.  A bisection on the rounded
+    comparison finds the switch of every row at once, so these four
+    candidates hold the exact minimum.  A search for the computed crossing
+    (a - q)/(sign - coeff) would not: its rounding can put it on the wrong
+    side of samples that lie closer together.  Cost: one sort of the Z
+    samples and log2 Z vector steps over the T rows, O((T + Z) log Z) time
+    and O(T + Z) memory.
 
-    The minimizers form a run of sorted samples.  When rounding flattens a
-    line, the run can reach past the candidates; it is then the set where
-    both lines are at most the minimum, a prefix or a suffix for each line,
-    and two more bisections bound it.  The smallest index of a run that
-    reaches w_min or w_max is a prefix or suffix minimum; an inner run is
-    reduced directly.  Cost: one sort of the Z samples and up to 3 log2 Z
-    vector steps over the T rows, O((T + Z) log Z) time plus the length of
-    the inner runs, and O(T + Z) memory.
-
-    A NaN in ``ws`` makes every row NaN at its index.  Otherwise a row is
-    undefined only at the ends (an infinite w, or a + coeff*w overflowing
-    against an infinite a) or, when coeff is infinite, at w = 0, so the
-    candidates and the sample at 0 find every NaN row.  An undefined row
-    reports an undefined sample: index 0 when its coefficients are NaN,
-    else its first undefined candidate.
+    A row is undefined only at a NaN in ``ws``, which sorts last, at the
+    ends (an infinite w, or a + coeff*w overflowing against an infinite a)
+    or, when coeff is infinite, at w = 0, so the candidates and w = 0, when
+    sampled, find every NaN row.
     """
-    nt = cond.q.size
-    nan_w = np.isnan(ws)
-    if nan_w.any():
-        return np.full(nt, np.nan), np.full(nt, int(np.argmax(nan_w)), np.intp)
-    order = np.argsort(ws, kind="stable")
-    distinct = np.ones(ws.size, dtype=bool)
-    distinct[1:] = ws[order[1:]] != ws[order[:-1]]
-    first = order[distinct]  # the smallest index of each distinct w, by w
-    w = ws[first]
+    w = np.sort(ws)
     n = w.size
-    lead = np.minimum.accumulate(first)               # over w[:i + 1]
-    trail = np.minimum.accumulate(first[::-1])[::-1]  # over w[i:]
     top = 1 << (n.bit_length() - 1)
     padded = np.concatenate([w, np.full(2 * top - n, np.nan)])
-
-    def sloped(wv):
-        return cond.coeff * wv + cond.a
-
-    def unit(wv):
-        return cond.q + cond.sign * wv
-
-    margin = cond.margin
-
-    def leading(holds):
-        """Per row, how many sorted samples from w_min on satisfy ``holds``,
-        which must hold on a prefix; comparisons with the NaN padding fail."""
-        count = np.zeros(nt, dtype=np.intp)
+    with np.errstate(all="ignore"):
+        # the switch; comparisons with the NaN padding fail
+        k = np.zeros(cond.q.size, dtype=np.intp)
         step = top
         while step:
-            np.add(count, step, out=count, where=holds(padded[step - 1:][count]))
+            wv = padded[step - 1:][k]
+            unit, sloped = cond.q + cond.sign * wv, cond.coeff * wv + cond.a
+            np.add(k, step, out=k,
+                   where=unit < sloped if cond.sign > 0 else sloped < unit)
             step >>= 1
-        return count
-
-    def at_most(line, falls, least):
-        """The run [lo, hi) of sorted samples at which line(w) <= least."""
-        def holds(wv):
-            v = line(wv)
-            return np.where(falls, v > least, v <= least)
-        cut = leading(holds)
-        return np.where(falls, cut, 0), np.where(falls, n, cut)
-
-    with np.errstate(all="ignore"):
-        rising, falling = (unit, sloped) if cond.sign > 0 else (sloped, unit)
-        k = leading(lambda wv: rising(wv) < falling(wv))  # the switch
-        cands = [np.zeros_like(k), np.maximum(k - 1, 0), np.minimum(k, n - 1),
-                 np.full_like(k, n - 1)]
+        cands = [w[0], w[np.maximum(k - 1, 0)], w[np.minimum(k, n - 1)], w[-1]]
         if 0.0 in w:  # coeff*w is undefined at w = 0 where coeff is infinite
-            cands.append(np.full_like(k, np.searchsorted(w, 0.0)))
-        vals = [margin(w[c]) for c in cands]
-        least = functools.reduce(np.minimum, vals)  # NaN if one is undefined
+            cands.append(0.0)
+        # NaN if one candidate is undefined
+        return functools.reduce(np.minimum, [cond.margin(c) for c in cands])
 
-        # the run [lo, hi] of minimizers spans the minimizing candidates,
-        # unless rounding flattens a line and the run reaches past them
-        hits = [v == least for v in vals[:4]]
-        lo = np.select(hits, cands[:4], 0)
-        hi = np.select(hits[::-1], cands[3::-1], n - 1)
-        past = ((lo > 0) & (margin(w[np.maximum(lo - 1, 0)]) == least)
-                | (hi < n - 1) & (margin(w[np.minimum(hi + 1, n - 1)]) == least))
-        if past.any():
-            lo_s, hi_s = at_most(sloped, cond.coeff < 0.0, least)
-            lo_u, hi_u = at_most(unit, cond.sign < 0.0, least)
-            lo, hi = np.maximum(lo_s, lo_u), np.minimum(hi_s, hi_u) - 1
-        j = np.where(lo == 0, lead[hi], trail[lo])
-        inner = (lo > 0) & (hi < n - 1)
-        if inner.any():
-            runs = np.stack([lo[inner], hi[inner] + 1], axis=1).ravel()
-            j[inner] = np.minimum.reduceat(first, runs)[::2]
 
-        undefined = [np.isnan(v) for v in vals]
-        if functools.reduce(np.logical_or, undefined).any():
-            j = np.select(undefined, [first[c] for c in cands], j)
-            j[np.isnan(cond.q) | np.isnan(cond.a) | np.isnan(cond.coeff)] = 0
-        # the value at j itself: equal minima may differ in the sign of zero
-        return margin(ws[j]), j
+def _coupled_report(condition_id: str, cond: _Coupled, ts: np.ndarray,
+                    zs: np.ndarray, ws: np.ndarray, tol: float) -> ConditionReport:
+    """The report of C or D over the (t, z) grid, w = z^2 f''(z): the first
+    row with the smallest minimum, or the first undefined row, holds the
+    first-index argmin of the table, so that one row is evaluated in full."""
+    least = _coupled_min(cond, ws)[cond.mask]
+    if least.size == 0:
+        raise DegenerateGrid(f"no admissible samples for {condition_id}")
+    i = np.flatnonzero(cond.mask)[np.argmin(least)]  # the first NaN, if any
+    with np.errstate(all="ignore"):
+        row = cond.margin(ws, i)
+    r = _grid_report(condition_id, row, (np.full(zs.size, ts[i]), zs), tol)
+    r.samples_used = least.size * zs.size
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +341,8 @@ def voliso_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
     reports.append(_grid_report("B", hj.d1[upper], (ts[upper],), tol))
 
     # C) and D); a NaN jet anywhere makes D raise DomainError
-    for cid, cond in zip(("C", "D"), _coupled_conditions(ts, hj.d1, hj.d2)):
-        m, j = _coupled_min(cond, wz)
-        r = _grid_report(cid, m[cond.mask], (ts[cond.mask], zs[j[cond.mask]]), tol)
-        r.samples_used *= zs.size  # each t was paired with the whole z grid
-        reports.append(r)
+    reports += [_coupled_report(cid, cond, ts, zs, wz, tol) for cid, cond
+                in zip(("C", "D"), _coupled_conditions(ts, hj.d1, hj.d2))]
 
     return _overall(reports, "Voliso")
 

@@ -5,10 +5,10 @@ The grammar is a small infix language with precedence
 parentheses, the constants ``pi`` and ``e``, decimal/scientific literals and
 the unary functions exp, log, sqrt, cosh, sinh, tanh, arcosh.  Named
 parameters are bound at parse time: a bound name parses as its number, so
-no value is ever formatted into source text.  A node whose children are all
-numbers folds to the number the walk computes for it (``6/5`` is
-``6*(1/5)``), unless that value is not finite, so a tree holds each constant
-as one ``("num", value)`` node.
+no value is ever formatted into source text.  A node that holds no
+variable folds to the number the walk computes for it (``6/5`` is
+``6*(1/5)``), unless that value is not finite, so a tree holds each finite
+constant as one ``("num", value)`` node.
 
 Evaluation propagates (value, d1, d2) through every operation, so first and
 second derivatives are exact to machine rounding; no numeric differencing is
@@ -192,11 +192,18 @@ def _bind(params: Mapping[str, float], variable_name: str) -> dict:
     return bound
 
 
+def _constant(node: tuple) -> bool:
+    """Whether ``node`` holds no variable."""
+    return node[0] != "var" and all(
+        _constant(child) for child in node[1:] if isinstance(child, tuple))
+
+
 def _fold(node: tuple) -> tuple:
-    """``node``, or the number the walk computes for it if all its children
-    are numbers.  A value that is not finite has no literal, so such a node
-    stays as written."""
-    if all(child[0] == "num" for child in node[1:] if isinstance(child, tuple)):
+    """``node``, or the number the walk computes for it if it holds no
+    variable.  A value that is not finite has no literal, so such a node
+    stays as written; a parent with a finite value folds it away
+    (``exp(-exp(1000))`` is 0)."""
+    if _constant(node):
         with np.errstate(all="ignore"):
             value = float(_eval(node, None).value)
         if math.isfinite(value):

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import NonFinite
+from .errors import DegenerateGrid, NonFinite
 from .expr import Expr, eval_jet2_array, eval_jet2_finite
 
 DEFAULT_DOMAIN = (1e-6, 1e6)
@@ -41,6 +41,12 @@ class InfimumResult:
     @property
     def unbounded(self) -> bool:
         return math.isinf(self.value) and self.value < 0
+
+
+def _check_domain(lo: float, hi: float) -> None:
+    if not 0.0 < lo < hi < math.inf:
+        raise DegenerateGrid(f"invalid domain [{lo}, {hi}]: "
+                             "need 0 < lo < hi < inf")
 
 
 def weighted_second(e: Expr, xs: np.ndarray) -> np.ndarray:
@@ -79,8 +85,7 @@ def infimum_weighted_second(
     over the last two decades is reported as value -inf; a plain boundary
     minimum gets a limit marker with the boundary evaluation as value.
     """
-    if not (0.0 < domain_lo < domain_hi):
-        raise ValueError(f"invalid domain [{domain_lo}, {domain_hi}]")
+    _check_domain(domain_lo, domain_hi)
     xs = np.exp(np.linspace(math.log(domain_lo), math.log(domain_hi), _GRID_POINTS))
     vals = weighted_second(e, xs)
     if np.isnan(vals).any():
@@ -141,6 +146,7 @@ def convexity_verdict(
     Returns ("Convex", None), ("NonConvex", witness) or ("Marginal", witness)
     according to the sign of the second derivative at the samples.
     """
+    _check_domain(domain_lo, domain_hi)
     xs = np.logspace(math.log10(domain_lo), math.log10(domain_hi), _CONVEXITY_SAMPLES)
     d2 = eval_jet2_array(e, xs).d2
     if np.isnan(d2).any():

@@ -194,6 +194,27 @@ class TestReportFrame:
 
 
 class TestEnergyFile:
+    # exp(-exp(1000)) is the number 0, though exp(1000) overflows
+    ZERO_FACTOR_FILE = "h = (t + 1/t)/2\nf = exp(-exp(1000))*z + (z-1)^2\n"
+
+    @pytest.mark.parametrize("command", ["check", "classify", "stress", "oracle"])
+    def test_constant_with_an_infinite_part_folds(self, runner, tmp_path, command):
+        p = tmp_path / "zero_factor.txt"
+        p.write_text(self.ZERO_FACTOR_FILE)
+        res = invoke(runner, command, "--energy-file", str(p), "--report", "json")
+        assert res.exit_code == 0, res.output
+        if command in ("check", "classify"):
+            assert json.loads(res.output)["overall"] == "RankOneConvex"
+
+    def test_constant_with_an_infinite_part_scans(self, runner, tmp_path):
+        p = tmp_path / "zero_factor.txt"
+        p.write_text(self.ZERO_FACTOR_FILE)
+        res = invoke(runner, "scan", "--energy-file", str(p), "--grid", "8",
+                     "--report", "json")
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["counts"] == {
+            "Boundary": 0, "Elliptic": 64, "NonElliptic": 0}
+
     def test_params_substituted(self, runner, tmp_path):
         p = tmp_path / "custom.txt"
         p.write_text(

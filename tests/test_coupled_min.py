@@ -1,5 +1,6 @@
-"""The sorted-candidate search for the coupled split conditions C and D
-against a dense reference that scans every (t, w) pair."""
+"""The sorted-candidate search for the coupled split conditions C and D,
+and the reports read from its row minima, against a dense reference that
+scans every (t, w) pair."""
 
 import math
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankone2d import GridSpec, catalog, criteria, voliso_check
-from rankone2d.energy import CATALOG
+from rankone2d.energy import CATALOG, DEFAULT_TOL
+from rankone2d.errors import DomainError
 
 SMALL_T = GridSpec(1e-3, 1e3, 801)
 SMALL_Z = GridSpec(1e-3, 1e3, 301)
@@ -18,8 +20,8 @@ _ROW_BLOCK = 512  # t rows per block: bounds the (t, w) temporaries
 
 
 def _coupled_min_dense(cond, ws):
-    """Reference: the full (t, w) table in row blocks, then a first-index
-    argmin per row (a NaN anywhere in a row is its minimum)."""
+    """Reference: the full (t, w) table in row blocks, then the minimum of
+    each row (a NaN anywhere in a row is its minimum)."""
     blocks = []
     with np.errstate(all="ignore"):
         for lo in range(0, cond.q.size, _ROW_BLOCK):
@@ -27,9 +29,8 @@ def _coupled_min_dense(cond, ws):
             m = cond.coeff[sl, None] * ws
             m += cond.a[sl, None]
             np.maximum(m, cond.q[sl, None] + cond.sign * ws, out=m)
-            j = np.argmin(m, axis=1)
-            blocks.append((m[np.arange(j.size), j], j))
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+            blocks.append(m.min(axis=1))
+    return np.concatenate(blocks)
 
 
 def _table(cond, ws):
@@ -88,19 +89,52 @@ def coupled_cases(draw):
     return _cond(sign, q, a, coeff), np.array(ws, dtype=np.float64)
 
 
+def _dense_report(cond, ts, zs, ws):
+    """Reference: the first-index argmin over the full (t, z) table of the
+    masked rows, (margin, witness); a NaN cell is reported by its [t, z]."""
+    table = _table(cond, ws)[cond.mask]
+    i, j = divmod(int(np.argmin(table)), ws.size)  # the first NaN, if any
+    witness = [float(ts[cond.mask][i]), float(zs[j])]
+    if np.isnan(table).any():
+        return None, witness
+    return table[i, j], witness
+
+
+def _assert_report_is_dense(cid, cond, ts, zs, ws):
+    margin, witness = _dense_report(cond, ts, zs, ws)
+    if margin is None:
+        with pytest.raises(DomainError) as err:
+            criteria._coupled_report(cid, cond, ts, zs, ws, DEFAULT_TOL)
+        assert str(err.value) == f"{cid} undefined at {witness}"
+        return None
+    r = criteria._coupled_report(cid, cond, ts, zs, ws, DEFAULT_TOL)
+    assert r.witness == witness
+    assert _bits(r.worst_margin) == _bits(margin)
+    assert r.samples_used == cond.mask.sum() * ws.size
+    return r
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=coupled_cases())
 def test_sorted_search_matches_dense_reference(case):
     cond, ws = case
-    m, j = criteria._coupled_min(cond, ws)
-    m_ref, j_ref = _coupled_min_dense(cond, ws)
+    m = criteria._coupled_min(cond, ws)
+    m_ref = _coupled_min_dense(cond, ws)
     nan = np.isnan(m_ref)
     assert np.array_equal(np.isnan(m), nan)
-    assert np.array_equal(_bits(m[~nan]), _bits(m_ref[~nan]))
+    # == and not bits: equal minima may differ in the sign of zero
+    assert np.array_equal(m[~nan], m_ref[~nan])
 
-    assert np.array_equal(j[~nan], j_ref[~nan])
-    # an undefined row names a sample at which it is undefined
-    assert np.isnan(_table(cond, ws)[np.arange(cond.q.size), j][nan]).all()
+    # the report is the table's first-index argmin; an undefined table
+    # raises DomainError naming its first NaN cell
+    ts = np.arange(1.0, cond.q.size + 1)
+    zs = np.arange(1.0, ws.size + 1)
+    _assert_report_is_dense("C", cond, ts, zs, ws)
+
+
+def _hand_case(cond, ws):
+    zs = np.arange(1.0, ws.size + 1)  # the witness z is the sample's number
+    return _assert_report_is_dense("D", cond, np.ones(1), zs, ws)
 
 
 def test_rounded_crossing_is_not_trusted():
@@ -111,11 +145,9 @@ def test_rounded_crossing_is_not_trusted():
                  [-1.0039615758421696])
     x = (cond.a[0] - cond.q[0]) / (1.0 - cond.coeff[0])
     ws = x + np.arange(-3, 4) * np.spacing(x)
-    m, j = criteria._coupled_min(cond, ws)
-    m_ref, j_ref = _coupled_min_dense(cond, ws)
-    assert _bits(m) == _bits(m_ref) and j == j_ref
+    r = _hand_case(cond, ws)
     k = np.searchsorted(ws, x)
-    assert _table(cond, ws)[0, [0, 6, k - 1, k]].min() > m_ref[0]
+    assert _table(cond, ws)[0, [0, 6, k - 1, k]].min() > r.worst_margin
 
 
 def test_rounding_plateau_takes_first_index():
@@ -124,22 +156,24 @@ def test_rounding_plateau_takes_first_index():
     cond = _cond(-1.0, [-0.0], [0.0], [0.5])
     ws = np.array([4.9e-324, -9.9e-324, -4.9e-324, 0.0, -1.5e-323, 9.9e-324,
                    1.5e-323])
-    m, j = criteria._coupled_min(cond, ws)
-    assert j[0] == 0 and _bits(m[0]) == _bits(0.0)
+    r = _hand_case(cond, ws)
+    assert r.witness == [1.0, 1.0] and _bits(r.worst_margin) == _bits(0.0)
 
 
 def test_infinite_coeff_is_undefined_at_zero():
     cond = _cond(1.0, [math.inf], [0.0], [math.inf])
     ws = np.array([-1.0, 1.0, 0.0, 2.0])
-    m, j = criteria._coupled_min(cond, ws)
-    assert np.isnan(m[0]) and j[0] == 2
+    assert np.isnan(criteria._coupled_min(cond, ws)[0])
+    with pytest.raises(DomainError, match=r"^D undefined at \[1.0, 3.0\]$"):
+        criteria._coupled_report("D", cond, np.ones(1), np.arange(1.0, 5.0), ws,
+                                 DEFAULT_TOL)
 
 
 def test_flat_row_takes_first_index():
     cond = _cond(-1.0, [-5.0], [2.0], [0.0])
     ws = np.array([3.0, -1.0, 3.0, 0.5])
-    m, j = criteria._coupled_min(cond, ws)
-    assert m[0] == 2.0 and j[0] == 0
+    r = _hand_case(cond, ws)
+    assert r.worst_margin == 2.0 and r.witness == [1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -168,39 +202,42 @@ def _seeded_members():
 
 
 @pytest.mark.parametrize("cid", sorted(CATALOG))
-def test_catalog_witnesses_match_dense(cid, monkeypatch):
+def test_catalog_witnesses_match_dense(cid):
     e = catalog(cid)
     _assert_rows_match_dense(e, criteria.DEFAULT_T_GRID, criteria.DEFAULT_Z_GRID)
-    _assert_reports_match_dense(e, monkeypatch)
+    _assert_reports_match_dense(e)
 
 
 @pytest.mark.parametrize("e", _seeded_members(), ids=lambda e: e.name)
-def test_seeded_witnesses_match_dense(e, monkeypatch):
+def test_seeded_witnesses_match_dense(e):
     # rounding flattens a + coeff*w over neighbouring samples at large t in
     # the exp_hencky families, so many rows have several minimizing w
     _assert_rows_match_dense(e, SMALL_T, SMALL_Z)
-    _assert_reports_match_dense(e, monkeypatch)
+    _assert_reports_match_dense(e)
+
+
+def _split(e, t_grid, z_grid):
+    ts, zs = t_grid.points(), z_grid.points()
+    hj = e.h_jet_array(ts)
+    with np.errstate(all="ignore"):
+        ws = zs**2 * e.f_jet_array(zs).d2
+    return ts, zs, ws, criteria._coupled_conditions(ts, hj.d1, hj.d2)
 
 
 def _assert_rows_match_dense(e, t_grid, z_grid):
-    ts, zs = t_grid.points(), z_grid.points()
-    hj = e.h_jet_array(ts)
-    ws = zs**2 * e.f_jet_array(zs).d2
-    for cond in criteria._coupled_conditions(ts, hj.d1, hj.d2):
-        m, j = criteria._coupled_min(cond, ws)
-        m_ref, j_ref = _coupled_min_dense(cond, ws)
-        assert np.array_equal(_bits(m), _bits(m_ref))
-        assert np.array_equal(j, j_ref)
+    _, _, ws, conds = _split(e, t_grid, z_grid)
+    for cond in conds:
+        assert np.array_equal(criteria._coupled_min(cond, ws),
+                              _coupled_min_dense(cond, ws), equal_nan=True)
 
 
-def _assert_reports_match_dense(e, monkeypatch):
-    fast = voliso_check(e, t_grid=SMALL_T, z_grid=SMALL_Z)
-    monkeypatch.setattr(criteria, "_coupled_min", _coupled_min_dense)
-    dense = voliso_check(e, t_grid=SMALL_T, z_grid=SMALL_Z)
-    assert fast.overall == dense.overall
-    for got, ref in zip(fast.reports, dense.reports, strict=True):
-        assert got.condition_id == ref.condition_id
-        assert got.verdict == ref.verdict
-        assert _bits(got.worst_margin) == _bits(ref.worst_margin)
-        assert got.witness == ref.witness
-        assert got.samples_used == ref.samples_used
+def _assert_reports_match_dense(e):
+    ts, zs, ws, conds = _split(e, SMALL_T, SMALL_Z)
+    reports = voliso_check(e, t_grid=SMALL_T, z_grid=SMALL_Z).reports
+    for cid, cond in zip("CD", conds, strict=True):
+        margin, witness = _dense_report(cond, ts, zs, ws)
+        got, = (r for r in reports if r.condition_id == cid)
+        assert got.verdict == criteria._report(cid, margin, witness, 0, DEFAULT_TOL).verdict
+        assert _bits(got.worst_margin) == _bits(margin)
+        assert got.witness == witness
+        assert got.samples_used == cond.mask.sum() * zs.size

@@ -88,6 +88,17 @@ class TestParsing:
         assert repr(expr.parse("t*(-0.0)", "t").ast) == \
             "('mul', ('var',), ('num', -0.0))"
 
+    def test_variable_free_part_with_a_finite_value_folds(self):
+        # exp(1000) is inf and has no literal, but exp(-exp(1000)) is 0
+        e = expr.parse("exp(-exp(1000))*t", "t")
+        assert repr(e.ast) == "('mul', ('num', 0.0), ('var',))"
+        assert expr.eval_jet2(e, 2.0) == expr.Jet2(0.0, 0.0, 0.0)
+        # a constant whose own value is not finite stays as written
+        assert expr.parse("1/0 + t", "t").ast[1] == \
+            ("div", ("num", 1.0), ("num", 0.0))
+        assert expr.parse("0*exp(1000) + t", "t").ast[1] == \
+            ("mul", ("num", 0.0), ("call", "exp", ("num", 1000.0)))
+
     def test_expr_equality_ignores_source_text(self):
         assert expr.parse("t+1", "t") == expr.parse("t + 1", "t")
 

@@ -91,6 +91,17 @@ class TestDomainHandling:
         with pytest.raises(errors.NonFinite):
             infimum("sqrt(z - 1)", "z")
 
+    @pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (0.0, 1.0), (1.0, math.inf),
+                                        (1.0, 1.0), (math.nan, 1.0)])
+    @pytest.mark.parametrize("scalar_check", ["infimum_weighted_second",
+                                              "convexity_verdict"])
+    def test_domain_outside_zero_to_inf_is_a_degenerate_grid(self, scalar_check,
+                                                              lo, hi):
+        # a reversed range is never sampled backwards, and log(0) or an
+        # infinite end never reaches numpy
+        with pytest.raises(errors.DegenerateGrid, match="0 < lo < hi < inf"):
+            getattr(scalar_inf, scalar_check)(expr.parse("z^2", "z"), lo, hi)
+
     def test_domain_truncation_controls(self):
         r = infimum("(z - 1/z)^4 - (z - 1/z)^2", "z",
                     domain_lo=0.5, domain_hi=2.0)
