@@ -16,8 +16,9 @@ for every t and every sampled w,
     C:  max(q_C(t) + w, a(t) + (b - c)(t) w) >= 0    (t != 1),
     D:  max(q_D(t) - w, a(t) + (b + c)(t) w) >= 0,
 
-with q_C, q_D, a, b and c from ``_coupled_conditions``.  The f' terms cancel
-in Knowles-Sternberg condition (v), which leaves -w in D.  Main3 and Main4
+with q_C, q_D, a, b and c from ``energy._coupled_conditions``, which the
+scan shares, so a scan loads none of this module.  The f' terms cancel in
+Knowles-Sternberg condition (v), which leaves -w in D.  Main3 and Main4
 are C and D at w = f0, the infimum of z^2 f''(z).
 
 For fixed t each condition is convex and piecewise linear in w, so its
@@ -38,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,6 +49,8 @@ from .energy import (
     DEFAULT_Z_GRID,
     GridSpec,
     SplitEnergy,
+    _Coupled,
+    _coupled_conditions,
     g_partials,
 )
 from .errors import DegenerateGrid, DomainError
@@ -134,35 +137,6 @@ def _overall(reports: Sequence[ConditionReport], route: str) -> RankOneVerdict:
 
 # ---------------------------------------------------------------------------
 # the coupled split conditions C and D
-
-
-class _Coupled(NamedTuple):
-    """One coupled condition: per t, max(q + sign*w, a + coeff*w) >= 0."""
-
-    q: np.ndarray
-    sign: float
-    a: np.ndarray
-    coeff: np.ndarray
-    mask: np.ndarray  # the t at which the condition is defined
-
-    def margin(self, w, rows=slice(None)):
-        """max(a + coeff*w, q + sign*w), elementwise in t and w: over the
-        t of ``rows``, or at the one t of an index ``rows``."""
-        a, coeff, q = self.a[rows], self.coeff[rows], self.q[rows]
-        return np.maximum(a + coeff * w, q + self.sign * w)
-
-
-def _coupled_conditions(ts: np.ndarray, h1: np.ndarray, h2: np.ndarray):
-    """Conditions C and D; they share a(t)."""
-    with np.errstate(all="ignore"):
-        wt = ts**2 * h2
-        a = ts**2 * (ts**2 - 1.0) * h1 * h2 - 2.0 * ts * h1**2
-        b = (ts**2 + 3.0) * h1 + 2.0 * ts * (ts**2 + 1.0) * h2
-        c = 4.0 * ts * (h1 + ts * h2)
-        return (_Coupled(2.0 * ts / (ts - 1.0) * h1 - wt, 1.0, a, b - c,
-                         np.abs(ts - 1.0) > 1e-12),
-                _Coupled(2.0 * ts / (ts + 1.0) * h1 + wt, -1.0, a, b + c,
-                         np.ones_like(ts, dtype=bool)))
 
 
 def _coupled_min(cond: _Coupled, ws: np.ndarray) -> np.ndarray:

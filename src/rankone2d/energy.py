@@ -3,10 +3,11 @@
 The isochoric part h must satisfy h(t) = h(1/t); this is validated on a log
 grid at construction.  The module also carries the built-in catalog of named
 energies, the first and second partials of the general two-variable form
-g(x, y) on (t, z) samples, and the sampling defaults every check
-shares: the tolerance, the (t, z) log grids and the scan's stretch grid.
-The command line reads those defaults from here, so its options load none
-of the checking modules.
+g(x, y) on (t, z) samples, the split conditions C and D that the routes and
+the scan share, and the sampling defaults every check shares: the
+tolerance, the (t, z) log grids and the scan's stretch grid.  The command
+line reads those defaults from here, so its options load none of the
+checking modules.
 """
 
 from __future__ import annotations
@@ -154,6 +155,39 @@ def g_partials(e: SplitEnergy, ts, zs):
             hj.d2 / y**2 + y**2 * fj.d2,
             -hj.d1 / y**2 - x / y**3 * hj.d2 + fj.d1 + x * y * fj.d2,
             2.0 * x / y**3 * hj.d1 + x**2 / y**4 * hj.d2 + x**2 * fj.d2)
+
+
+# ---------------------------------------------------------------------------
+# the coupled split conditions C and D
+
+
+class _Coupled(NamedTuple):
+    """One coupled condition: per t, max(q + sign*w, a + coeff*w) >= 0."""
+
+    q: np.ndarray
+    sign: float
+    a: np.ndarray
+    coeff: np.ndarray
+    mask: np.ndarray  # the t at which the condition is defined
+
+    def margin(self, w, rows=slice(None)):
+        """max(a + coeff*w, q + sign*w), elementwise in t and w: over the
+        t of ``rows``, or at the one t of an index ``rows``."""
+        a, coeff, q = self.a[rows], self.coeff[rows], self.q[rows]
+        return np.maximum(a + coeff * w, q + self.sign * w)
+
+
+def _coupled_conditions(ts: np.ndarray, h1: np.ndarray, h2: np.ndarray):
+    """Conditions C and D; they share a(t)."""
+    with np.errstate(all="ignore"):
+        wt = ts**2 * h2
+        a = ts**2 * (ts**2 - 1.0) * h1 * h2 - 2.0 * ts * h1**2
+        b = (ts**2 + 3.0) * h1 + 2.0 * ts * (ts**2 + 1.0) * h2
+        c = 4.0 * ts * (h1 + ts * h2)
+        return (_Coupled(2.0 * ts / (ts - 1.0) * h1 - wt, 1.0, a, b - c,
+                         np.abs(ts - 1.0) > 1e-12),
+                _Coupled(2.0 * ts / (ts + 1.0) * h1 + wt, -1.0, a, b + c,
+                         np.ones_like(ts, dtype=bool)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ w = z^2 f''(z), z = lambda1*lambda2:
     C:   max(q_C + w, a + (b - c) w), dropped at t = 1,
     D:   max(q_D - w, a + (b + c) w),
 
-with C and D from ``criteria._coupled_conditions``.  A cell's margin is the
+with the C and D coefficients from ``energy._coupled_conditions``, which
+the vol-iso and main routes of ``criteria`` share.  A cell's margin is the
 smallest of the four.  The conditions are exact at each F, so no direction
 is sampled and a label can be wrong only through rounding.  Output goes to
 CSV (deterministic bytes) or a simple SVG heat map.
@@ -29,8 +30,8 @@ from typing import TextIO, Tuple
 
 import numpy as np
 
-from .criteria import _coupled_conditions
-from .energy import DEFAULT_SCAN_GRID, DEFAULT_TOL, SplitEnergy
+from .energy import (DEFAULT_SCAN_GRID, DEFAULT_TOL, SplitEnergy,
+                     _coupled_conditions)
 from .errors import DegenerateGrid
 
 # verdict by code 2 * (margin < -tol) + (margin > tol)
@@ -80,8 +81,8 @@ def scan_domain(
     "log" (default, matching the wide-range preset) or "linear" for a plot
     range like 0..15; cells whose evaluation produces NaN are marked
     "Boundary" with a NaN margin rather than aborting.  The range must
-    satisfy 0 < lambda_min < lambda_max < inf and n_points must be at least
-    1, otherwise ``DegenerateGrid`` is raised.
+    satisfy 0 < lambda_min < lambda_max < inf, n_points must be at least 1
+    and ``spacing`` one of the two, otherwise ``DegenerateGrid`` is raised.
     """
     lo, hi = lambda_range
     if not 0.0 < lo < hi < math.inf:
@@ -96,7 +97,7 @@ def scan_domain(
     elif spacing == "linear":
         lam = np.linspace(lo, hi, n_points)
     else:
-        raise ValueError(f"unknown spacing {spacing!r}")
+        raise DegenerateGrid(f"unknown spacing {spacing!r}")
 
     # only the upper triangle, columns the larger stretch; the rest is the
     # exact mirror
@@ -128,17 +129,20 @@ def scan_domain(
 def emit_csv(emap: EllipticityMap, stream: TextIO) -> None:
     """Write one row per cell; numeric fields use 9 significant digits.
 
-    One write per lambda1 row; values are formatted as Python floats, whose
-    ``.9g`` text is that of the numpy scalars.
+    One write per lambda1 row, formatted by one ``%`` call over an object
+    array of the row's fields; ``%.9g`` of a float is its ``.9g`` text.
     """
     stream.write("lambda1,lambda2,verdict,min_margin\n")
-    l2_text = [f"{l2:.9g}" for l2 in emap.lambda2.tolist()]
-    for l1, verdicts, margins in zip(emap.lambda1.tolist(),
-                                     emap.verdicts.tolist(),
-                                     emap.margins.tolist()):
-        head = f"{l1:.9g},"
-        stream.write("".join([f"{head}{l2},{v},{m:.9g}\n" for l2, v, m
-                              in zip(l2_text, verdicts, margins)]))
+    n = emap.lambda2.size
+    line = "%s%s%s,%.9g\n" * n
+    fields = np.empty((n, 4), dtype=object)  # l1 text, l2 text, verdict, margin
+    fields[:, 1] = [f"{l2:.9g}," for l2 in emap.lambda2.tolist()]
+    for l1, verdicts, margins in zip(emap.lambda1.tolist(), emap.verdicts,
+                                     emap.margins):
+        fields[:, 0] = f"{l1:.9g},"
+        fields[:, 2] = verdicts
+        fields[:, 3] = margins
+        stream.write(line % tuple(fields.ravel().tolist()))
 
 
 _COLORS = {"Elliptic": "#3a7ca5", "NonElliptic": "#d1495b", "Boundary": "#edae49"}
@@ -157,14 +161,16 @@ def emit_svg(emap: EllipticityMap, stream: TextIO) -> None:
         f'viewBox="0 0 {width} {height}">\n'
     )
     stream.write(f'<rect width="{width}" height="{height}" fill="white"/>\n')
-    # one write per lambda1 column of cells
-    y_text = [f'y="{margin + (n - 1 - j) * cell}" ' for j in range(n)]
-    tail = {v: f'width="{cell}" height="{cell}" fill="{color}"/>\n'
-            for v, color in _COLORS.items()}
-    for i, verdicts in enumerate(emap.verdicts.tolist()):
+    # one write per lambda1 column of cells: each cell is the column's head
+    # and the text after it, taken from a table of those texts by label code
+    # (the order of _LABELS) and lambda2 index
+    table = np.array([[f'y="{margin + (n - 1 - j) * cell}" width="{cell}" '
+                       f'height="{cell}" fill="{_COLORS[v]}"/>\n'
+                       for j in range(n)] for v in _LABELS], dtype=object)
+    code = (emap.verdicts == "Elliptic") + 2 * (emap.verdicts == "NonElliptic")
+    for i, cells in enumerate(table[code, np.arange(n)].tolist()):
         head = f'<rect x="{margin + i * cell}" '
-        stream.write("".join([head + y + tail[v]
-                              for y, v in zip(y_text, verdicts)]))
+        stream.write(head + head.join(cells))
     # diagonal lambda1 = lambda2 guide, bottom-left to top-right
     stream.write(
         f'<line x1="{margin}" y1="{margin + side}" x2="{margin + side}" '

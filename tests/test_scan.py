@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from rankone2d import (analytic_second_derivative, catalog, emit_csv,
                        emit_svg, main_check, make_split, scan_domain)
 from rankone2d.energy import CATALOG
-from rankone2d.errors import DegenerateGrid
+from rankone2d.errors import DegenerateGrid, RankOneError
 from rankone2d.kernels import direction_min_batch
 from rankone2d.oracle import _psi_jets
-from rankone2d.scan import _COLORS, EllipticityMap
+from rankone2d.scan import _COLORS, _LABELS, EllipticityMap
 
 LABELS = ("Elliptic", "NonElliptic", "Boundary")
 
@@ -114,6 +114,12 @@ class TestScanDomain:
         with pytest.raises(DegenerateGrid, match="at least one point"):
             scan_domain(catalog("hadamard_k"), n_points=n_points)
 
+    def test_unknown_spacing_is_degenerate_grid(self):
+        with pytest.raises(DegenerateGrid, match="unknown spacing 'cubic'") as info:
+            scan_domain(catalog("example1"), n_points=4, spacing="cubic")
+        assert isinstance(info.value, RankOneError)
+        assert isinstance(info.value, ValueError)
+
     @pytest.mark.parametrize("tol", [1e-8, 0.0, 1e-2, -1.0])
     def test_labels_match_nested_where(self, tol):
         # concave f: NonElliptic where det F > 2, NaN margins below
@@ -206,6 +212,58 @@ def test_row_emitters_match_cell_loops(emap):
     lines = svg.getvalue().splitlines(keepends=True)
     n = emap.lambda1.size
     assert "".join(lines[2:2 + n * n]) == _svg_cells(emap)
+
+
+def _assert_emitters_match_cell_loops(emap):
+    buf, ref = io.StringIO(), io.StringIO()
+    emit_csv(emap, buf)
+    _emit_csv_cells(emap, ref)
+    assert buf.getvalue() == ref.getvalue()
+
+    svg = io.StringIO()
+    emit_svg(emap, svg)
+    lines = svg.getvalue().splitlines(keepends=True)
+    n = emap.lambda1.size
+    assert "".join(lines[2:2 + n * n]) == _svg_cells(emap)
+
+
+# margins that share their text or their label only in part: both zeros,
+# NaN, the infinities, subnormals and values on either side of tol
+_MARGIN_POOL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                1e-310, -2.2250738585072014e-308, 1e-9, -1e-9, 1e-8, -1e-8,
+                1.0000000001e-8, 0.1234567891234, -2.5e3]
+
+
+@st.composite
+def mirrored_maps(draw):
+    """Maps laid out as scan_domain lays them out: margins on the upper
+    triangle, the exact mirror below it, and the labels scan_domain gives."""
+    n = draw(st.integers(1, 16))
+    lam = np.sort(np.array(draw(st.lists(
+        st.floats(min_value=1e-300, max_value=1e300), min_size=n, max_size=n))))
+    ii, jj = np.triu_indices(n)
+    vals = np.array(draw(st.lists(st.sampled_from(_MARGIN_POOL),
+                                  min_size=ii.size, max_size=ii.size)))
+    margins = np.empty((n, n))
+    margins[jj, ii] = vals
+    margins[ii, jj] = vals
+    tol = draw(st.sampled_from([1e-8, 0.0, -1.0]))
+    code = 2 * (margins < -tol) + (margins > tol)
+    return EllipticityMap(lam, lam, margins, _LABELS[code], tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(emap=mirrored_maps())
+def test_emitters_match_cell_loops_on_mirrored_maps(emap):
+    _assert_emitters_match_cell_loops(emap)
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 33])
+@pytest.mark.parametrize("spacing", ["log", "linear"])
+@pytest.mark.parametrize("cid", sorted(CATALOG))
+def test_emitters_match_cell_loops_on_catalog_maps(cid, spacing, n_points):
+    _assert_emitters_match_cell_loops(
+        scan_domain(catalog(cid), n_points=n_points, spacing=spacing))
 
 
 class TestEmitters:

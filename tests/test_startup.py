@@ -31,8 +31,9 @@ SUBCOMMANDS = {
                {"criteria", "scalar_inf", "scan", "stress", "numpy.ma",
                 "numpy.random"}),
     "scan": (["scan", "--catalog", "example1", "--grid", "8"],
-             {"criteria"},
-             {"oracle", "kernels", "stress", "fractions", "numpy.ma"}),
+             {"errors", "expr", "energy", "scan"},
+             {"criteria", "scalar_inf", "oracle", "kernels", "stress", "fractions",
+              "numpy.ma"}),
     "stress": (["stress", "--catalog", "example1"],
                {"stress"},
                {"criteria", "scalar_inf", "oracle", "kernels", "scan", "numpy.ma"}),
