@@ -371,7 +371,8 @@ def main_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
 
 def necessary_battery(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
                       tol: float = DEFAULT_TOL) -> List[ConditionReport]:
-    """Necessary-condition battery; any failure certifies non-convexity."""
+    """Necessary-condition battery; any failure certifies non-convexity.
+    Nec_a: h or f is convex by ``convexity_verdict`` on the t grid's range."""
     ts = t_grid.points()
     hj = e.h_jet_array(ts)
     h1, h2 = hj.d1, hj.d2
@@ -440,7 +441,8 @@ def _fit_scale(target: np.ndarray, basis: np.ndarray) -> tuple:
 
 
 def classify_structure(e: SplitEnergy) -> StructureClassification:
-    """Detect distortion-type or same-shape structure and short-circuit.
+    """Detect distortion-type or same-shape structure and short-circuit on
+    the ``convexity_verdict`` of f (Hadamard: mu K(t) + f(z)) or of h.
 
     Falls through to ``general`` whenever no structure matches; the general
     route (``main_check``) is always sound.

@@ -33,10 +33,6 @@ class OverflowValue(RankOneError):
     """Evaluation produced a non-finite result."""
 
 
-class NonFinite(RankOneError):
-    """An expression yielded NaN/Inf inside its declared domain."""
-
-
 class SymmetryViolation(RankOneError):
     """The isochoric part is not reciprocal-symmetric."""
 

@@ -77,9 +77,11 @@ class Jet2:
 
 
 def _jet_chain(x: Jet2, g, g1, g2) -> Jet2:
-    """Apply a scalar function g with derivatives g1, g2 through the jet."""
+    """Apply a scalar function g with derivatives g1, g2 through the jet.
+    Where g is undefined (a NaN value) so is the jet: outside the domain of
+    log and arcosh, g1 and g2 would stay finite."""
     v = g(x.value)
-    gv1 = g1(x.value)
+    gv1 = np.where(np.isnan(v), np.nan, g1(x.value))
     return Jet2(v, gv1 * x.d1, gv1 * x.d2 + g2(x.value) * x.d1**2)
 
 

@@ -4,7 +4,8 @@ These two scalars (one for the isochoric part, one for the volumetric part)
 couple the reduced one-dimensional rank-one convexity conditions.  The
 infimum over (0, inf) is approximated on a truncated log-domain by a dense
 grid followed by sampled refinement of the best bracket; boundary minima
-and divergence to -inf are reported explicitly.
+and divergence to -inf are reported explicitly.  The sign of the dense
+grid's minimum is the convexity verdict of u.
 """
 
 from __future__ import annotations
@@ -15,15 +16,14 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DegenerateGrid, NonFinite
+from .energy import DEFAULT_TOL
+from .errors import DegenerateGrid, DomainError
 from .expr import Expr, eval_jet2_array, eval_jet2_finite
 
 DEFAULT_DOMAIN = (1e-6, 1e6)
 _GRID_POINTS = 8192
 _REFINE_SAMPLES = 64  # per refinement round
 _REL_TOL = 1e-10  # refined bracket width, relative
-_CONVEXITY_SAMPLES = 4096
-_CONVEXITY_TOL = 1e-10
 _DIVERGENCE_VALUE = -1e12
 
 LIMIT_LOWER = "limit:x->0+"
@@ -43,18 +43,25 @@ class InfimumResult:
         return math.isinf(self.value) and self.value < 0
 
 
-def _check_domain(lo: float, hi: float) -> None:
-    if not 0.0 < lo < hi < math.inf:
-        raise DegenerateGrid(f"invalid domain [{lo}, {hi}]: "
-                             "need 0 < lo < hi < inf")
-
-
 def weighted_second(e: Expr, xs: np.ndarray) -> np.ndarray:
     """x^2 * u''(x) evaluated elementwise; overflow gives inf without a warning."""
     xs = np.asarray(xs, dtype=float)
     d2 = eval_jet2_array(e, xs).d2
     with np.errstate(over="ignore", invalid="ignore"):
         return xs**2 * d2
+
+
+def _dense_min(e: Expr, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The log grid of [lo, hi], x^2 * u''(x) on it and the index of its first
+    minimum; a NaN sample raises ``DomainError`` naming the source and x."""
+    if not 0.0 < lo < hi < math.inf:
+        raise DegenerateGrid(f"invalid domain [{lo}, {hi}]: need 0 < lo < hi < inf")
+    xs = np.exp(np.linspace(math.log(lo), math.log(hi), _GRID_POINTS))
+    vals = weighted_second(e, xs)
+    if np.isnan(vals).any():
+        at = xs[int(np.argmax(np.isnan(vals)))]
+        raise DomainError(f"{e.source_text!r} undefined at {at}")
+    return xs, vals, int(np.argmin(vals))
 
 
 def _refine(e: Expr, lo: float, hi: float) -> Tuple[float, float]:
@@ -85,13 +92,7 @@ def infimum_weighted_second(
     over the last two decades is reported as value -inf; a plain boundary
     minimum gets a limit marker with the boundary evaluation as value.
     """
-    _check_domain(domain_lo, domain_hi)
-    xs = np.exp(np.linspace(math.log(domain_lo), math.log(domain_hi), _GRID_POINTS))
-    vals = weighted_second(e, xs)
-    if np.isnan(vals).any():
-        bad = xs[int(np.argmax(np.isnan(vals)))]
-        raise NonFinite(f"weighted second derivative is NaN at x = {bad:.6g}")
-    idx = int(np.argmin(vals))
+    xs, vals, idx = _dense_min(e, domain_lo, domain_hi)
     best_val = float(vals[idx])
     history: List[Tuple[int, float]] = [(0, best_val)]
     if best_val < _DIVERGENCE_VALUE:
@@ -141,21 +142,14 @@ def convexity_verdict(
     domain_lo: float = DEFAULT_DOMAIN[0],
     domain_hi: float = DEFAULT_DOMAIN[1],
 ) -> Tuple[str, Optional[float]]:
-    """Sampled convexity check of a scalar function on a log-grid.
+    """Convexity of a scalar function from the sign of x^2 * u''(x) on the
+    infimum's dense grid, not the refined infimum, whose rounding can dip
+    below 0 at a double root.
 
-    Returns ("Convex", None), ("NonConvex", witness) or ("Marginal", witness)
-    according to the sign of the second derivative at the samples.
+    Returns ("Convex", None), or ("NonConvex", x) below -DEFAULT_TOL and
+    ("Marginal", x) below 0, with x the grid point of the first minimum.
     """
-    _check_domain(domain_lo, domain_hi)
-    xs = np.logspace(math.log10(domain_lo), math.log10(domain_hi), _CONVEXITY_SAMPLES)
-    d2 = eval_jet2_array(e, xs).d2
-    if np.isnan(d2).any():
-        bad = xs[int(np.argmax(np.isnan(d2)))]
-        raise NonFinite(f"second derivative is NaN at x = {bad:.6g}")
-    idx = int(np.argmin(d2))
-    worst = float(d2[idx])
-    if worst < -_CONVEXITY_TOL:
-        return "NonConvex", float(xs[idx])
-    if worst < 0.0:
-        return "Marginal", float(xs[idx])
-    return "Convex", None
+    xs, vals, idx = _dense_min(e, domain_lo, domain_hi)
+    if vals[idx] >= 0.0:
+        return "Convex", None
+    return "NonConvex" if vals[idx] < -DEFAULT_TOL else "Marginal", float(xs[idx])

@@ -149,9 +149,13 @@ _COLORS = {"Elliptic": "#3a7ca5", "NonElliptic": "#d1495b", "Boundary": "#edae49
 
 
 def emit_svg(emap: EllipticityMap, stream: TextIO) -> None:
-    """Render the verdict grid as an SVG 1.1 heat map in log coordinates."""
+    """Render the verdict grid as an SVG 1.1 heat map in log coordinates.
+    A map that is not square raises ``DegenerateGrid`` before any write."""
     cell, margin = 12, 40  # pixels: side of a cell, border around the grid
     n = emap.lambda1.size
+    if emap.verdicts.shape != (n, n):
+        raise DegenerateGrid("an SVG map needs a square grid, got %d x %d"
+                             % emap.verdicts.shape)
     side = n * cell
     width = side + 2 * margin
     height = side + 2 * margin

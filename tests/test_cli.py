@@ -115,7 +115,8 @@ class TestCheck:
     def test_nan_infimum_reports_error_without_runtime_warning(self):
         res = run_fresh("check", "--catalog", "exp_hencky", "--k", "12")
         assert res.returncode == 3
-        assert "error: weighted second derivative is NaN" in res.stderr
+        assert re.fullmatch(r"error: '\(mu/k\)\*exp\(\(k/2\)\*log\(t\)\^2\)' "
+                            r"undefined at 52962\.1\d*\n", res.stderr), res.stderr
         assert "RuntimeWarning" not in res.stderr
 
 
@@ -214,6 +215,33 @@ class TestEnergyFile:
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["counts"] == {
             "Boundary": 0, "Elliptic": 64, "NonElliptic": 0}
+
+    # f is undefined for z <= 1/2, where log's derivative formulas stay finite
+    UNDEFINED_LOG_FILE = "h = (t + 1/t)/2\nf = (z - 1)^2 - log(z - 1/2)\n"
+
+    @pytest.mark.parametrize("command", ["check", "classify", "oracle"])
+    def test_log_outside_its_domain_is_an_error(self, tmp_path, command):
+        p = tmp_path / "undefined_log.txt"
+        p.write_text(self.UNDEFINED_LOG_FILE)
+        res = run_fresh(command, "--energy-file", str(p))
+        assert res.returncode == 3, res.stdout
+        assert res.stdout == ""
+        assert re.fullmatch(r"error: '\(z - 1\)\^2 - log\(z - 1/2\)' undefined "
+                            r"at \S+\n", res.stderr), res.stderr
+
+    def test_log_outside_its_domain_scans_as_boundary(self, runner, tmp_path):
+        p = tmp_path / "undefined_log.txt"
+        p.write_text(self.UNDEFINED_LOG_FILE)
+        out = tmp_path / "map.csv"
+        res = invoke(runner, "scan", "--energy-file", str(p), "--grid", "16",
+                     "--out-csv", str(out))
+        assert res.exit_code == 2, res.output
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 256
+        for row in rows:
+            l1, l2, verdict, _ = row.split(",")
+            undefined = float(l1) * float(l2) < 0.5
+            assert verdict == ("Boundary" if undefined else "Elliptic"), row
 
     def test_params_substituted(self, runner, tmp_path):
         p = tmp_path / "custom.txt"
@@ -427,15 +455,15 @@ class TestScan:
         res = invoke(runner, "scan", "--energy-file", str(p), "--grid", "16",
                      "--report", "json")
         worst = json.loads(res.output)["worst"]
-        # the smallest defined margin is condition A there,
-        # t^2 h''(t) + z^2 f''(z) = 1/t + (z/(z - 1))^2
+        # f is undefined for z <= 1; the smallest defined margin is
+        # condition B' at the largest t with z > 1, 2t h'(t)/(t - 1) = 1 + 1/t
         l1, l2 = worst["lambda1"], worst["lambda2"]
         t, z = max(l1, l2) / min(l1, l2), l1 * l2
-        assert worst["margin"] == pytest.approx(1 / t + (z / (z - 1))**2,
-                                                rel=1e-9)
+        assert z > 1.0
+        assert worst["margin"] == pytest.approx(1 + 1 / t, rel=1e-9)
         text = invoke(runner, "scan", "--energy-file", str(p), "--grid", "16")
-        assert text.exit_code == 2  # two Boundary cells with NaN margins
-        assert "worst margin 0.000948983177 at" in text.output
+        assert text.exit_code == 2  # Boundary cells with NaN margins
+        assert "worst margin 1.00002154 at" in text.output
 
     @pytest.mark.parametrize("flag", ["--out-csv", "--out-svg"])
     @pytest.mark.parametrize("where", ["missing_dir", "directory"])

@@ -294,3 +294,26 @@ class TestClassification:
         cls = classify_structure(catalog("example2"))
         assert cls.kind == "general"
         assert cls.verdict is None
+
+    # The paper's Hadamard theorem: h = mu K(t), K(t) = (t + 1/t)/2, makes W
+    # rank-one convex iff f is convex.  The first four f are ROADMAP's
+    # had_tanh, had_log2, had_tail and hadfar: f'' < 0 somewhere, for the
+    # last two only by about 1e-11, where z^2 f'' is -2.5e-6 and -1.9.
+    @pytest.mark.parametrize("f, mu, verdict", [
+        ("tanh(z)", 100.0, "NotRankOneConvex"),
+        ("(1/100)*log(1 + (z/1000)^2)", 100.0, "NotRankOneConvex"),
+        ("-(1/100000)*log(1 + (z/1000)^2)", 100.0, "NotRankOneConvex"),
+        ("log(1 + (z/100000)^2)", 1.0, "NotRankOneConvex"),
+        *[(f, mu, "RankOneConvex")
+          for f in ("(z - 1)^2", "z - log(z) - 1", "(z + 1/z)/2 - 1")
+          for mu in (0.01, 1.0, 100.0)],
+    ])
+    def test_hadamard_theorem(self, f, mu, verdict):
+        cls = classify_structure(make_split("(mu/2)*(t + 1/t)", f, params={"mu": mu}))
+        assert (cls.kind, cls.verdict) == ("hadamard_k", verdict)
+
+    def test_boundary_of_the_exp_hencky_range_is_rank_one_convex(self):
+        # k = 1/4, khat = 1/8 makes f a multiple of h with a double root of
+        # t^2 h''(t) at t = e^2; the grid minimum there is not negative
+        cls = classify_structure(catalog("exp_hencky", k=0.25, khat=0.125))
+        assert (cls.kind, cls.verdict) == ("idealized_same_h", "RankOneConvex")

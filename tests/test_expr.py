@@ -69,7 +69,7 @@ class TestParsing:
             ("k^t", {"k": -1.5}),
             ("t*(-0.0)", {}),
             # a constant part that is not finite has no literal and stays
-            # as written
+            # as written; exp(-exp(1000)) is finite and folds to 0
             ("1/0 + t", {}),
             ("0/0 + t", {}),
             ("exp(-exp(1000))*t", {}),
@@ -262,6 +262,18 @@ class TestArrayEvaluation:
         arr = expr.eval_jet2_array(e, np.array([0.5, 2.0]))
         assert math.isnan(arr.value[0])
         assert arr.value[1] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("source, outside, inside", [
+        ("log(z - 1/2)", 0.25, 1.5), ("arcosh(z - 3)", 1.0, 5.0)])
+    def test_outside_the_domain_every_part_is_nan(self, source, outside, inside):
+        # there the derivative formulas (1/u, 1/sqrt(u^2 - 1)) are finite
+        e = expr.parse(source, "z")
+        arr = expr.eval_jet2_array(e, np.array([outside, inside]))
+        for part in (arr.value, arr.d1, arr.d2):
+            assert math.isnan(part[0])
+            assert math.isfinite(part[1])
+        with pytest.raises(errors.DomainError, match=f"undefined at {outside}"):
+            expr.eval_jet2(e, outside)
 
     def test_constant_expression_broadcasts(self):
         e = expr.parse("3", "z")

@@ -88,8 +88,10 @@ class TestDomainHandling:
             infimum("z^2", "z", domain_lo=2.0, domain_hi=1.0)
 
     def test_nan_inside_domain_raises(self):
-        with pytest.raises(errors.NonFinite):
+        with pytest.raises(errors.DomainError,
+                           match=r"^'sqrt\(z - 1\)' undefined at \S+$") as info:
             infimum("sqrt(z - 1)", "z")
+        assert float(str(info.value).split()[-1]) == pytest.approx(1e-6)
 
     @pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (0.0, 1.0), (1.0, math.inf),
                                         (1.0, 1.0), (math.nan, 1.0)])
@@ -129,3 +131,15 @@ class TestConvexityVerdict:
         e = catalog("example1")
         assert scalar_inf.convexity_verdict(e.h)[0] == "NonConvex"
         assert scalar_inf.convexity_verdict(e.f)[0] == "Convex"
+
+    @pytest.mark.parametrize("scale, kind", [(1e-9, "Marginal"), (1e-7, "NonConvex")])
+    def test_sign_of_weighted_second_against_tol(self, scale, kind):
+        # x^2 u'' = -scale, up to rounding, on the whole domain
+        got, wit = scalar_inf.convexity_verdict(
+            expr.parse(f"{scale}*log(z)", "z"), 0.5, 2.0)
+        assert got == kind
+        assert 0.5 <= wit <= 2.0
+
+    def test_nan_raises_domain_error(self):
+        with pytest.raises(errors.DomainError, match=r"^'sqrt\(z - 1\)' undefined at "):
+            scalar_inf.convexity_verdict(expr.parse("sqrt(z - 1)", "z"))

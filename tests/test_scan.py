@@ -303,6 +303,15 @@ class TestEmitters:
         texts = [el for el in root.iter() if el.tag.endswith("text")]
         assert len(texts) >= 2  # axis labels
 
+    def test_svg_of_a_non_square_map_raises_before_writing(self):
+        verdicts = np.full((2, 3), "Elliptic", dtype=object)
+        emap = EllipticityMap(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]),
+                              np.ones((2, 3)), verdicts, 1e-8)
+        buf = io.StringIO()
+        with pytest.raises(DegenerateGrid, match="square grid, got 2 x 3"):
+            emit_svg(emap, buf)
+        assert buf.getvalue() == ""
+
     def test_svg_transposition_symmetry(self, iso_map):
         buf = io.StringIO()
         emit_svg(iso_map, buf)
