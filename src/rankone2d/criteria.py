@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -54,13 +53,13 @@ from .energy import (
     g_partials,
 )
 from .errors import DegenerateGrid, DomainError
-from .scalar_inf import InfimumResult, convexity_verdict, infimum_weighted_second
+from .scalar_inf import (_GRID_POINTS, InfimumResult, convexity_verdict,
+                         infimum_weighted_second)
 
 Witness = Union[None, str, List[float]]
 
 
-@dataclass
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Verdict for a single inequality condition on a sampling grid."""
 
     condition_id: str
@@ -68,7 +67,6 @@ class ConditionReport:
     worst_margin: float
     witness: Witness
     samples_used: int
-    tolerance: float
 
     def to_dict(self) -> dict:
         return {
@@ -80,8 +78,7 @@ class ConditionReport:
         }
 
 
-@dataclass
-class RankOneVerdict:
+class RankOneVerdict(NamedTuple):
     """Aggregated outcome of one checking route."""
 
     overall: str  # RankOneConvex | NotRankOneConvex | Inconclusive
@@ -107,11 +104,13 @@ def _report(condition_id: str, margin: float, witness: Witness,
         verdict = "Marginal"
     else:
         verdict = "Holds"
-    return ConditionReport(condition_id, verdict, margin, witness, samples, tol)
+    return ConditionReport(condition_id, verdict, margin, witness, samples)
 
 
 def _grid_report(condition_id: str, margins: np.ndarray, points: Sequence[np.ndarray],
-                 tol: float) -> ConditionReport:
+                 tol: float, samples: Optional[int] = None) -> ConditionReport:
+    """The report at the first smallest of ``margins``, sampled at
+    ``points``; it rests on ``samples`` points, by default ``margins.size``."""
     if margins.size == 0:
         raise DegenerateGrid(f"no admissible samples for {condition_id}")
     if np.isnan(margins).any():
@@ -121,7 +120,7 @@ def _grid_report(condition_id: str, margins: np.ndarray, points: Sequence[np.nda
     i = int(np.argmin(margins))
     witness = [float(p.ravel()[i]) for p in points]
     return _report(condition_id, float(margins.ravel()[i]), witness,
-                   int(margins.size), tol)
+                   int(margins.size if samples is None else samples), tol)
 
 
 def _overall(reports: Sequence[ConditionReport], route: str) -> RankOneVerdict:
@@ -132,7 +131,7 @@ def _overall(reports: Sequence[ConditionReport], route: str) -> RankOneVerdict:
         overall = "RankOneConvex"
     else:
         overall = "Inconclusive"
-    return RankOneVerdict(overall=overall, reports=list(reports), route=route)
+    return RankOneVerdict(overall, list(reports), route)
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +191,8 @@ def _coupled_report(condition_id: str, cond: _Coupled, ts: np.ndarray,
     i = np.flatnonzero(cond.mask)[np.argmin(least)]  # the first NaN, if any
     with np.errstate(all="ignore"):
         row = cond.margin(ws, i)
-    r = _grid_report(condition_id, row, (np.full(zs.size, ts[i]), zs), tol)
-    r.samples_used = least.size * zs.size
-    return r
+    return _grid_report(condition_id, row, (np.full(zs.size, ts[i]), zs), tol,
+                        least.size * zs.size)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +323,7 @@ def voliso_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
 # route 3: reduced one-dimensional conditions
 
 
-@dataclass
-class MainCheckResult:
+class MainCheckResult(NamedTuple):
     verdict: RankOneVerdict
     h0: InfimumResult
     f0: InfimumResult
@@ -372,7 +369,8 @@ def main_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
 def necessary_battery(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
                       tol: float = DEFAULT_TOL) -> List[ConditionReport]:
     """Necessary-condition battery; any failure certifies non-convexity.
-    Nec_a: h or f is convex by ``convexity_verdict`` on the t grid's range."""
+    Nec_a: h or f is convex by ``convexity_verdict`` on the t grid's range,
+    whose dense grid samples each of them at ``_GRID_POINTS`` points."""
     ts = t_grid.points()
     hj = e.h_jet_array(ts)
     h1, h2 = hj.d1, hj.d2
@@ -383,7 +381,7 @@ def necessary_battery(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
     convex = "Convex" in (h_kind, f_kind)
     reports = [ConditionReport("Nec_a", "Holds" if convex else "Fails",
                                0.0 if convex else -math.inf,
-                               {"h": h_kind, "f": f_kind}, 2 * t_grid.n, tol)]
+                               {"h": h_kind, "f": f_kind}, 2 * _GRID_POINTS)]
     reports.append(_grid_report("Nec_b", h2 + f2, (ts,), tol))
     signed = np.where(ts >= 1.0, h1, -h1)
     reports.append(_grid_report("Nec_c", signed, (ts,), tol))
@@ -398,8 +396,7 @@ def necessary_battery(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
 # route 4: structural classification
 
 
-@dataclass
-class StructureClassification:
+class StructureClassification(NamedTuple):
     """Detected structure of a split energy, if any."""
 
     kind: str  # hadamard_k | idealized_same_h | general

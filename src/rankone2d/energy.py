@@ -13,7 +13,6 @@ checking modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -34,8 +33,7 @@ _SYMMETRY_TOL = 1e-9
 DEFAULT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     """Log-spaced 1-D grid specification."""
 
     lo: float
@@ -54,27 +52,32 @@ DEFAULT_Z_GRID = GridSpec(1e-4, 1e4, 1001)
 DEFAULT_SCAN_GRID = GridSpec(10**-2.5, 10**2.5, 128)
 
 
-@dataclass(frozen=True)
-class SingularPair:
-    """Ordered pair of singular values of a deformation gradient."""
-
+class _SingularValues(NamedTuple):
     lambda1: float
     lambda2: float
 
-    def __post_init__(self):
-        if not (self.lambda1 > 0.0 and self.lambda2 > 0.0):
+
+class SingularPair(_SingularValues):
+    """Ordered pair of singular values of a deformation gradient; a named
+    tuple whose construction raises ``DomainError`` unless both are positive
+    and their ratio and product are finite positive floats."""
+
+    __slots__ = ()
+
+    def __new__(cls, lambda1: float, lambda2: float):
+        if not (lambda1 > 0.0 and lambda2 > 0.0):
             raise DomainError(
-                f"singular values must be positive, got ({self.lambda1}, {self.lambda2})"
+                f"singular values must be positive, got ({lambda1}, {lambda2})"
             )
-        l1, l2 = float(self.lambda1), float(self.lambda2)
+        l1, l2 = float(lambda1), float(lambda2)
         if not (0.0 < l1 / l2 < math.inf and 0.0 < l1 * l2 < math.inf):
             raise DomainError(
-                f"singular values ({self.lambda1}, {self.lambda2}) have a ratio or "
+                f"singular values ({lambda1}, {lambda2}) have a ratio or "
                 "product that is not a finite positive float")
+        return super().__new__(cls, lambda1, lambda2)
 
 
-@dataclass(frozen=True)
-class SplitEnergy:
+class SplitEnergy(NamedTuple):
     """Validated pair (h, f) of isochoric and volumetric parts."""
 
     h: Expr

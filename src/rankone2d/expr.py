@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,12 +41,12 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 # degree-2 jets
 
 
-@dataclass
-class Jet2:
+class Jet2(NamedTuple):
     """Value plus first and second derivative w.r.t. the evaluation point.
 
     Components may be floats or numpy arrays of identical shape; all
-    arithmetic is elementwise.
+    arithmetic is elementwise, and ``+`` and ``*`` are jet operations, not
+    tuple concatenation and repetition.
     """
 
     value: float
@@ -307,13 +306,25 @@ class _Parser:
         raise ExpressionSyntaxError(f"unexpected token {text!r}", offset)
 
 
-@dataclass(frozen=True)
-class Expr:
-    """Immutable parsed expression in a single variable."""
+class Expr(NamedTuple):
+    """Parsed expression in a single variable.  Equality and hash ignore
+    ``source_text``: two spellings of one tree are equal."""
 
     ast: tuple
     variable: str
-    source_text: str = field(compare=False)
+    source_text: str
+
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        return self[:2] == other[:2]
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash(self[:2])
 
 
 def parse(source: str, variable_name: str,

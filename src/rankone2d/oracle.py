@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -133,14 +132,11 @@ def fd_second_derivative(e: SplitEnergy, F: np.ndarray, xi: np.ndarray,
     return (-w_m2 + 16.0 * w_m1 - 30.0 * w_0 + 16.0 * w_p1 - w_p2) / (12.0 * step**2)
 
 
-@dataclass
-class AcousticTensor:
+class AcousticTensor(NamedTuple):
     """Symmetric 2x2 matrix whose quadratic form in xi is the rank-one
     second derivative at fixed eta."""
 
     Q: np.ndarray
-    F: np.ndarray
-    eta: np.ndarray
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.Q)[0])
@@ -187,15 +183,14 @@ def acoustic_tensor(e: SplitEnergy, F: np.ndarray,
                 for j in range(2) for l in range(2)
             )
     Q = 0.5 * (Q + Q.T)
-    return AcousticTensor(Q=Q, F=F, eta=eta)
+    return AcousticTensor(Q)
 
 
 # ---------------------------------------------------------------------------
 # sampled search for violations
 
 
-@dataclass
-class BruteForceResult:
+class BruteForceResult(NamedTuple):
     """Most negative rank-one second derivative found by sampling."""
 
     violation: bool
@@ -279,9 +274,8 @@ def brute_force_check(
 
     # the kernel's value can lose its sign where f'' * J^2 dominates, so
     # each stage's winner is judged by its re-checked value
-    best = min(winners, key=lambda r: r.value)
-    best.violation = best.value < -tol
-    return best
+    value, F, xi, eta = min(winners, key=lambda w: w[0])
+    return BruteForceResult(value < -tol, value, F, xi, eta)
 
 
 def _normals(seed: int, n: int) -> np.ndarray:
@@ -294,12 +288,11 @@ def _normals(seed: int, n: int) -> np.ndarray:
     return (r * np.stack([np.cos(angle), np.sin(angle)])).reshape(4, n)
 
 
-def _pack(e: SplitEnergy, mats, xis, etas, k) -> BruteForceResult:
-    """Witness k of a kernel batch, valued by ``analytic_second_derivative``
-    at the float witness it prints."""
+def _pack(e: SplitEnergy, mats, xis, etas, k) -> tuple:
+    """(value, F, xi, eta) of witness k of a kernel batch, valued by
+    ``analytic_second_derivative`` at the float witness it prints."""
     f00, f01, f10, f11 = mats
     F = np.array([[f00[k], f01[k]], [f10[k], f11[k]]])
     xi = np.array([math.cos(xis[k]), math.sin(xis[k])])
     eta = np.array([math.cos(etas[k]), math.sin(etas[k])])
-    return BruteForceResult(False, analytic_second_derivative(e, F, xi, eta),
-                            F, xi, eta)
+    return analytic_second_derivative(e, F, xi, eta), F, xi, eta

@@ -11,8 +11,7 @@ grid's minimum is the convexity verdict of u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -30,13 +29,12 @@ LIMIT_LOWER = "limit:x->0+"
 LIMIT_UPPER = "limit:x->inf"
 
 
-@dataclass
-class InfimumResult:
+class InfimumResult(NamedTuple):
     """Outcome of minimizing x^2 * u''(x) over a truncated log-domain."""
 
     value: float  # -inf when divergence was detected
     attained_at: Union[float, str]  # interior point or a limit marker
-    margin_history: List[Tuple[int, float]] = field(default_factory=list)
+    margin_history: List[Tuple[int, float]]
 
     @property
     def unbounded(self) -> bool:

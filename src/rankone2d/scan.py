@@ -25,8 +25,7 @@ CSV (deterministic bytes) or a simple SVG heat map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TextIO, Tuple
+from typing import NamedTuple, TextIO, Tuple
 
 import numpy as np
 
@@ -39,8 +38,7 @@ _LABELS = np.array(["Boundary", "Elliptic", "NonElliptic", "NonElliptic"],
                    dtype=object)
 
 
-@dataclass
-class EllipticityMap:
+class EllipticityMap(NamedTuple):
     """Scan result: per-cell smallest split-condition margin and verdict.
 
     ``verdicts`` holds "Elliptic", "NonElliptic" or "Boundary" strings in

@@ -17,20 +17,16 @@ shear modulus mu = h''(1) and bulk-type modulus kappa = f''(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .energy import DEFAULT_TOL, SingularPair, SplitEnergy
 
 
-@dataclass
-class StressState:
+class StressState(NamedTuple):
     """Principal Cauchy stresses and split invariants at one state."""
 
-    lambda1: float
-    lambda2: float
     sigma1: float
     sigma2: float
     tau_iso: float
@@ -52,14 +48,8 @@ def principal_cauchy(e: SplitEnergy, pair: SingularPair) -> StressState:
     hp = e.h_jet(t).d1
     fp = e.f_jet(z).d1
     dev = hp / pair.lambda2**2
-    return StressState(
-        lambda1=pair.lambda1,
-        lambda2=pair.lambda2,
-        sigma1=dev + fp,
-        sigma2=-dev + fp,
-        tau_iso=t * hp,
-        tau_vol=z * fp,
-    )
+    return StressState(sigma1=dev + fp, sigma2=-dev + fp, tau_iso=t * hp,
+                       tau_vol=z * fp)
 
 
 def stress_jacobian_det(e: SplitEnergy, pair: SingularPair) -> float:
@@ -71,14 +61,11 @@ def stress_jacobian_det(e: SplitEnergy, pair: SingularPair) -> float:
     return 4.0 * fpp / pair.lambda2**2 * (t * hj.d2 + hj.d1)
 
 
-@dataclass
-class InvertibilityReport:
+class InvertibilityReport(NamedTuple):
     """Grid certificate for local invertibility of the stress map."""
 
     verdict: str  # LocallyInvertible | Degenerate | NotCertified
     witness: Optional[dict]
-    min_volumetric: float
-    min_isochoric: float
 
 
 def invertibility_verdict(e: SplitEnergy, tol: float = DEFAULT_TOL) -> InvertibilityReport:
@@ -101,17 +88,16 @@ def invertibility_verdict(e: SplitEnergy, tol: float = DEFAULT_TOL) -> Invertibi
 
     if min_vol <= -tol:
         witness = {"factor": "volumetric", "z": float(grid[kz]), "value": min_vol}
-        return InvertibilityReport("Degenerate", witness, min_vol, min_iso)
+        return InvertibilityReport("Degenerate", witness)
     if min_iso <= -tol:
         witness = {"factor": "isochoric", "t": float(grid[kt]), "value": min_iso}
-        return InvertibilityReport("Degenerate", witness, min_vol, min_iso)
+        return InvertibilityReport("Degenerate", witness)
     if min_vol > tol and min_iso > tol:
-        return InvertibilityReport("LocallyInvertible", None, min_vol, min_iso)
-    return InvertibilityReport("NotCertified", None, min_vol, min_iso)
+        return InvertibilityReport("LocallyInvertible", None)
+    return InvertibilityReport("NotCertified", None)
 
 
-@dataclass
-class InfinitesimalModuli:
+class InfinitesimalModuli(NamedTuple):
     """Moduli of the quadratic energy obtained by linearizing at F = I."""
 
     mu: float

@@ -85,6 +85,16 @@ class TestCheck:
             assert np.min(np.abs(ts / (x / y) - 1.0)) < 1e-12, c
             assert np.min(np.abs(zs / (x * y) - 1.0)) < 1e-12, c
 
+    @pytest.mark.parametrize("grid", [(), ("--t-points", "1001")])
+    def test_nec_a_states_the_convexity_samples(self, runner, grid):
+        # the convexity verdicts of h and of f, each on the infima's dense
+        # grid of 8192 points, whatever the t grid
+        res = invoke(runner, "check", "--catalog", "example1", "--report", "json",
+                     *grid)
+        nec_a = json.loads(res.output)["necessary"][0]
+        assert nec_a["id"] == "Nec_a"
+        assert nec_a["samples"] == 16384
+
     def test_json_is_deterministic(self, runner):
         outs = [invoke(runner, "check", "--catalog", "example2",
                        "--report", "json").output for _ in range(2)]

@@ -18,25 +18,29 @@ SUBMODULES = {"cli", "criteria", "energy", "errors", "expr", "kernels", "oracle"
 # "fractions" is the standard-library module only the oracle needs,
 # "numpy.ma" is what np.unique without return_inverse would import, and
 # "numpy.random" is numpy's generator package, which the oracle's seeded
-# refinement does without
+# refinement does without; no subcommand loads "dataclasses", as the
+# package's records are named tuples
 SUBCOMMANDS = {
     "check": (["check", "--catalog", "example1"],
               {"errors", "expr", "energy", "scalar_inf", "criteria"},
-              {"oracle", "kernels", "scan", "stress", "fractions", "numpy.ma"}),
+              {"oracle", "kernels", "scan", "stress", "fractions", "numpy.ma",
+               "dataclasses"}),
     "classify": (["classify", "--catalog", "example1"],
                  {"errors", "expr", "energy", "scalar_inf", "criteria"},
-                 {"oracle", "kernels", "scan", "stress", "fractions", "numpy.ma"}),
+                 {"oracle", "kernels", "scan", "stress", "fractions", "numpy.ma",
+                  "dataclasses"}),
     "oracle": (["oracle", "--catalog", "example1", "--grid", "3", "--samples", "10"],
                {"errors", "expr", "energy", "kernels", "oracle"},
                {"criteria", "scalar_inf", "scan", "stress", "numpy.ma",
-                "numpy.random"}),
+                "numpy.random", "dataclasses"}),
     "scan": (["scan", "--catalog", "example1", "--grid", "8"],
              {"errors", "expr", "energy", "scan"},
              {"criteria", "scalar_inf", "oracle", "kernels", "stress", "fractions",
-              "numpy.ma"}),
+              "numpy.ma", "dataclasses"}),
     "stress": (["stress", "--catalog", "example1"],
                {"stress"},
-               {"criteria", "scalar_inf", "oracle", "kernels", "scan", "numpy.ma"}),
+               {"criteria", "scalar_inf", "oracle", "kernels", "scan", "numpy.ma",
+                "dataclasses"}),
 }
 
 RUN_PROBE = """
