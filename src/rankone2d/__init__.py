@@ -15,11 +15,11 @@ import importlib as _importlib
 import os as _os
 
 # The package's only BLAS/LAPACK calls are det, eigvalsh and norm of 2x2
-# matrices, and dot products and norms of 2-vectors and of the 64-sample
-# fits in classify_structure.  OpenBLAS threads none of them, yet its worker
-# pool costs about 0.1 s of CPU per process at start-up.  So if numpy is
-# first imported here, it loads OpenBLAS single-threaded unless the caller
-# chose a thread count, and the environment is left as the caller set it.
+# matrices, and dot products and norms of 2-vectors.  OpenBLAS threads none
+# of them, yet its worker pool costs about 0.1 s of CPU per process at
+# start-up.  So if numpy is first imported here, it loads OpenBLAS
+# single-threaded unless the caller chose a thread count, and the
+# environment is left as the caller set it.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
                      "OPENBLAS_DEFAULT_NUM_THREADS")
 if not any(v in _os.environ for v in _BLAS_THREAD_VARS):

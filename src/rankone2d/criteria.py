@@ -53,6 +53,7 @@ from .energy import (
     g_partials,
 )
 from .errors import DegenerateGrid, DomainError
+from .expr import terms
 from .scalar_inf import (_GRID_POINTS, InfimumResult, convexity_verdict,
                          infimum_weighted_second)
 
@@ -401,7 +402,7 @@ class StructureClassification(NamedTuple):
 
     kind: str  # hadamard_k | idealized_same_h | general
     mu: Optional[float] = None
-    ratio: Optional[float] = None  # kappa / (2 mu) for same-shape energies
+    ratio: Optional[float] = None  # f = ratio * h + constant for same-shape energies
     convexity: Optional[str] = None  # convexity verdict of the deciding part
     witness: Optional[float] = None
     verdict: Optional[str] = None  # overall rank-one verdict, when decided
@@ -417,49 +418,39 @@ class StructureClassification(NamedTuple):
         }
 
 
-_FIT_POINTS = 64
-_FIT_TOL = 1e-9
-
-
-def _verdict_of(convexity: str) -> str:
-    """Rank-one verdict of a detected structure from its deciding part."""
-    return {"Convex": "RankOneConvex",
-            "NonConvex": "NotRankOneConvex"}.get(convexity, "Inconclusive")
-
-
-def _fit_scale(target: np.ndarray, basis: np.ndarray) -> tuple:
-    """Least-squares scale s minimizing ||target - s*basis||; returns (s, rel_res)."""
-    denom = float(basis @ basis)
-    if denom == 0.0:
-        return 0.0, math.inf if np.any(target != 0.0) else 0.0
-    s = float(target @ basis) / denom
-    res = float(np.linalg.norm(target - s * basis))
-    return s, res / (1.0 + float(np.linalg.norm(target)))
+def _common_ratio(f: dict, h: dict) -> Optional[float]:
+    """r if f[k] = r h[k] for every key of both, in exact rational
+    arithmetic, with r a positive finite float, else None."""
+    if not h or f.keys() != h.keys():
+        return None
+    exact = [f[k].as_integer_ratio() + h[k].as_integer_ratio() for k in h]
+    a, b, c, d = exact[0]
+    # (m/n)/(p/q) = (a/b)/(c/d) iff m q b c = a d n p
+    same = all(m * q * b * c == a * d * n * p for m, n, p, q in exact)
+    r = (a / b) / (c / d)
+    return r if same and 0.0 < r < math.inf else None
 
 
 def classify_structure(e: SplitEnergy) -> StructureClassification:
     """Detect distortion-type or same-shape structure and short-circuit on
     the ``convexity_verdict`` of f (Hadamard: mu K(t) + f(z)) or of h.
 
-    Falls through to ``general`` whenever no structure matches; the general
-    route (``main_check``) is always sound.
+    The structure is read exactly from the ``terms`` of h and f, constants
+    aside: h is Hadamard iff its terms are alpha (t + 1/t), alpha > 0, and
+    mu = 2 alpha; f has h's shape iff its terms are r > 0 times h's.  All
+    else, ``cosh(log(t))`` included, is ``general``, for ``main_check``.
     """
-    ts = np.logspace(-2, 2, _FIT_POINTS)
-    h_vals = e.h_jet_array(ts).value - e.h_jet(1.0).value
-    f_vals = e.f_jet_array(ts).value - e.f_jet(1.0).value
-
-    distortion = 0.5 * (ts + 1.0 / ts) - 1.0
-    mu, res = _fit_scale(h_vals, distortion)
-    if res < _FIT_TOL and mu > 0.0:
-        kind, wit = convexity_verdict(e.f)
-        return StructureClassification("hadamard_k", mu=mu, convexity=kind,
-                                       witness=wit, verdict=_verdict_of(kind))
-
-    ratio, res = _fit_scale(f_vals, h_vals)
-    if res < _FIT_TOL and ratio > 0.0:
-        kind, wit = convexity_verdict(e.h)
-        return StructureClassification("idealized_same_h", ratio=ratio,
-                                       convexity=kind, witness=wit,
-                                       verdict=_verdict_of(kind))
-
-    return StructureClassification("general")
+    h, f = ({k: c for k, c in terms(x).items() if k != 0.0 and c != 0.0}
+            for x in (e.h, e.f))
+    mu = 2.0 * h.get(1.0, 0.0)
+    if h.keys() == {1.0, -1.0} and h[1.0] == h[-1.0] and 0.0 < mu < math.inf:
+        kind, part, scale = "hadamard_k", e.f, {"mu": mu}
+    elif (ratio := _common_ratio(f, h)) is not None:
+        kind, part, scale = "idealized_same_h", e.h, {"ratio": ratio}
+    else:
+        return StructureClassification("general")
+    convexity, witness = convexity_verdict(part)
+    verdict = {"Convex": "RankOneConvex",
+               "NonConvex": "NotRankOneConvex"}.get(convexity, "Inconclusive")
+    return StructureClassification(kind, convexity=convexity, witness=witness,
+                                   verdict=verdict, **scale)

@@ -8,7 +8,8 @@ parameters are bound at parse time: a bound name parses as its number, so
 no value is ever formatted into source text.  A node that holds no
 variable folds to the number the walk computes for it (``6/5`` is
 ``6*(1/5)``), unless that value is not finite, so a tree holds each finite
-constant as one ``("num", value)`` node.
+constant as one ``("num", value)`` node; ``terms`` reads a tree as a linear
+combination of powers of the variable and of whole subtrees.
 
 Evaluation propagates (value, d1, d2) through every operation, so first and
 second derivatives are exact to machine rounding; no numeric differencing is
@@ -75,66 +76,28 @@ class Jet2(NamedTuple):
         return self * inv
 
 
-def _jet_chain(x: Jet2, g, g1, g2) -> Jet2:
-    """Apply a scalar function g with derivatives g1, g2 through the jet.
-    Where g is undefined (a NaN value) so is the jet: outside the domain of
-    log and arcosh, g1 and g2 would stay finite."""
-    v = g(x.value)
-    gv1 = np.where(np.isnan(v), np.nan, g1(x.value))
-    return Jet2(v, gv1 * x.d1, gv1 * x.d2 + g2(x.value) * x.d1**2)
-
-
-def jet_exp(x: Jet2) -> Jet2:
-    v = np.exp(x.value)
-    return Jet2(v, v * x.d1, v * x.d2 + v * x.d1**2)
-
-
-def jet_log(x: Jet2) -> Jet2:
-    with np.errstate(all="ignore"):
-        return _jet_chain(x, np.log, lambda u: 1.0 / u, lambda u: -1.0 / u**2)
-
-
-def jet_sqrt(x: Jet2) -> Jet2:
-    with np.errstate(all="ignore"):
-        return _jet_chain(
-            x, np.sqrt, lambda u: 0.5 / np.sqrt(u), lambda u: -0.25 / u**1.5
-        )
-
-
-def jet_cosh(x: Jet2) -> Jet2:
-    return _jet_chain(x, np.cosh, np.sinh, np.cosh)
-
-
-def jet_sinh(x: Jet2) -> Jet2:
-    return _jet_chain(x, np.sinh, np.cosh, np.sinh)
-
-
-def jet_tanh(x: Jet2) -> Jet2:
-    return _jet_chain(
-        x, np.tanh, lambda u: 1.0 / np.cosh(u) ** 2,
-        lambda u: -2.0 * np.tanh(u) / np.cosh(u) ** 2,
-    )
-
-
-def jet_arcosh(x: Jet2) -> Jet2:
-    with np.errstate(all="ignore"):
-        return _jet_chain(
-            x,
-            np.arccosh,
-            lambda u: 1.0 / np.sqrt(u**2 - 1.0),
-            lambda u: -u / (u**2 - 1.0) ** 1.5,
-        )
-
-
-_JET_FUNCS = {
-    "exp": jet_exp,
-    "log": jet_log,
-    "sqrt": jet_sqrt,
-    "cosh": jet_cosh,
-    "sinh": jet_sinh,
-    "tanh": jet_tanh,
-    "arcosh": jet_arcosh,
+_JETS = {  # g, g' and g''
+    "exp": (np.exp, np.exp, np.exp),
+    "log": (np.log, lambda u: 1.0 / u, lambda u: -1.0 / u**2),
+    "sqrt": (np.sqrt, lambda u: 0.5 / np.sqrt(u), lambda u: -0.25 / u**1.5),
+    "cosh": (np.cosh, np.sinh, np.cosh),
+    "sinh": (np.sinh, np.cosh, np.sinh),
+    "tanh": (np.tanh, lambda u: 1.0 / np.cosh(u) ** 2,
+             lambda u: -2.0 * np.tanh(u) / np.cosh(u) ** 2),
+    "arcosh": (np.arccosh, lambda u: 1.0 / np.sqrt(u**2 - 1.0),
+               lambda u: -u / (u**2 - 1.0) ** 1.5),
 }
+
+
+def _jet_call(name: str, x: Jet2) -> Jet2:
+    """The function ``name`` through the jet; where it is NaN so is the jet,
+    though g' of log and arcosh is finite there.  A derivative that is the
+    function itself reuses its value."""
+    g, g1, g2 = _JETS[name]
+    v = g(x.value)
+    gv1 = v if g1 is g else np.where(np.isnan(v), np.nan, g1(x.value))
+    gv2 = v if g2 is g else g2(x.value)
+    return Jet2(v, gv1 * x.d1, gv1 * x.d2 + gv2 * x.d1**2)
 
 
 def jet_pow(base: Jet2, p: float) -> Jet2:
@@ -303,7 +266,8 @@ class _Parser:
             node = self.expression()
             self.expect_op(")")
             return node
-        raise ExpressionSyntaxError(f"unexpected token {text!r}", offset)
+        raise ExpressionSyntaxError("unexpected end of input" if kind == "end"
+                                    else f"unexpected token {text!r}", offset)
 
 
 class Expr(NamedTuple):
@@ -361,6 +325,48 @@ def _pretty(ast: tuple, var: str) -> str:
     return f"({_pretty(ast[1], var)} {sym} {_pretty(ast[2], var)})"
 
 
+def terms(e: Expr) -> dict:
+    """The folded tree of ``e`` as ``{key: coefficient}``: a float key p
+    stands for x^p (the constant is x^0), any other key for a subtree.  Sums,
+    negations, number factors and products or quotients by one power monomial
+    distribute; a zero divisor or a non-finite coefficient keeps a node whole."""
+    return _terms(e.ast)
+
+
+def _power(combo: dict) -> bool:
+    """Whether ``combo`` is one power monomial c x^p."""
+    return len(combo) == 1 and isinstance(next(iter(combo)), float)
+
+
+def _terms(node: tuple) -> dict:
+    tag, whole = node[0], {node: 1.0}
+    if tag == "num":
+        combo = {0.0: node[1]}
+    elif tag == "var" or tag == "pow" and node[1] == ("var",) and node[2][0] == "num":
+        combo = {node[2][1] if tag == "pow" else 1.0: 1.0}
+    elif tag == "neg":
+        combo = {k: -c for k, c in _terms(node[1]).items()}
+    elif tag in ("add", "sub"):
+        combo = _terms(node[1])
+        for k, c in _terms(node[2]).items():
+            combo[k] = combo.get(k, 0.0) + (c if tag == "add" else -c)
+    elif tag in ("mul", "div"):
+        combo, mono = (_terms(child) for child in node[1:])
+        if tag == "mul" and not _power(mono):
+            combo, mono = mono, combo
+        if not _power(mono):
+            return whole
+        ((p, c),) = mono.items()
+        if tag == "div":  # a zero divisor fails the finiteness check below
+            p, c = -p, 1.0 / c if c else math.inf
+        if p and not all(isinstance(k, float) for k in combo):
+            return whole
+        combo = {(k + p if p else k): a * c for k, a in combo.items()}
+    else:
+        return whole
+    return combo if all(map(math.isfinite, combo.values())) else whole
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -383,7 +389,7 @@ def _eval(ast: tuple, x: Jet2) -> Jet2:
     if tag == "neg":
         return -_eval(ast[1], x)
     if tag == "call":
-        return _JET_FUNCS[ast[1]](_eval(ast[2], x))
+        return _jet_call(ast[1], _eval(ast[2], x))
     lhs = _eval(ast[1], x)
     rhs = _eval(ast[2], x)
     if tag == "add":
@@ -405,7 +411,7 @@ def _eval(ast: tuple, x: Jet2) -> Jet2:
     if tag == "pow":
         if ast[2][0] == "num":
             return jet_pow(lhs, ast[2][1])
-        return jet_exp(rhs * jet_log(lhs))
+        return _jet_call("exp", rhs * _jet_call("log", lhs))
     raise AssertionError(f"unhandled node {tag}")
 
 

@@ -163,13 +163,21 @@ class TestSinglePointJets:
     """A jet that is undefined or overflows at one evaluation point is an
     input error (exit 3, one line), not a Python exception."""
 
-    @pytest.mark.parametrize("command", ["classify", "stress"])
-    def test_removable_singularity_at_one(self, tmp_path, command):
+    # classify reads the structure from the tree and samples f only on the
+    # convexity grid, which misses z = 1; log(z)/(z - 1) is convex
+    @pytest.mark.parametrize("command, code, stdout, stderr", [
+        ("classify", 0, "kind: hadamard_k\nmu: 1\ndeciding part: Convex\n"
+         "overall: RankOneConvex\n", ""),
+        ("stress", 3, "", "error: 'log(z)/(z - 1)' undefined at 1.0\n"),
+    ], ids=["classify", "stress"])
+    def test_removable_singularity_at_one(self, tmp_path, command, code, stdout,
+                                          stderr):
         path = tmp_path / "log_ratio.txt"
         path.write_text("h = (t + 1/t)/2\nf = log(z)/(z - 1)\n")
         res = run_fresh(command, "--energy-file", str(path))
-        assert res.returncode == 3, res.stderr
-        assert res.stderr == "error: 'log(z)/(z - 1)' undefined at 1.0\n"
+        assert res.returncode == code, res.stderr
+        assert res.stdout.endswith(stdout)
+        assert res.stderr == stderr
 
     def test_stretch_ratio_overflows(self):
         res = run_fresh("stress", "--catalog", "example2", "--at", "1e100", "1e-100")
@@ -308,6 +316,13 @@ class TestEnergyFile:
         p.write_text("h = t +\nf = z^2\n")
         assert invoke(runner, "check", "--energy-file", str(p)).exit_code == 3
 
+    def test_end_of_input_is_named(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text("h = (t+1/t)/2 +\nf = (z-1)^2\n")
+        res = run_fresh("check", "--energy-file", str(p))
+        assert res.returncode == 3
+        assert res.stderr == "error: unexpected end of input (at offset 11)\n"
+
     def test_asymmetric_h_is_input_error(self, runner, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("h = t^2\nf = z^2\n")
@@ -339,6 +354,11 @@ class TestClassify:
         assert payload["kind"] == "hadamard_k"
         assert payload["mu"] == pytest.approx(2.0)
         assert res.exit_code == 0
+
+    def test_hadamard_mu_is_read_exactly(self, runner):
+        res = invoke(runner, "classify", "--catalog", "hadamard_k",
+                     "--mu", "2.26", "--report", "json")
+        assert '"mu": 2.26,' in res.output
 
     def test_general_structure_is_inconclusive_exit(self, runner):
         res = invoke(runner, "classify", "--catalog", "example2")

@@ -312,6 +312,34 @@ class TestClassification:
         cls = classify_structure(make_split("(mu/2)*(t + 1/t)", f, params={"mu": mu}))
         assert (cls.kind, cls.verdict) == ("hadamard_k", verdict)
 
+    # near_had(c): Hadamard but for c*log(t)^4, which makes h0 unbounded for
+    # every c > 0, however small
+    @pytest.mark.parametrize("c", [1e-12, -1e-12, 1e-9, -1e-9, 1e-8])
+    def test_near_hadamard_is_general(self, c):
+        e = make_split("(t + 1/t)/2 + c*log(t)^4", "(z - 1)^2", params={"c": c})
+        assert classify_structure(e) == criteria.StructureClassification("general")
+
+    @pytest.mark.parametrize("h, mu", [
+        ("t^-1 + t", 2.0), ("(t^2 + 1)/(2*t)", 1.0), ("t/2 + 1/(2*t)", 1.0),
+        ("0.5*t + 0.5/t", 1.0), ("(mu/2)*(t + 1/t)", 2.26),
+    ])
+    def test_hadamard_spellings_give_mu_exactly(self, h, mu):
+        cls = classify_structure(make_split(h, "(z - 1)^2", params={"mu": 2.26}))
+        assert (cls.kind, cls.mu, cls.verdict) == ("hadamard_k", mu, "RankOneConvex")
+
+    def test_a_call_is_not_rewritten(self):
+        # cosh(log(t)) is (t + 1/t)/2, but its tree is a call
+        e = make_split("cosh(log(t))", "(z - 1)^2")
+        assert classify_structure(e).kind == "general"
+
+    def test_same_shape_ratio_is_exact(self):
+        same = classify_structure(make_split("3*(t^2 + 1/t^2 + log(t)^2)",
+                                             "2*(z^2 + 1/z^2 + log(z)^2)"))
+        assert (same.kind, same.ratio) == ("idealized_same_h", 2.0 / 3.0)
+        # the ratios 1/3 and (1/3 rounded)/1 round to one float but differ
+        e = make_split("3*(t^2 + 1/t^2) + log(t)^2", "z^2 + 1/z^2 + (1/3)*log(z)^2")
+        assert classify_structure(e).kind == "general"
+
     def test_boundary_of_the_exp_hencky_range_is_rank_one_convex(self):
         # k = 1/4, khat = 1/8 makes f a multiple of h with a double root of
         # t^2 h''(t) at t = e^2; the grid minimum there is not negative

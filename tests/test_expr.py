@@ -49,6 +49,12 @@ class TestParsing:
             expr.parse("t + ", "t")
         assert exc.value.offset == 4
 
+    @pytest.mark.parametrize("source", ["t +", "(t+1/t)/2 +", "exp(", "-"])
+    def test_end_of_input_is_named(self, source):
+        with pytest.raises(errors.ExpressionSyntaxError) as exc:
+            expr.parse(source, "t")
+        assert str(exc.value) == f"unexpected end of input (at offset {len(source)})"
+
     def test_unexpected_character(self):
         with pytest.raises(errors.ExpressionSyntaxError):
             expr.parse("t @ 2", "t")
@@ -127,6 +133,44 @@ class TestFolding:
         assert _foldable(e.ast) == []
         again = expr.parse(expr.pretty(e), "t")
         assert again == e and repr(again.ast) == repr(e.ast)
+
+
+def _walk(ast: tuple, xs: np.ndarray) -> np.ndarray:
+    return expr.eval_jet2_array(expr.Expr(ast, "t", ""), xs).value
+
+
+class TestTerms:
+    @pytest.mark.parametrize("source, combo", [
+        ("(t^2 + 1)/(2*t)", {1.0: 0.5, -1.0: 0.5}),
+        ("-(3*t^-1 - t/4) + 2", {-1.0: -3.0, 1.0: 0.25, 0.0: 2.0}),
+        ("2*log(t)/4", {("call", "log", ("var",)): 0.5}),
+    ])
+    def test_distributes(self, source, combo):
+        assert expr.terms(expr.parse(source, "t")) == combo
+
+    @pytest.mark.parametrize("source", ["t/0", "1e300*t*1e10", "t*log(t)",
+                                        "(t + 1)*(t - 1)", "cosh(log(t))"])
+    def test_keeps_the_node_whole(self, source):
+        e = expr.parse(source, "t")
+        assert expr.terms(e) == {e.ast: 1.0}
+
+    XS = np.array([0.3, 1.7, 5.0])
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(source=strategies.sources("t", names=("k",)),
+           k=st.sampled_from([-1.5, -0.0, 0.0, 2.0, 1e300]))
+    def test_terms_sum_to_the_walk(self, source, k):
+        e = expr.parse(source, "t", {"k": k})
+        value = _walk(e.ast, self.XS)
+        with np.errstate(all="ignore"):
+            parts = np.array([
+                c * (self.XS**key if isinstance(key, float) else _walk(key, self.XS))
+                for key, c in expr.terms(e).items()])
+            total = parts.sum(axis=0)
+            error = np.abs(total - value)
+            bound = 1e-9 * (np.abs(parts).sum(axis=0) + np.abs(value))
+        finite = np.isfinite(total) & np.isfinite(value)
+        assert np.all(error[finite] <= bound[finite]), source
 
 
 class TestParameterBinding:
