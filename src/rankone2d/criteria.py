@@ -3,7 +3,7 @@
 Four routes are provided and must agree:
 
 * ``ks_check``      -- the five classical singular-value conditions on g(x, y),
-                       sampled at the (t, z) points of a stride of both grids;
+                       sampled on the x >= y half of a stride of both grids;
 * ``voliso_check``  -- the equivalent four split conditions on (h, f) over (t, z);
 * ``main_check``    -- the reduced one-dimensional conditions coupled through
                        the scalar infima h0 and f0;
@@ -237,19 +237,19 @@ def ks_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
              tol: float = DEFAULT_TOL) -> RankOneVerdict:
     """Evaluate the five classical conditions for rank-one convexity on GL+(2).
 
-    The conditions are sampled at x = sqrt(t*z), y = sqrt(z/t) over a stride
-    of each of the t and z grids (``_ks_axis``; 201 x 201 on the defaults),
-    so every sample is also a vol-iso sample.  The diagonal condition (iii)
-    is sampled on the row t = 1 over the same z, whether or not the t grid
-    holds 1.  Reported margins are normalized to dimensionless form (see
-    ``_normalized``); signs and verdicts are unaffected.
+    They are sampled at x = sqrt(t*z), y = sqrt(z/t) over a stride of each
+    grid (``_ks_axis``), t below 1 folded to 1/t since h(t) = h(1/t) makes
+    g(x, y) = g(y, x): x >= y, 101 x 201 on the defaults.  Row 0 is t = 1,
+    grid point or not, where (v) reads |g_xx| - g_xy + g_x/x: condition (iii)
+    wherever (i) holds, so KS_iii reports it.  Reported margins are normalized
+    (see ``_normalized``); signs and verdicts are unaffected.
     """
-    ts = _ks_axis(t_grid)[:, np.newaxis]
+    t = _ks_axis(t_grid)
+    rows = np.sort(np.r_[1.0, np.maximum(t, 1.0 / t)])
+    ts = rows[np.r_[True, np.diff(rows) > 1e-12 * rows[1:]]][:, np.newaxis]
     zs = _ks_axis(z_grid)
     with np.errstate(all="ignore"):
         x, y, _, g_x, g_y, g_xx, g_xy, g_yy = g_partials(e, ts, zs)
-
-        off = np.abs(x - y) > 1e-9 * (x + y)
 
         scale_te = np.abs(g_xx) + np.abs(g_yy)
         reports = [
@@ -257,32 +257,27 @@ def ks_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
                          (x, y), tol),
         ]
 
+        # conditions ii and iv divide by x - y > 0, on the rows past t = 1
         m_ii = (x * g_x - y * g_y) / (x - y)
-        s_ii = (np.abs(x * g_x) + np.abs(y * g_y)) / np.abs(x - y)
-        reports.append(_grid_report("KS_ii", _normalized(m_ii, s_ii)[off],
-                                    (x[off], y[off]), tol))
-
-        # condition on the diagonal x = y, the row t = 1
-        d, _, _, dg_x, dg_y, dg_xx, dg_xy, dg_yy = g_partials(e, 1.0, zs)
-        diag_margin = np.minimum(dg_xx - dg_xy + dg_x / d, dg_yy - dg_xy + dg_y / d)
-        diag_scale = (np.abs(dg_xx) + np.abs(dg_yy) + np.abs(dg_xy)
-                      + (np.abs(dg_x) + np.abs(dg_y)) / d)
-        reports.append(_grid_report("KS_iii", _normalized(diag_margin, diag_scale),
-                                    (d, d), tol))
+        s_ii = (np.abs(x * g_x) + np.abs(y * g_y)) / (x - y)
+        reports.append(_grid_report("KS_ii", _normalized(m_ii, s_ii)[1:],
+                                    (x[1:], y[1:]), tol))
 
         prod = g_xx * g_yy
         root = np.sqrt(np.maximum(prod, 0.0))
         ok = prod >= 0.0  # negative products already fail condition i
         s_root = root + np.abs(g_xy)
-        m_iv = root + g_xy + (g_x - g_y) / (x - y)
-        s_iv = s_root + (np.abs(g_x) + np.abs(g_y)) / np.abs(x - y)
-        sel = off & ok
-        reports.append(_grid_report("KS_iv", _normalized(m_iv, s_iv)[sel],
-                                    (x[sel], y[sel]), tol))
         m_v = root - g_xy + (g_x + g_y) / (x + y)
         s_v = s_root + (np.abs(g_x) + np.abs(g_y)) / (x + y)
-        reports.append(_grid_report("KS_v", _normalized(m_v, s_v)[ok],
-                                    (x[ok], y[ok]), tol))
+        v = _normalized(m_v, s_v)
+        reports.append(_grid_report("KS_iii", v[0], (x[0], y[0]), tol))
+
+        m_iv = root + g_xy + (g_x - g_y) / (x - y)
+        s_iv = s_root + (np.abs(g_x) + np.abs(g_y)) / (x - y)
+        sel = ok & (ts > 1.0)
+        reports.append(_grid_report("KS_iv", _normalized(m_iv, s_iv)[sel],
+                                    (x[sel], y[sel]), tol))
+        reports.append(_grid_report("KS_v", v[ok], (x[ok], y[ok]), tol))
 
     return _overall(reports, "KS")
 

@@ -244,6 +244,8 @@ class _Parser:
     def atom(self):
         kind, text, offset = self.advance()
         if kind == "number":
+            if math.isinf(float(text)):
+                raise ExpressionSyntaxError(f"number {text} is not finite", offset)
             return ("num", float(text))
         if kind == "name":
             if text in FUNCTIONS:

@@ -76,8 +76,9 @@ class TestCheck:
                      "--z-min", "0.01", "--z-max", "100", "--z-points", "61")
         ks = json.loads(res.output)["routes"]["ks"]["conditions"]
         samples = {c["id"]: c["samples"] for c in ks}
-        # a stride of 4 keeps 201 of the 801 t, and all 61 z are kept
-        assert samples["KS_i"] == 201 * 61
+        # a stride of 4 keeps 201 of the 801 t, which fold onto t = 1 and
+        # the 100 above it, and all 61 z are kept
+        assert samples["KS_i"] == 101 * 61
         assert samples["KS_iii"] == 61
         ts, zs = np.logspace(-1, 1, 801), np.logspace(-2, 2, 61)
         for c in ks:
@@ -322,6 +323,24 @@ class TestEnergyFile:
         res = run_fresh("check", "--energy-file", str(p))
         assert res.returncode == 3
         assert res.stderr == "error: unexpected end of input (at offset 11)\n"
+
+    # a number literal that is not finite is a syntax error; a constant
+    # that overflows is an error where it is first evaluated
+    @pytest.mark.parametrize("f, message", [
+        ("1e999*(z - 1)^2", "error: number 1e999 is not finite (at offset 0)\n"),
+        ("exp(1000)*(z - 1)^2", None),
+        ("(z - 1)^2 + 0*exp(1000)", None),
+        ("(z-1)^2/exp(1000)", None),
+    ])
+    @pytest.mark.parametrize("command", ["classify", "check"])
+    def test_constant_that_is_not_finite_is_input_error(self, runner, tmp_path,
+                                                        command, f, message):
+        p = tmp_path / "inf.energy"
+        p.write_text(f"h = (t + 1/t)/2\nf = {f}\n")
+        res = invoke(runner, command, "--energy-file", str(p))
+        assert res.exit_code == 3
+        assert res.output.startswith("error: ") and res.output.count("\n") == 1
+        assert message is None or res.output == message
 
     def test_asymmetric_h_is_input_error(self, runner, tmp_path):
         p = tmp_path / "bad.txt"

@@ -17,7 +17,7 @@ from rankone2d import (
     necessary_battery,
     voliso_check,
 )
-from rankone2d.energy import CATALOG, DEFAULT_Z_GRID
+from rankone2d.energy import CATALOG, DEFAULT_T_GRID, DEFAULT_TOL, DEFAULT_Z_GRID
 
 SMALL_T = GridSpec(1e-3, 1e3, 801)
 SMALL_Z = GridSpec(1e-3, 1e3, 301)
@@ -202,7 +202,8 @@ class TestKsCheck:
 
     @pytest.mark.parametrize("cid", sorted(CATALOG))
     def test_ks_iii_equals_a_separate_diagonal_evaluation(self, cid):
-        # the route reads KS_iii off the row t = 1, which this t grid lacks
+        # the route reads KS_iii as condition (v) on the row t = 1, which
+        # this t grid lacks
         e = catalog(cid)
         z_grid = GridSpec(1e-4, 1e4, 21)
         got = ks_check(e, t_grid=GridSpec(2.0, 50.0, 21), z_grid=z_grid).reports[2]
@@ -210,9 +211,9 @@ class TestKsCheck:
         zs = z_grid.points()
         with np.errstate(all="ignore"):
             x, y, _, g_x, g_y, g_xx, g_xy, g_yy = g_partials(e, np.ones_like(zs), zs)
-            margin = np.minimum(g_xx - g_xy + g_x / x, g_yy - g_xy + g_y / y)
-            scale = (np.abs(g_xx) + np.abs(g_yy) + np.abs(g_xy)
-                     + (np.abs(g_x) + np.abs(g_y)) / x)
+            root = np.sqrt(np.maximum(g_xx * g_yy, 0.0))
+            margin = root - g_xy + (g_x + g_y) / (x + y)
+            scale = root + np.abs(g_xy) + (np.abs(g_x) + np.abs(g_y)) / (x + y)
         want = criteria._normalized(margin, scale)
         i = int(np.argmin(want))
         assert got.worst_margin == want[i]
@@ -235,6 +236,68 @@ class TestKsCheck:
         assert len(d["conditions"]) == 5
         assert {c["id"] for c in d["conditions"]} == {
             "KS_i", "KS_ii", "KS_iii", "KS_iv", "KS_v"}
+
+
+def _ks_full_plane(e, t_grid, z_grid, tol=DEFAULT_TOL):
+    """The KS route over both halves of the plane, x < y included, with the
+    classical condition (iii) from its own walk of the row t = 1: the
+    reference the route on x >= y must reproduce."""
+    ts = criteria._ks_axis(t_grid)[:, np.newaxis]
+    zs = criteria._ks_axis(z_grid)
+    norm, report = criteria._normalized, criteria._grid_report
+    with np.errstate(all="ignore"):
+        x, y, _, g_x, g_y, g_xx, g_xy, g_yy = g_partials(e, ts, zs)
+        off = np.abs(x - y) > 1e-9 * (x + y)
+        reports = [report("KS_i", norm(np.minimum(g_xx, g_yy),
+                                       np.abs(g_xx) + np.abs(g_yy)), (x, y), tol)]
+        m_ii = (x * g_x - y * g_y) / (x - y)
+        s_ii = (np.abs(x * g_x) + np.abs(y * g_y)) / np.abs(x - y)
+        reports.append(report("KS_ii", norm(m_ii, s_ii)[off], (x[off], y[off]), tol))
+        d, _, _, dg_x, dg_y, dg_xx, dg_xy, dg_yy = g_partials(e, 1.0, zs)
+        m_iii = np.minimum(dg_xx - dg_xy + dg_x / d, dg_yy - dg_xy + dg_y / d)
+        s_iii = (np.abs(dg_xx) + np.abs(dg_yy) + np.abs(dg_xy)
+                 + (np.abs(dg_x) + np.abs(dg_y)) / d)
+        reports.append(report("KS_iii", norm(m_iii, s_iii), (d, d), tol))
+        prod = g_xx * g_yy
+        root = np.sqrt(np.maximum(prod, 0.0))
+        ok = prod >= 0.0
+        s_root = root + np.abs(g_xy)
+        m_iv = root + g_xy + (g_x - g_y) / (x - y)
+        s_iv = s_root + (np.abs(g_x) + np.abs(g_y)) / np.abs(x - y)
+        sel = off & ok
+        reports.append(report("KS_iv", norm(m_iv, s_iv)[sel], (x[sel], y[sel]), tol))
+        m_v = root - g_xy + (g_x + g_y) / (x + y)
+        s_v = s_root + (np.abs(g_x) + np.abs(g_y)) / (x + y)
+        reports.append(report("KS_v", norm(m_v, s_v)[ok], (x[ok], y[ok]), tol))
+    return criteria._overall(reports, "KS")
+
+
+class TestKsHalfPlane:
+    """g(x, y) = g(y, x), so the route samples x >= y only: a t below 1 is
+    read as its mirror 1/t, and condition (iii) as (v) on the diagonal."""
+
+    @pytest.mark.parametrize("grids", [
+        (DEFAULT_T_GRID, DEFAULT_Z_GRID),
+        (GridSpec(1e-3, 10, 501), GridSpec(0.1, 1e3, 201)),
+    ], ids=["default", "skew"])
+    @pytest.mark.parametrize("cid", sorted(CATALOG))
+    def test_agrees_with_the_full_plane(self, cid, grids):
+        e = catalog(cid)
+        got, want = ks_check(e, *grids), _ks_full_plane(e, *grids)
+        assert got.overall == want.overall
+        for g, w in zip(got.reports, want.reports, strict=True):
+            assert (g.condition_id, g.verdict) == (w.condition_id, w.verdict)
+            x, y = g.witness
+            assert x >= y, g
+            if g.condition_id != "KS_iii":
+                a, b = g.worst_margin, w.worst_margin
+                assert a == b or abs(a - b) <= 1e-7 * max(abs(a), abs(b)), (g, w)
+
+    def test_samples_the_half_table(self):
+        # the 201 t of the default stride fold onto t = 1 and the 100 above
+        reports = ks_check(catalog("example1")).reports
+        assert [r.samples_used for r in reports] == [
+            101 * 201, 100 * 201, 201, 100 * 201, 101 * 201]
 
 
 class TestNecessaryBattery:

@@ -49,6 +49,15 @@ class TestParsing:
             expr.parse("t + ", "t")
         assert exc.value.offset == 4
 
+    @pytest.mark.parametrize("source, offset", [("1e999*t", 0), ("t + 2e400", 4)])
+    def test_literal_that_is_not_finite_is_rejected(self, source, offset):
+        with pytest.raises(errors.ExpressionSyntaxError) as exc:
+            expr.parse(source, "t")
+        assert exc.value.offset == offset
+
+    def test_largest_literals_parse(self):
+        assert expr.parse("1e308*t", "t").ast == ("mul", ("num", 1e308), ("var",))
+
     @pytest.mark.parametrize("source", ["t +", "(t+1/t)/2 +", "exp(", "-"])
     def test_end_of_input_is_named(self, source):
         with pytest.raises(errors.ExpressionSyntaxError) as exc:
