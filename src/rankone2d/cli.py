@@ -26,10 +26,10 @@ where the command has one, resolves the energy and calls the body with it
 and the command's own options.  The body returns ``(exit code, payload,
 text lines)``; ``_command`` prints the JSON payload with ``schema_version``
 and ``energy`` added, or the text lines after ``energy: <name>``.  A
-``RankOneError`` or ``ClickException`` from any of these steps becomes one
-``error:`` line on stderr and exit 3.  ``--tol`` is checked first, then the
-energy, then the body's own inputs, so with two bad inputs the first of
-these is the one reported.
+``RankOneError``, ``ClickException`` or ``MemoryError`` (a grid too large
+to allocate) from any of these steps becomes one ``error:`` line on stderr
+and exit 3.  ``--tol`` is checked first, then the energy, then the body's
+own inputs, so with two bad inputs the first of these is the one reported.
 
 Each body imports the modules it runs, and option defaults come from
 ``energy``, so a process loads only what its subcommand uses.
@@ -196,6 +196,9 @@ def _command(name: str, *options):
             except (RankOneError, click.ClickException) as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(EXIT_INPUT)
+            except MemoryError as exc:  # a grid too large to allocate
+                click.echo(f"error: out of memory: {exc}", err=True)
+                sys.exit(EXIT_INPUT)
             if report_format == "json":
                 click.echo(json.dumps({"schema_version": SCHEMA_VERSION,
                                        "energy": e.name, **payload},
@@ -284,7 +287,8 @@ def classify(e):
     click.option("--seed", type=int, default=0),
     click.option("--samples", type=int, default=1000,
                  help="Random refinement samples around the worst grid point."),
-    click.option("--grid", "grid_n", type=int, default=20,
+    click.option("--grid", "grid_n", type=int,
+                 default=energy.DEFAULT_ORACLE_GRID.n,
                  help="Stretch samples per axis."),
     _tol_option,
 )

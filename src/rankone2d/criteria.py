@@ -46,6 +46,7 @@ from .energy import (
     DEFAULT_T_GRID,
     DEFAULT_TOL,
     DEFAULT_Z_GRID,
+    INFIMUM_GRID,
     GridSpec,
     SplitEnergy,
     _Coupled,
@@ -54,8 +55,7 @@ from .energy import (
 )
 from .errors import DegenerateGrid, DomainError
 from .expr import terms
-from .scalar_inf import (_GRID_POINTS, InfimumResult, convexity_verdict,
-                         infimum_weighted_second)
+from .scalar_inf import InfimumResult, convexity_verdict, infimum_weighted_second
 
 Witness = Union[None, str, List[float]]
 
@@ -365,19 +365,19 @@ def main_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
 def necessary_battery(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
                       tol: float = DEFAULT_TOL) -> List[ConditionReport]:
     """Necessary-condition battery; any failure certifies non-convexity.
-    Nec_a: h or f is convex by ``convexity_verdict`` on the t grid's range,
-    whose dense grid samples each of them at ``_GRID_POINTS`` points."""
+    Nec_a: h or f is convex by ``convexity_verdict``, which reads each of
+    them on ``INFIMUM_GRID`` whatever the t grid, as ``classify`` does."""
     ts = t_grid.points()
     hj = e.h_jet_array(ts)
     h1, h2 = hj.d1, hj.d2
     f2 = e.f_jet_array(ts).d2
 
-    h_kind, _ = convexity_verdict(e.h, t_grid.lo, t_grid.hi)
-    f_kind, _ = convexity_verdict(e.f, t_grid.lo, t_grid.hi)
+    h_kind, _ = convexity_verdict(e.h)
+    f_kind, _ = convexity_verdict(e.f)
     convex = "Convex" in (h_kind, f_kind)
     reports = [ConditionReport("Nec_a", "Holds" if convex else "Fails",
                                0.0 if convex else -math.inf,
-                               {"h": h_kind, "f": f_kind}, 2 * _GRID_POINTS)]
+                               {"h": h_kind, "f": f_kind}, 2 * INFIMUM_GRID.n)]
     reports.append(_grid_report("Nec_b", h2 + f2, (ts,), tol))
     signed = np.where(ts >= 1.0, h1, -h1)
     reports.append(_grid_report("Nec_c", signed, (ts,), tol))

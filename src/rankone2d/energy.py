@@ -5,9 +5,9 @@ grid at construction.  The module also carries the built-in catalog of named
 energies, the first and second partials of the general two-variable form
 g(x, y) on (t, z) samples, the split conditions C and D that the routes and
 the scan share, and the sampling defaults every check shares: the
-tolerance, the (t, z) log grids and the scan's stretch grid.  The command
-line reads those defaults from here, so its options load none of the
-checking modules.
+tolerance and every range a check samples, each a named ``GridSpec``, so
+changing a range is an edit to one block.  The command line reads those
+defaults from here, so its options load none of the checking modules.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import (
 )
 from .expr import Expr, Jet2, eval_jet2, eval_jet2_array
 
-_SYMMETRY_POINTS = 64
 _SYMMETRY_TOL = 1e-9
 
 DEFAULT_TOL = 1e-8
@@ -50,6 +49,10 @@ DEFAULT_T_GRID = GridSpec(1e-4, 1e4, 4001)
 DEFAULT_Z_GRID = GridSpec(1e-4, 1e4, 1001)
 # range and points per axis of the (lambda1, lambda2) scan
 DEFAULT_SCAN_GRID = GridSpec(10**-2.5, 10**2.5, 128)
+DEFAULT_ORACLE_GRID = GridSpec(1e-2, 1e2, 20)  # the oracle's, per axis
+INFIMUM_GRID = GridSpec(1e-6, 1e6, 8192)  # x^2 u'': h0, f0 and convexity
+STRESS_GRID = GridSpec(1e-3, 1e3, 2001)  # stress certificate's t and z
+SYMMETRY_GRID = GridSpec(1e-3, 1e3, 64)  # t of h(t) = h(1/t) at construction
 
 
 class _SingularValues(NamedTuple):
@@ -102,13 +105,13 @@ def make_split(h_source: str, f_source: str, name: str = "",
     """Parse and validate a split energy from expression sources.
 
     ``params`` binds parameter names in both sources (see ``expr.parse``).
-    h is sampled at t and 1/t for t on [1e-3, 1e3]: a NaN sample raises
-    ``DomainError``, an infinite one ``OverflowValue``, and a residual
+    h is sampled at t and 1/t for t on ``SYMMETRY_GRID``: a NaN sample
+    raises ``DomainError``, an infinite one ``OverflowValue``, and a residual
     |h(t) - h(1/t)| / (1 + |h(t)|) above 1e-9 ``SymmetryViolation``.
     """
     h = expr.parse(h_source, "t", params)
     f = expr.parse(f_source, "z", params)
-    ts = np.logspace(-3.0, 3.0, _SYMMETRY_POINTS)
+    ts = SYMMETRY_GRID.points()
     args = np.concatenate([ts, 1.0 / ts])
     values = eval_jet2_array(h, args).value
     bad = np.flatnonzero(~np.isfinite(values))

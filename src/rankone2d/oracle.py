@@ -16,7 +16,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .energy import DEFAULT_TOL, SingularPair, SplitEnergy, eval_W
+from .energy import DEFAULT_ORACLE_GRID, DEFAULT_TOL, SingularPair, SplitEnergy, eval_W
 from .errors import DegenerateGrid, LeftGLplus, NonPositiveDeterminant
 from .expr import eval_jet2_finite
 from .kernels import _svd2, direction_min_batch
@@ -222,8 +222,7 @@ def _kernel_batch(e: SplitEnergy, lam1, lam2, alpha, beta, n_angles):
 
 def brute_force_check(
     e: SplitEnergy,
-    n_lambda: int = 20,
-    lambda_range: Tuple[float, float] = (1e-2, 1e2),
+    n_lambda: int = DEFAULT_ORACLE_GRID.n,
     n_rotation_pairs: int = 8,
     n_angles: int = 24,
     n_refine: int = 1000,
@@ -233,23 +232,20 @@ def brute_force_check(
     """Grid search over sampled F and rank-one directions, then seeded
     random refinement around the worst point.  Deterministic given the seed.
 
-    ``DegenerateGrid`` is raised unless n_lambda, n_rotation_pairs and
-    n_angles are at least 1, 0 < lambda_min < lambda_max < inf and the seed
-    is in [0, SEED_MAX], whether or not n_refine draws from it.
+    The stretches are n_lambda log-spaced points per axis on the range of
+    ``DEFAULT_ORACLE_GRID``, [1e-2, 1e2].  ``DegenerateGrid`` is raised
+    unless n_lambda, n_rotation_pairs and n_angles are at least 1 and the
+    seed is in [0, SEED_MAX], whether or not n_refine draws from it.
     """
-    lo, hi = lambda_range
-    if not 0.0 < lo < hi < math.inf:
-        raise DegenerateGrid(
-            f"oracle range [{lo:g}, {hi:g}] must satisfy 0 < lambda_min < "
-            "lambda_max < inf")
     for name, size in (("n_lambda", n_lambda), ("n_rotation_pairs", n_rotation_pairs),
                        ("n_angles", n_angles)):
         if size < 1:
             raise DegenerateGrid(f"{name} must be at least 1, got {size}")
     if not 0 <= seed <= SEED_MAX:
         raise DegenerateGrid(f"seed must be in [0, {SEED_MAX}], got {seed}")
-    lg = np.log10(lambda_range)
-    lam = np.logspace(lg[0], lg[1], n_lambda)
+    # its own log grid, as scan_domain's: GridSpec.points() rejects the one
+    # point per axis both accept, and scan's linear spacing
+    lam = np.logspace(*np.log10(DEFAULT_ORACLE_GRID[:2]), n_lambda)
     l1, l2 = map(np.ravel, np.meshgrid(lam, lam, indexing="ij"))
     rot = np.arange(n_rotation_pairs) * (0.5 * np.pi / n_rotation_pairs)
     alpha = np.repeat(rot, l1.size)

@@ -2,10 +2,11 @@
 
 These two scalars (one for the isochoric part, one for the volumetric part)
 couple the reduced one-dimensional rank-one convexity conditions.  The
-infimum over (0, inf) is approximated on a truncated log-domain by a dense
-grid followed by sampled refinement of the best bracket; boundary minima
-and divergence to -inf are reported explicitly.  The sign of the dense
-grid's minimum is the convexity verdict of u.
+infimum over (0, inf) is approximated on ``energy.INFIMUM_GRID``, the dense
+log grid of [1e-6, 1e6], followed by sampled refinement of the best
+bracket; boundary minima and divergence to -inf are reported explicitly.
+The sign of the dense grid's minimum is the convexity verdict of u, so
+every convexity verdict of the package reads that one domain.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .energy import DEFAULT_TOL
-from .errors import DegenerateGrid, DomainError
+from .energy import DEFAULT_TOL, INFIMUM_GRID
+from .errors import DomainError
 from .expr import Expr, eval_jet2_array, eval_jet2_finite
 
-DEFAULT_DOMAIN = (1e-6, 1e6)
-_GRID_POINTS = 8192
 _REFINE_SAMPLES = 64  # per refinement round
 _REL_TOL = 1e-10  # refined bracket width, relative
 _DIVERGENCE_VALUE = -1e12
@@ -30,7 +29,7 @@ LIMIT_UPPER = "limit:x->inf"
 
 
 class InfimumResult(NamedTuple):
-    """Outcome of minimizing x^2 * u''(x) over a truncated log-domain."""
+    """Outcome of minimizing x^2 * u''(x) over ``INFIMUM_GRID``'s range."""
 
     value: float  # -inf when divergence was detected
     attained_at: Union[float, str]  # interior point or a limit marker
@@ -49,12 +48,11 @@ def weighted_second(e: Expr, xs: np.ndarray) -> np.ndarray:
         return xs**2 * d2
 
 
-def _dense_min(e: Expr, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray, int]:
-    """The log grid of [lo, hi], x^2 * u''(x) on it and the index of its first
-    minimum; a NaN sample raises ``DomainError`` naming the source and x."""
-    if not 0.0 < lo < hi < math.inf:
-        raise DegenerateGrid(f"invalid domain [{lo}, {hi}]: need 0 < lo < hi < inf")
-    xs = np.exp(np.linspace(math.log(lo), math.log(hi), _GRID_POINTS))
+def _dense_min(e: Expr) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The points of ``INFIMUM_GRID``, x^2 * u''(x) on them and the index of
+    its first minimum; a NaN sample raises ``DomainError`` naming the source
+    and x."""
+    xs = INFIMUM_GRID.points()
     vals = weighted_second(e, xs)
     if np.isnan(vals).any():
         at = xs[int(np.argmax(np.isnan(vals)))]
@@ -77,12 +75,8 @@ def _refine(e: Expr, lo: float, hi: float) -> Tuple[float, float]:
             return float(xs[k]), float(vals[k])
 
 
-def infimum_weighted_second(
-    e: Expr,
-    domain_lo: float = DEFAULT_DOMAIN[0],
-    domain_hi: float = DEFAULT_DOMAIN[1],
-) -> InfimumResult:
-    """Minimum of x^2 * u''(x) on [domain_lo, domain_hi].
+def infimum_weighted_second(e: Expr) -> InfimumResult:
+    """Minimum of x^2 * u''(x) on ``INFIMUM_GRID``'s range [1e-6, 1e6].
 
     A dense log-grid locates the best bracket (handling multimodality),
     ``_refine`` narrows it.  Monotone decrease into a boundary that either
@@ -90,7 +84,7 @@ def infimum_weighted_second(
     over the last two decades is reported as value -inf; a plain boundary
     minimum gets a limit marker with the boundary evaluation as value.
     """
-    xs, vals, idx = _dense_min(e, domain_lo, domain_hi)
+    xs, vals, idx = _dense_min(e)
     best_val = float(vals[idx])
     history: List[Tuple[int, float]] = [(0, best_val)]
     if best_val < _DIVERGENCE_VALUE:
@@ -135,19 +129,15 @@ def _diverges_into_boundary(xs: np.ndarray, vals: np.ndarray, upper: bool) -> bo
     return outer_min <= inner_min - 1e-6 * (1.0 + abs(inner_min))
 
 
-def convexity_verdict(
-    e: Expr,
-    domain_lo: float = DEFAULT_DOMAIN[0],
-    domain_hi: float = DEFAULT_DOMAIN[1],
-) -> Tuple[str, Optional[float]]:
-    """Convexity of a scalar function from the sign of x^2 * u''(x) on the
-    infimum's dense grid, not the refined infimum, whose rounding can dip
-    below 0 at a double root.
+def convexity_verdict(e: Expr) -> Tuple[str, Optional[float]]:
+    """Convexity of a scalar function from the sign of x^2 * u''(x) on
+    ``INFIMUM_GRID``, the infimum's dense grid, not the refined infimum,
+    whose rounding can dip below 0 at a double root.
 
     Returns ("Convex", None), or ("NonConvex", x) below -DEFAULT_TOL and
     ("Marginal", x) below 0, with x the grid point of the first minimum.
     """
-    xs, vals, idx = _dense_min(e, domain_lo, domain_hi)
+    xs, vals, idx = _dense_min(e)
     if vals[idx] >= 0.0:
         return "Convex", None
     return "NonConvex" if vals[idx] < -DEFAULT_TOL else "Marginal", float(xs[idx])

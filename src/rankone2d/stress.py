@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .energy import DEFAULT_TOL, SingularPair, SplitEnergy
+from .energy import DEFAULT_TOL, STRESS_GRID, SingularPair, SplitEnergy
 
 
 class StressState(NamedTuple):
@@ -72,11 +72,11 @@ def invertibility_verdict(e: SplitEnergy, tol: float = DEFAULT_TOL) -> Invertibi
     """Certify the sign of both Jacobian factors on sample grids.
 
     ``LocallyInvertible`` requires f'' > tol on the z grid and
-    t h'' + h' > tol on the t grid, both 2001 log-spaced points on
-    [1e-3, 1e3]; a factor dipping below -tol yields ``Degenerate`` with a
-    witness; anything else is ``NotCertified``.
+    t h'' + h' > tol on the t grid, both ``STRESS_GRID``, 2001 log-spaced
+    points on [1e-3, 1e3]; a factor dipping below -tol yields ``Degenerate``
+    with a witness; anything else is ``NotCertified``.
     """
-    grid = np.logspace(-3, 3, 2001)  # the t grid and the z grid
+    grid = STRESS_GRID.points()  # the t grid and the z grid
     fpp = e.f_jet_array(grid).d2
     hj = e.h_jet_array(grid)
     iso = grid * hj.d2 + hj.d1

@@ -160,6 +160,29 @@ class TestExtremeInputs:
         assert "RuntimeWarning" not in res.stderr
 
 
+class TestOutOfMemory:
+    """A grid too large to allocate is an input error: one line, exit 3.
+    The checks are made to raise, so no test allocates such a grid."""
+
+    @pytest.mark.parametrize("module, function, args", [
+        ("criteria", "main_check", ("check", "--z-points", "100000000000")),
+        ("scan", "scan_domain", ("scan", "--grid", "1000000")),
+        ("oracle", "brute_force_check",
+         ("oracle", "--grid", "1000000", "--samples", "0")),
+    ], ids=["check", "scan", "oracle"])
+    def test_memory_error_exits_three(self, runner, monkeypatch, module,
+                                      function, args):
+        def oversized(*_, **__):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(importlib.import_module(f"rankone2d.{module}"),
+                            function, oversized)
+        res = invoke(runner, *args, "--catalog", "example1")
+        assert res.exit_code == 3
+        assert res.output == ("error: out of memory: "
+                              "Unable to allocate 745. GiB\n")
+
+
 class TestSinglePointJets:
     """A jet that is undefined or overflows at one evaluation point is an
     input error (exit 3, one line), not a Python exception."""

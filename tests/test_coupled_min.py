@@ -74,7 +74,7 @@ def coupled_cases(draw):
         ws = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=12))
     elif shape == "equal":  # f == 0 gives w == 0 at every z
         ws = [draw(_number)] * draw(st.integers(2, 8))
-    elif shape == "single":  # the main route passes w = f0 alone
+    elif shape == "single":  # one sample of w
         ws = [draw(_number)]
     else:  # samples a few ulps apart around the first row's crossing
         with np.errstate(all="ignore"):

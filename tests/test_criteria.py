@@ -17,7 +17,9 @@ from rankone2d import (
     necessary_battery,
     voliso_check,
 )
-from rankone2d.energy import CATALOG, DEFAULT_T_GRID, DEFAULT_TOL, DEFAULT_Z_GRID
+from rankone2d.energy import (CATALOG, DEFAULT_T_GRID, DEFAULT_TOL, DEFAULT_Z_GRID,
+                              INFIMUM_GRID)
+from rankone2d.scalar_inf import convexity_verdict
 
 SMALL_T = GridSpec(1e-3, 1e3, 801)
 SMALL_Z = GridSpec(1e-3, 1e3, 301)
@@ -25,6 +27,10 @@ SMALL_Z = GridSpec(1e-3, 1e3, 301)
 # Hencky isochoric part with a stiff volumetric part: KS (v) fails at
 # F = diag(10, 0.1), where the rank-one second derivative is about -0.0365
 STIFF_HENCKY = ("0.35*log(t)^2", "2.6*exp(1.4*log(z)^2)")
+
+# f'' < 0 only beyond z = 1e5; far is rank-one convex, hadfar is not
+TAIL_ENERGIES = {"far": ("t^2 + 1/t^2", "log(1 + (z/100000)^2)"),
+                 "hadfar": ("(1/2)*(t + 1/t)", "log(1 + (z/100000)^2)")}
 
 
 def overall_all_routes(e):
@@ -322,6 +328,23 @@ class TestNecessaryBattery:
         reports = {r.condition_id: r for r in necessary_battery(catalog("hencky"))}
         # hencky h' = mu log(t)/t obeys the sign condition
         assert reports["Nec_c"].verdict == "Holds"
+
+    # far's and hadfar's f is not convex, but only outside the t grid's range
+    @pytest.mark.parametrize("name", [*sorted(CATALOG), *TAIL_ENERGIES])
+    @pytest.mark.parametrize("t_grid", [DEFAULT_T_GRID, GridSpec(0.5, 2.0, 11)],
+                             ids=["default-t", "narrow-t"])
+    def test_one_convexity_per_part(self, name, t_grid):
+        # Nec_a reads convexity where classify does, whatever the t grid
+        e = catalog(name) if name in CATALOG else make_split(*TAIL_ENERGIES[name])
+        nec_a = necessary_battery(e, t_grid=t_grid)[0]
+        assert nec_a.witness == {"h": convexity_verdict(e.h)[0],
+                                 "f": convexity_verdict(e.f)[0]}
+        assert nec_a.samples_used == 2 * INFIMUM_GRID.n
+        if name in TAIL_ENERGIES:
+            assert nec_a.witness["f"] == "NonConvex"
+        cls = classify_structure(e)
+        if cls.kind == "hadamard_k":
+            assert cls.convexity == nec_a.witness["f"]
 
 
 class TestClassification:

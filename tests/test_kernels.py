@@ -131,7 +131,7 @@ class TestAcousticKernel:
                                      "hadamard_k", "idealized", "exp_hencky"])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_no_false_violation_at_extreme_stretches(self, cid, seed):
-        res = brute_force_check(catalog(cid), lambda_range=(1e-2, 1e2), seed=seed)
+        res = brute_force_check(catalog(cid), seed=seed)
         assert res.summary == "NoViolationFound"
 
     def test_hencky_map_has_no_elliptic_cell_failing_ks(self):

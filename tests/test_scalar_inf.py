@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rankone2d import catalog, errors, expr, scalar_inf
+from rankone2d.energy import INFIMUM_GRID
 
 
 def infimum(source, var, **kw):
@@ -83,31 +84,11 @@ class TestUnboundedness:
 
 
 class TestDomainHandling:
-    def test_invalid_domain(self):
-        with pytest.raises(ValueError):
-            infimum("z^2", "z", domain_lo=2.0, domain_hi=1.0)
-
     def test_nan_inside_domain_raises(self):
         with pytest.raises(errors.DomainError,
                            match=r"^'sqrt\(z - 1\)' undefined at \S+$") as info:
             infimum("sqrt(z - 1)", "z")
         assert float(str(info.value).split()[-1]) == pytest.approx(1e-6)
-
-    @pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (0.0, 1.0), (1.0, math.inf),
-                                        (1.0, 1.0), (math.nan, 1.0)])
-    @pytest.mark.parametrize("scalar_check", ["infimum_weighted_second",
-                                              "convexity_verdict"])
-    def test_domain_outside_zero_to_inf_is_a_degenerate_grid(self, scalar_check,
-                                                              lo, hi):
-        # a reversed range is never sampled backwards, and log(0) or an
-        # infinite end never reaches numpy
-        with pytest.raises(errors.DegenerateGrid, match="0 < lo < hi < inf"):
-            getattr(scalar_inf, scalar_check)(expr.parse("z^2", "z"), lo, hi)
-
-    def test_domain_truncation_controls(self):
-        r = infimum("(z - 1/z)^4 - (z - 1/z)^2", "z",
-                    domain_lo=0.5, domain_hi=2.0)
-        assert r.value == pytest.approx(-8.090151482887336, abs=1e-8)
 
 
 class TestConvexityVerdict:
@@ -134,11 +115,10 @@ class TestConvexityVerdict:
 
     @pytest.mark.parametrize("scale, kind", [(1e-9, "Marginal"), (1e-7, "NonConvex")])
     def test_sign_of_weighted_second_against_tol(self, scale, kind):
-        # x^2 u'' = -scale, up to rounding, on the whole domain
-        got, wit = scalar_inf.convexity_verdict(
-            expr.parse(f"{scale}*log(z)", "z"), 0.5, 2.0)
+        # x^2 u'' = -scale, up to rounding, on the whole grid
+        got, wit = scalar_inf.convexity_verdict(expr.parse(f"{scale}*log(z)", "z"))
         assert got == kind
-        assert 0.5 <= wit <= 2.0
+        assert wit in INFIMUM_GRID.points()
 
     def test_nan_raises_domain_error(self):
         with pytest.raises(errors.DomainError, match=r"^'sqrt\(z - 1\)' undefined at "):
