@@ -41,15 +41,13 @@ _EXPORTS = {
                "g_partials", "make_split"),
     "errors": ("RankOneError",),
     "expr": ("Expr", "Jet2", "eval_jet2", "parse", "pretty"),
-    "oracle": ("AcousticTensor", "BruteForceResult", "acoustic_tensor",
-               "analytic_second_derivative", "brute_force_check", "eval_W_matrix",
-               "fd_second_derivative", "svd2"),
+    "oracle": ("BruteForceResult", "analytic_second_derivative", "brute_force_check",
+               "eval_W_matrix", "fd_second_derivative", "svd2"),
     "scalar_inf": ("InfimumResult", "convexity_verdict", "infimum_weighted_second"),
     "scan": ("EllipticityMap", "emit_csv", "emit_svg", "scan_domain"),
     "stress": ("InfinitesimalModuli", "InvertibilityReport", "StressState",
                "infinitesimal_moduli", "invertibility_verdict",
-               "linear_rank_one_check", "principal_cauchy", "stress_jacobian_det",
-               "w_lin"),
+               "linear_rank_one_check", "principal_cauchy", "stress_jacobian_det"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -54,8 +54,9 @@ from .energy import (
     g_partials,
 )
 from .errors import DegenerateGrid, DomainError
-from .expr import terms
-from .scalar_inf import InfimumResult, convexity_verdict, infimum_weighted_second
+from .expr import eval_jet2_array, terms
+from .scalar_inf import (InfimumResult, convexity_verdict, infimum_weighted_second,
+                         weighted_second)
 
 Witness = Union[None, str, List[float]]
 
@@ -292,12 +293,12 @@ def voliso_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
     """Evaluate the four equivalent split conditions on the (t, z) grid."""
     ts = t_grid.points()
     zs = z_grid.points()
-    hj = e.h_jet_array(ts)
+    hj = eval_jet2_array(e.h, ts)
     # z^2 f''(z) may overflow to +inf.  C and D then take their w -> +inf
     # limits at that sample; a zero slope times the infinite w is NaN and,
     # like a NaN jet, raises DomainError naming the sample.
     with np.errstate(over="ignore", invalid="ignore"):
-        wz = zs**2 * e.f_jet_array(zs).d2
+        wz = zs**2 * eval_jet2_array(e.f, zs).d2
         wt = ts**2 * hj.d2  # t^2 h''(t)
     # A) separate convexity: min decouples into the two 1-D minima
     it, iz = int(np.argmin(wt)), int(np.argmin(wz))
@@ -340,7 +341,7 @@ def main_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
                                [h0.attained_at, f0.attained_at], 2, tol))
 
     ts = t_grid.points()
-    hj = e.h_jet_array(ts)
+    hj = eval_jet2_array(e.h, ts)
     upper = ts >= 1.0
     reports.append(_grid_report("Main2", hj.d1[upper], (ts[upper],), tol))
 
@@ -366,18 +367,19 @@ def necessary_battery(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
                       tol: float = DEFAULT_TOL) -> List[ConditionReport]:
     """Necessary-condition battery; any failure certifies non-convexity.
     Nec_a: h or f is convex by ``convexity_verdict``, which reads each of
-    them on ``INFIMUM_GRID`` whatever the t grid, as ``classify`` does."""
+    them on ``INFIMUM_GRID`` whatever the t grid, as ``classify`` does.  Its
+    margin is 0 if one is convex, else the larger of x^2 h'' and x^2 f''
+    at their convexity witnesses, judged against ``tol`` like the others."""
     ts = t_grid.points()
-    hj = e.h_jet_array(ts)
+    hj = eval_jet2_array(e.h, ts)
     h1, h2 = hj.d1, hj.d2
-    f2 = e.f_jet_array(ts).d2
+    f2 = eval_jet2_array(e.f, ts).d2
 
-    h_kind, _ = convexity_verdict(e.h)
-    f_kind, _ = convexity_verdict(e.f)
-    convex = "Convex" in (h_kind, f_kind)
-    reports = [ConditionReport("Nec_a", "Holds" if convex else "Fails",
-                               0.0 if convex else -math.inf,
-                               {"h": h_kind, "f": f_kind}, 2 * INFIMUM_GRID.n)]
+    kinds, margins = {}, []
+    for part, u in (("h", e.h), ("f", e.f)):
+        kinds[part], x = convexity_verdict(u)
+        margins.append(0.0 if x is None else float(weighted_second(u, x)))
+    reports = [_report("Nec_a", max(margins), kinds, 2 * INFIMUM_GRID.n, tol)]
     reports.append(_grid_report("Nec_b", h2 + f2, (ts,), tol))
     signed = np.where(ts >= 1.0, h1, -h1)
     reports.append(_grid_report("Nec_c", signed, (ts,), tol))

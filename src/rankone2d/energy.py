@@ -25,7 +25,7 @@ from .errors import (
     SymmetryViolation,
     UnknownCatalogId,
 )
-from .expr import Expr, Jet2, eval_jet2, eval_jet2_array
+from .expr import Expr, eval_jet2, eval_jet2_array
 
 _SYMMETRY_TOL = 1e-9
 
@@ -87,18 +87,6 @@ class SplitEnergy(NamedTuple):
     f: Expr
     name: str = ""
 
-    def h_jet(self, t: float) -> Jet2:
-        return eval_jet2(self.h, t)
-
-    def f_jet(self, z: float) -> Jet2:
-        return eval_jet2(self.f, z)
-
-    def h_jet_array(self, ts: np.ndarray) -> Jet2:
-        return eval_jet2_array(self.h, ts)
-
-    def f_jet_array(self, zs: np.ndarray) -> Jet2:
-        return eval_jet2_array(self.f, zs)
-
 
 def make_split(h_source: str, f_source: str, name: str = "",
                params: Optional[Mapping[str, float]] = None) -> SplitEnergy:
@@ -135,8 +123,8 @@ def make_split(h_source: str, f_source: str, name: str = "",
 
 def eval_W(e: SplitEnergy, p: SingularPair) -> float:
     """Energy value at the given singular values."""
-    return float(e.h_jet(p.lambda1 / p.lambda2).value
-                 + e.f_jet(p.lambda1 * p.lambda2).value)
+    return float(eval_jet2(e.h, p.lambda1 / p.lambda2).value
+                 + eval_jet2(e.f, p.lambda1 * p.lambda2).value)
 
 
 def g_partials(e: SplitEnergy, ts, zs):
@@ -150,8 +138,8 @@ def g_partials(e: SplitEnergy, ts, zs):
     """
     t = np.asarray(ts, dtype=float)
     z = np.asarray(zs, dtype=float)
-    hj = e.h_jet_array(t)
-    fj = e.f_jet_array(z)
+    hj = eval_jet2_array(e.h, t)
+    fj = eval_jet2_array(e.f, z)
     x = np.sqrt(t * z)
     y = np.sqrt(z / t)
     return (x, y,

@@ -3,8 +3,9 @@
 Everything here works directly with 2x2 deformation gradients: a closed-form
 SVD, the energy of a matrix, second directional derivatives along rank-one
 lines (both by finite differences of the energy and by the closed-form
-expression through the distortion function), the acoustic tensor, and a
-sampled search for violating (F, xi, eta) triples.
+expression through the distortion function), and a sampled search for
+violating (F, xi, eta) triples, whose direction kernel minimises the
+closed-form acoustic tensor.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .energy import DEFAULT_ORACLE_GRID, DEFAULT_TOL, SingularPair, SplitEnergy, eval_W
 from .errors import DegenerateGrid, LeftGLplus, NonPositiveDeterminant
-from .expr import eval_jet2_finite
+from .expr import eval_jet2, eval_jet2_array, eval_jet2_finite
 from .kernels import _svd2, direction_min_batch
 
 # |t - 1| at or below which _psi_jets takes the limit branch: there its
@@ -26,17 +27,10 @@ from .kernels import _svd2, direction_min_batch
 # so psi' and c_iso jump by about 2e-11 * h''(1) across the switch
 _PSI_EPS = 3e-6
 
-# finite-difference steps relative to |F|: the 5-point second difference
-# along xi (x) eta and the Hessian stencil of the acoustic tensor
+# the 5-point second difference's step along xi (x) eta, relative to |F|
 _FD_STEP = 1e-3
-_HESSIAN_STEP = 3e-4
 
 SEED_MAX = 2**32 - 1  # seeds are unsigned 32-bit integers
-
-
-def rotation(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
 
 
 def svd2(F: np.ndarray) -> Tuple[SingularPair, float, float]:
@@ -88,7 +82,7 @@ def second_derivative_terms(e: SplitEnergy, F: np.ndarray) -> Tuple[float, float
     F = np.asarray(F, dtype=float)
     pair, _, _ = svd2(F)
     psi1, psi2 = _psi_jets(e, pair.lambda1 / pair.lambda2)
-    fpp = e.f_jet(pair.lambda1 * pair.lambda2).d2
+    fpp = eval_jet2(e.f, pair.lambda1 * pair.lambda2).d2
     return float(psi1), float(psi2), fpp
 
 
@@ -132,60 +126,6 @@ def fd_second_derivative(e: SplitEnergy, F: np.ndarray, xi: np.ndarray,
     return (-w_m2 + 16.0 * w_m1 - 30.0 * w_0 + 16.0 * w_p1 - w_p2) / (12.0 * step**2)
 
 
-class AcousticTensor(NamedTuple):
-    """Symmetric 2x2 matrix whose quadratic form in xi is the rank-one
-    second derivative at fixed eta."""
-
-    Q: np.ndarray
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.Q)[0])
-
-
-def acoustic_tensor(e: SplitEnergy, F: np.ndarray,
-                    eta: np.ndarray) -> AcousticTensor:
-    """Contract the full FD Hessian of W, step 3e-4 |F|, with eta in both
-    slots."""
-    F = np.asarray(F, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    step = float(np.linalg.norm(F)) * _HESSIAN_STEP
-
-    def w(M: np.ndarray) -> float:
-        if np.linalg.det(M) <= 0.0:
-            raise LeftGLplus("Hessian stencil left GL+(2); shrink step")
-        return eval_W_matrix(e, M)
-
-    idx = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    H = np.empty((4, 4))
-    w0 = w(F)
-    for m, (i, j) in enumerate(idx):
-        Em = np.zeros((2, 2))
-        Em[i, j] = 1.0
-        for n, (k, l) in enumerate(idx):
-            if n < m:
-                H[m, n] = H[n, m]
-                continue
-            En = np.zeros((2, 2))
-            En[k, l] = 1.0
-            if m == n:
-                H[m, n] = (w(F + step * Em) - 2.0 * w0 + w(F - step * Em)) / step**2
-            else:
-                H[m, n] = (
-                    w(F + step * (Em + En)) - w(F + step * (Em - En))
-                    - w(F - step * (Em - En)) + w(F - step * (Em + En))
-                ) / (4.0 * step**2)
-
-    Q = np.empty((2, 2))
-    for i in range(2):
-        for k in range(2):
-            Q[i, k] = sum(
-                H[idx.index((i, j)), idx.index((k, l))] * eta[j] * eta[l]
-                for j in range(2) for l in range(2)
-            )
-    Q = 0.5 * (Q + Q.T)
-    return AcousticTensor(Q)
-
-
 # ---------------------------------------------------------------------------
 # sampled search for violations
 
@@ -215,7 +155,7 @@ def _kernel_batch(e: SplitEnergy, lam1, lam2, alpha, beta, n_angles):
     f11 = -sa * lam1 * sb + ca * lam2 * cb
 
     psi1, psi2 = _psi_jets(e, lam1 / lam2)
-    fpp = e.f_jet_array(lam1 * lam2).d2
+    fpp = eval_jet2_array(e.f, lam1 * lam2).d2
     return (f00, f01, f10, f11), direction_min_batch(
         f00, f01, f10, f11, psi1, psi2, fpp, n_angles)
 

@@ -32,6 +32,7 @@ import numpy as np
 from .energy import (DEFAULT_SCAN_GRID, DEFAULT_TOL, SplitEnergy,
                      _coupled_conditions)
 from .errors import DegenerateGrid
+from .expr import eval_jet2_array
 
 # verdict by code 2 * (margin < -tol) + (margin > tol)
 _LABELS = np.array(["Boundary", "Elliptic", "NonElliptic", "NonElliptic"],
@@ -50,10 +51,6 @@ class EllipticityMap(NamedTuple):
     margins: np.ndarray
     verdicts: np.ndarray
     tol: float
-
-    @property
-    def any_nonelliptic(self) -> bool:
-        return bool((self.verdicts == "NonElliptic").any())
 
     def worst(self) -> Tuple[float, float, float]:
         """The first cell of smallest margin among the defined (non-NaN)
@@ -103,8 +100,8 @@ def scan_domain(
     with np.errstate(all="ignore"):
         t = lam[jj] / lam[ii]
         z = lam[jj] * lam[ii]
-        hj = e.h_jet_array(t)
-        fpp = e.f_jet_array(z).d2
+        hj = eval_jet2_array(e.h, t)
+        fpp = eval_jet2_array(e.f, z).d2
         # A, B' (its limit on the diagonal) and D everywhere, C off the
         # diagonal
         cond_c, cond_d = _coupled_conditions(t, hj.d1, hj.d2)

@@ -22,6 +22,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .energy import DEFAULT_TOL, STRESS_GRID, SingularPair, SplitEnergy
+from .errors import DomainError
+from .expr import eval_jet2, eval_jet2_array
 
 
 class StressState(NamedTuple):
@@ -32,21 +34,13 @@ class StressState(NamedTuple):
     tau_iso: float
     tau_vol: float
 
-    @property
-    def pressure(self) -> float:
-        return 0.5 * (self.sigma1 + self.sigma2)
-
-    @property
-    def shear(self) -> float:
-        return 0.5 * (self.sigma1 - self.sigma2)
-
 
 def principal_cauchy(e: SplitEnergy, pair: SingularPair) -> StressState:
     """Principal Cauchy stresses of the split energy at (lambda1, lambda2)."""
     t = pair.lambda1 / pair.lambda2
     z = pair.lambda1 * pair.lambda2
-    hp = e.h_jet(t).d1
-    fp = e.f_jet(z).d1
+    hp = eval_jet2(e.h, t).d1
+    fp = eval_jet2(e.f, z).d1
     dev = hp / pair.lambda2**2
     return StressState(sigma1=dev + fp, sigma2=-dev + fp, tau_iso=t * hp,
                        tau_vol=z * fp)
@@ -56,8 +50,8 @@ def stress_jacobian_det(e: SplitEnergy, pair: SingularPair) -> float:
     """det of d(sigma1, sigma2)/d(lambda1, lambda2), in closed form."""
     t = pair.lambda1 / pair.lambda2
     z = pair.lambda1 * pair.lambda2
-    hj = e.h_jet(t)
-    fpp = e.f_jet(z).d2
+    hj = eval_jet2(e.h, t)
+    fpp = eval_jet2(e.f, z).d2
     return 4.0 * fpp / pair.lambda2**2 * (t * hj.d2 + hj.d1)
 
 
@@ -74,12 +68,20 @@ def invertibility_verdict(e: SplitEnergy, tol: float = DEFAULT_TOL) -> Invertibi
     ``LocallyInvertible`` requires f'' > tol on the z grid and
     t h'' + h' > tol on the t grid, both ``STRESS_GRID``, 2001 log-spaced
     points on [1e-3, 1e3]; a factor dipping below -tol yields ``Degenerate``
-    with a witness; anything else is ``NotCertified``.
+    with a witness; anything else is ``NotCertified``.  A NaN sample of
+    either factor raises ``DomainError`` naming the part and the first such
+    sample, f'' first; an infinite sample is a value like any other.
     """
     grid = STRESS_GRID.points()  # the t grid and the z grid
-    fpp = e.f_jet_array(grid).d2
-    hj = e.h_jet_array(grid)
-    iso = grid * hj.d2 + hj.d1
+    fpp = eval_jet2_array(e.f, grid).d2
+    hj = eval_jet2_array(e.h, grid)
+    with np.errstate(all="ignore"):  # a NaN sample raises below
+        iso = grid * hj.d2 + hj.d1
+    for part, factor in ((e.f, fpp), (e.h, iso)):
+        undefined = np.isnan(factor)
+        if undefined.any():
+            at = grid[int(np.argmax(undefined))]
+            raise DomainError(f"{part.source_text!r} undefined at {at}")
 
     kz = int(np.argmin(fpp))
     kt = int(np.argmin(iso))
@@ -111,23 +113,16 @@ class InfinitesimalModuli(NamedTuple):
 
 def infinitesimal_moduli(e: SplitEnergy, tol: float = DEFAULT_TOL) -> InfinitesimalModuli:
     """Shear and bulk-type moduli at the natural state t = z = 1."""
-    mu = e.h_jet(1.0).d2
-    fj = e.f_jet(1.0)
+    mu = eval_jet2(e.h, 1.0).d2
+    fj = eval_jet2(e.f, 1.0)
     return InfinitesimalModuli(mu=mu, kappa=fj.d2, stress_free=bool(abs(fj.d1) <= tol))
-
-
-def w_lin(mu: float, kappa: float, xi: np.ndarray, eta: np.ndarray) -> float:
-    """Quadratic linearized energy on the rank-one matrix xi (x) eta."""
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    dot = float(xi @ eta)
-    return 0.5 * mu * float(xi @ xi) * float(eta @ eta) + 0.5 * kappa * dot * dot
 
 
 def linear_rank_one_check(mu: float, kappa: float) -> str:
     """Exact rank-one convexity classification of the linearized energy.
 
-    The quadratic form w_lin is rank-one convex iff mu >= 0 and
+    The quadratic form mu/2 |xi|^2 |eta|^2 + kappa/2 (xi . eta)^2 on
+    xi (x) eta is rank-one convex iff mu >= 0 and
     mu + kappa >= 0, strictly so iff both inequalities are strict.
     """
     if mu < 0.0 or mu + kappa < 0.0:

@@ -1,0 +1,88 @@
+"""Independent references the tests check the package against.
+
+None of these is run by a subcommand or another module of the package:
+a rotation matrix to build deformation gradients, the acoustic tensor as a
+finite-difference Hessian of W (the oracle's kernel minimises the
+closed-form 2x2 tensor instead) and the quadratic linearized energy.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from rankone2d.energy import SplitEnergy
+from rankone2d.errors import LeftGLplus
+from rankone2d.oracle import eval_W_matrix
+
+# the Hessian stencil's step relative to |F|
+_HESSIAN_STEP = 3e-4
+
+
+def rotation(angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+class AcousticTensor(NamedTuple):
+    """Symmetric 2x2 matrix whose quadratic form in xi is the rank-one
+    second derivative at fixed eta."""
+
+    Q: np.ndarray
+
+    def min_eigenvalue(self) -> float:
+        return float(np.linalg.eigvalsh(self.Q)[0])
+
+
+def acoustic_tensor(e: SplitEnergy, F: np.ndarray,
+                    eta: np.ndarray) -> AcousticTensor:
+    """Contract the full FD Hessian of W, step 3e-4 |F|, with eta in both
+    slots."""
+    F = np.asarray(F, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    step = float(np.linalg.norm(F)) * _HESSIAN_STEP
+
+    def w(M: np.ndarray) -> float:
+        if np.linalg.det(M) <= 0.0:
+            raise LeftGLplus("Hessian stencil left GL+(2); shrink step")
+        return eval_W_matrix(e, M)
+
+    idx = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    H = np.empty((4, 4))
+    w0 = w(F)
+    for m, (i, j) in enumerate(idx):
+        Em = np.zeros((2, 2))
+        Em[i, j] = 1.0
+        for n, (k, l) in enumerate(idx):
+            if n < m:
+                H[m, n] = H[n, m]
+                continue
+            En = np.zeros((2, 2))
+            En[k, l] = 1.0
+            if m == n:
+                H[m, n] = (w(F + step * Em) - 2.0 * w0 + w(F - step * Em)) / step**2
+            else:
+                H[m, n] = (
+                    w(F + step * (Em + En)) - w(F + step * (Em - En))
+                    - w(F - step * (Em - En)) + w(F - step * (Em + En))
+                ) / (4.0 * step**2)
+
+    Q = np.empty((2, 2))
+    for i in range(2):
+        for k in range(2):
+            Q[i, k] = sum(
+                H[idx.index((i, j)), idx.index((k, l))] * eta[j] * eta[l]
+                for j in range(2) for l in range(2)
+            )
+    Q = 0.5 * (Q + Q.T)
+    return AcousticTensor(Q)
+
+
+def w_lin(mu: float, kappa: float, xi: np.ndarray, eta: np.ndarray) -> float:
+    """Quadratic linearized energy on the rank-one matrix xi (x) eta."""
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    dot = float(xi @ eta)
+    return 0.5 * mu * float(xi @ xi) * float(eta @ eta) + 0.5 * kappa * dot * dot

@@ -478,6 +478,15 @@ class TestStress:
         assert res.exit_code == 0
         assert "LocallyInvertible" in res.output
 
+    def test_undefined_sample_is_an_input_error(self, runner, tmp_path):
+        # f is undefined below z = 1/2, so no verdict rests on its samples
+        p = tmp_path / "undefined_dip.txt"
+        p.write_text("h = (t + 1/t)/2\nf = (z - 1)^2 + (1/1000)*log(z - 1/2)\n")
+        res = invoke(runner, "stress", "--energy-file", str(p), "--at", "2", "1")
+        assert res.exit_code == 3, res.output
+        assert res.output == ("error: '(z - 1)^2 + (1/1000)*log(z - 1/2)' "
+                              "undefined at 0.001\n")
+
 
 class TestScan:
     def test_writes_outputs(self, runner, tmp_path):

@@ -1,8 +1,11 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, reject, settings
+from hypothesis import strategies as st
 
 from rankone2d import (
     GridSpec,
@@ -19,7 +22,10 @@ from rankone2d import (
 )
 from rankone2d.energy import (CATALOG, DEFAULT_T_GRID, DEFAULT_TOL, DEFAULT_Z_GRID,
                               INFIMUM_GRID)
+from rankone2d.expr import eval_jet2_array
 from rankone2d.scalar_inf import convexity_verdict
+
+import strategies
 
 SMALL_T = GridSpec(1e-3, 1e3, 801)
 SMALL_Z = GridSpec(1e-3, 1e3, 301)
@@ -31,6 +37,31 @@ STIFF_HENCKY = ("0.35*log(t)^2", "2.6*exp(1.4*log(z)^2)")
 # f'' < 0 only beyond z = 1e5; far is rank-one convex, hadfar is not
 TAIL_ENERGIES = {"far": ("t^2 + 1/t^2", "log(1 + (z/100000)^2)"),
                  "hadfar": ("(1/2)*(t + 1/t)", "log(1 + (z/100000)^2)")}
+
+
+# h = alpha*S + c, with S a Hadamard spelling or s(t)*t + s(1/t)/t for a
+# source s, which is symmetric and never lacks t; f = r*S(z) + c' or any
+# source in z
+HADAMARD_SPELLINGS = ("t + 1/t", "1/t + t", "(t^2 + 1)/t", "t^-1 + t", "(t*t + 1)/(2*t)",
+                      "t/2 + 1/(2*t)")
+MODERATE = ("1/3", "2", "0.5", "7", "1/10", "3/2", "100")
+OFFSETS = ("0", "1", "-2", "5/2", "-100")
+
+
+def _substituted(source: str, argument: str) -> str:
+    """``source`` with ``argument`` in place of the variable t."""
+    return re.sub(r"\bt\b", argument, source)
+
+
+@st.composite
+def split_sources(draw):
+    symmetric = strategies.sources("t").map(
+        lambda s: f"({s})*t + ({_substituted(s, '(1/t)')})/t")
+    shape = draw(symmetric | st.sampled_from(HADAMARD_SPELLINGS))
+    scale, offset = st.sampled_from(MODERATE), st.sampled_from(OFFSETS)
+    h = f"({draw(scale)})*({shape}) + ({draw(offset)})"
+    same = f"({draw(scale)})*({_substituted(shape, 'z')}) + ({draw(offset)})"
+    return h, draw(st.just(same) | strategies.sources("z"))
 
 
 def overall_all_routes(e):
@@ -324,6 +355,24 @@ class TestNecessaryBattery:
         reports = {r.condition_id: r for r in necessary_battery(e)}
         assert reports["Nec_a"].verdict == "Fails"
 
+    def test_nec_a_margin_is_the_larger_dip(self):
+        # x^2 h'' = 1 - log x and x^2 f'' = 2 (1 - log x), least at x = 1e6
+        nec_a = necessary_battery(catalog("hencky", kappa=2.0))[0]
+        assert nec_a.witness == {"h": "NonConvex", "f": "NonConvex"}
+        assert nec_a.verdict == "Fails"
+        assert nec_a.worst_margin == pytest.approx(1.0 - math.log(1e6), rel=1e-12)
+
+    def test_nec_a_dips_within_tolerance_are_marginal(self):
+        # x^2 u'' dips to -3.0e-9 in both parts, where main's Main1 reads
+        # Marginal: no failure is certified
+        e = make_split("-(2/1000000000)*exp(-log(t)^2)",
+                       "-(2/1000000000)*exp(-log(z)^2)")
+        nec_a = necessary_battery(e)[0]
+        assert nec_a.witness == {"h": "Marginal", "f": "Marginal"}
+        assert nec_a.verdict == "Marginal"
+        assert -DEFAULT_TOL < nec_a.worst_margin < 0.0
+        assert main_check(e).verdict.reports[0].verdict == "Marginal"
+
     def test_signed_monotonicity_condition(self):
         reports = {r.condition_id: r for r in necessary_battery(catalog("hencky"))}
         # hencky h' = mu log(t)/t obeys the sign condition
@@ -425,6 +474,32 @@ class TestClassification:
         # the ratios 1/3 and (1/3 rounded)/1 round to one float but differ
         e = make_split("3*(t^2 + 1/t^2) + log(t)^2", "z^2 + 1/z^2 + (1/3)*log(z)^2")
         assert classify_structure(e).kind == "general"
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(pair=split_sources())
+    def test_named_structure_holds_on_the_infimum_grid(self, pair):
+        # what classify reads from the tree holds where it samples
+        try:
+            e = make_split(*pair)
+            cls = classify_structure(e)
+        except errors.RankOneError:
+            reject()
+        event(cls.kind)
+        if cls.kind == "general":
+            return
+        xs = INFIMUM_GRID.points()
+        with np.errstate(all="ignore"):
+            h = eval_jet2_array(e.h, xs).value
+            if cls.kind == "hadamard_k":
+                rest = h - (cls.mu / 2.0) * (xs + 1.0 / xs)
+            else:
+                rest = eval_jet2_array(e.f, xs).value - cls.ratio * h
+        finite = np.isfinite(rest) & np.isfinite(h)
+        assume(finite.any())
+        rest, h = rest[finite], h[finite]
+        constant = rest[np.argmin(np.abs(h))]
+        assert np.all(np.abs(rest - constant) <= 1e-9 * (1.0 + np.abs(h))), (
+            cls, pair)
 
     def test_boundary_of_the_exp_hencky_range_is_rank_one_convex(self):
         # k = 1/4, khat = 1/8 makes f a multiple of h with a double root of

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rankone2d import (
-    acoustic_tensor,
     analytic_second_derivative,
     brute_force_check,
     catalog,
@@ -11,7 +10,8 @@ from rankone2d import (
     make_split,
     svd2,
 )
-from rankone2d.oracle import rotation
+
+from references import acoustic_tensor, rotation
 
 
 def random_gl_plus(rng, n=1):

@@ -1,14 +1,12 @@
 """Result records are named tuples: built once, never assigned to, equal to
 the plain tuple of their values."""
 
-import numpy as np
 import pytest
 
 from rankone2d import (
     GridSpec,
     Jet2,
     SingularPair,
-    acoustic_tensor,
     brute_force_check,
     catalog,
     classify_structure,
@@ -20,6 +18,7 @@ from rankone2d import (
     scan_domain,
 )
 from rankone2d.errors import DomainError
+from rankone2d.expr import eval_jet2
 
 
 def _records() -> dict:
@@ -35,10 +34,8 @@ def _records() -> dict:
         "GridSpec": GridSpec(1e-2, 1e2, 41),
         "SingularPair": pair,
         "SplitEnergy": e,
-        "Jet2": e.h_jet(2.0),
+        "Jet2": eval_jet2(e.h, 2.0),
         "Expr": e.h,
-        "AcousticTensor": acoustic_tensor(e, np.diag([2.0, 0.5]),
-                                          np.array([1.0, 0.0])),
         "BruteForceResult": brute_force_check(e, n_lambda=3, n_refine=10),
         "InfimumResult": main.h0,
         "EllipticityMap": scan_domain(e, n_points=4),

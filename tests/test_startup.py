@@ -98,7 +98,7 @@ def test_submodule_import_through_the_package():
 
 class TestLazySurface:
     def test_exports_are_the_submodules_objects(self):
-        assert len(set(rankone2d.__all__)) == len(rankone2d.__all__) == 46
+        assert len(set(rankone2d.__all__)) == len(rankone2d.__all__) == 43
         for name in rankone2d.__all__:
             obj = getattr(rankone2d, name)
             assert obj.__module__.startswith("rankone2d.")

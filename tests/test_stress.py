@@ -3,16 +3,21 @@ import pytest
 
 from rankone2d import (
     SingularPair,
+    SplitEnergy,
     catalog,
     eval_W,
     infinitesimal_moduli,
     invertibility_verdict,
     linear_rank_one_check,
     make_split,
+    parse,
     principal_cauchy,
     stress_jacobian_det,
-    w_lin,
 )
+from rankone2d.errors import DomainError
+from rankone2d.expr import eval_jet2
+
+from references import w_lin
 
 
 def fd_principal_stresses(e, l1, l2, h=1e-6):
@@ -50,10 +55,10 @@ class TestPrincipalCauchy:
             st = principal_cauchy(e, SingularPair(l1, l2))
             z = l1 * l2
             t = l1 / l2
-            assert z * st.pressure == pytest.approx(st.tau_vol, rel=1e-9, abs=1e-12)
-            assert z * st.shear == pytest.approx(st.tau_iso, rel=1e-9, abs=1e-12)
-            assert st.tau_vol == pytest.approx(z * e.f_jet(z).d1, rel=1e-12)
-            assert st.tau_iso == pytest.approx(t * e.h_jet(t).d1, rel=1e-12)
+            assert z * (st.sigma1 + st.sigma2) / 2 == pytest.approx(st.tau_vol, rel=1e-9, abs=1e-12)
+            assert z * (st.sigma1 - st.sigma2) / 2 == pytest.approx(st.tau_iso, rel=1e-9, abs=1e-12)
+            assert st.tau_vol == pytest.approx(z * eval_jet2(e.f, z).d1, rel=1e-12)
+            assert st.tau_iso == pytest.approx(t * eval_jet2(e.h, t).d1, rel=1e-12)
 
     def test_natural_state_is_stress_free_for_example2(self):
         st = principal_cauchy(catalog("example2"), SingularPair(1.0, 1.0))
@@ -90,8 +95,8 @@ class TestJacobianDeterminant:
         e = catalog("example2")
         for l1, l2 in [(1.4, 0.6), (0.8, 0.9), (2.5, 1.5)]:
             t, z = l1 / l2, l1 * l2
-            hj = e.h_jet(t)
-            fpp = e.f_jet(z).d2
+            hj = eval_jet2(e.h, t)
+            fpp = eval_jet2(e.f, z).d2
             iso = t * hj.d2 + hj.d1
             det = stress_jacobian_det(e, SingularPair(l1, l2))
             if fpp != 0.0 and iso != 0.0:
@@ -117,6 +122,21 @@ class TestInvertibility:
         e = make_split("0", "(z - 1)^2", name="vol-only")
         rep = invertibility_verdict(e)
         assert rep.verdict == "NotCertified"
+
+    def test_undefined_sample_is_a_domain_error(self):
+        # f is undefined below z = 1/2; above it f'' dips to -707 at 0.5012
+        e = make_split("(t + 1/t)/2", "(z - 1)^2 + (1/1000)*log(z - 1/2)")
+        with pytest.raises(DomainError, match=r"^'\(z - 1\)\^2 \+ \(1/1000\)\*"
+                                              r"log\(z - 1/2\)' undefined at 0\.001$"):
+            invertibility_verdict(e)
+
+    def test_undefined_isochoric_sample_is_a_domain_error(self):
+        # |log t| has no derivative at t = 1, a point of the grid; make_split
+        # rejects it there, so the record is built directly
+        e = SplitEnergy(parse("sqrt(log(t)^2)", "t"), parse("(z - 1)^2", "z"))
+        with pytest.raises(DomainError,
+                           match=r"^'sqrt\(log\(t\)\^2\)' undefined at 1\.0$"):
+            invertibility_verdict(e)
 
 
 class TestModuli:
