@@ -30,8 +30,12 @@ minimum holds the first-index argmin over that table, ties included, so
 ``_coupled_report`` evaluates that one row over all z for the margin and
 witness.
 
-A sampled witness with a negative margin certifies non-convexity; positive
-margins support convexity up to grid resolution, which the reports record.
+Every condition is judged by one rule (``_report``).  A margin is a sum of
+terms, each rounded to about eps of its own size, so a margin given a size,
+the sum of their absolute values, is judged ``_ROUNDING`` times that size
+higher and reported raw; only KS gives sizes.  A sampled witness with a
+negative margin certifies non-convexity; positive margins support convexity
+up to grid resolution, which the reports record.
 """
 
 from __future__ import annotations
@@ -96,13 +100,17 @@ class RankOneVerdict(NamedTuple):
         }
 
 
+_ROUNDING = 64 * np.finfo(float).eps
+
+
 def _report(condition_id: str, margin: float, witness: Witness,
-            samples: int, tol: float) -> ConditionReport:
-    if math.isinf(margin) and margin < 0:
+            samples: int, tol: float, size: float = 0.0) -> ConditionReport:
+    judged = margin + _ROUNDING * size
+    if math.isinf(judged) and judged < 0:
         verdict = "Unbounded"
-    elif margin < -tol:
+    elif judged < -tol:
         verdict = "Fails"
-    elif margin < 0.0:
+    elif judged < 0.0:
         verdict = "Marginal"
     else:
         verdict = "Holds"
@@ -110,19 +118,26 @@ def _report(condition_id: str, margin: float, witness: Witness,
 
 
 def _grid_report(condition_id: str, margins: np.ndarray, points: Sequence[np.ndarray],
-                 tol: float, samples: Optional[int] = None) -> ConditionReport:
-    """The report at the first smallest of ``margins``, sampled at
-    ``points``; it rests on ``samples`` points, by default ``margins.size``."""
+                 tol: float, samples: Optional[int] = None,
+                 size: Optional[np.ndarray] = None) -> ConditionReport:
+    """The report at the first smallest of ``margins + _ROUNDING * size``,
+    sampled at ``points``; it rests on ``samples`` points, by default all."""
     if margins.size == 0:
         raise DegenerateGrid(f"no admissible samples for {condition_id}")
-    if np.isnan(margins).any():
-        i = int(np.argmax(np.isnan(margins)))
+    if size is None:
+        judged = margins
+    else:
+        judged = _ROUNDING * size
+        judged += margins
+    if np.isnan(judged).any():
+        i = int(np.argmax(np.isnan(judged)))
         at = [float(p.ravel()[i]) for p in points]
         raise DomainError(f"{condition_id} undefined at {at}")
-    i = int(np.argmin(margins))
+    i = int(np.argmin(judged))
     witness = [float(p.ravel()[i]) for p in points]
     return _report(condition_id, float(margins.ravel()[i]), witness,
-                   int(margins.size if samples is None else samples), tol)
+                   int(margins.size if samples is None else samples), tol,
+                   0.0 if size is None else float(size.ravel()[i]))
 
 
 def _overall(reports: Sequence[ConditionReport], route: str) -> RankOneVerdict:
@@ -201,27 +216,6 @@ def _coupled_report(condition_id: str, cond: _Coupled, ts: np.ndarray,
 # route 1: five singular-value conditions on g(x, y)
 
 
-_NOISE_FLOOR = 1e-12
-
-
-def _normalized(margin: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Dimensionless margins: divide by a positive magnitude scale and snap
-    roundoff-level values to zero.
-
-    The g-partials of split energies mix terms of wildly different size
-    (f' and f'' grow like powers of z = x*y), so raw margins carry
-    cancellation noise proportional to the largest ingredient.  Dividing by
-    the ingredient magnitude turns that noise into O(machine epsilon),
-    which the snap removes.  It removes a genuine violation of that relative
-    size too: on h = 0.35 log(t)^2, f = 2.6 exp(1.4 log(z)^2), where g_xx
-    reaches 1e38, a condition (v) margin of about -2e3 snaps to zero, so
-    this route misses cells that ``scan_domain`` labels NonElliptic.
-    """
-    out = margin / (1.0 + scale)
-    out[np.abs(out) < _NOISE_FLOOR] = 0.0
-    return out
-
-
 _KS_AXIS_POINTS = 201
 
 
@@ -242,8 +236,12 @@ def ks_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
     grid (``_ks_axis``), t below 1 folded to 1/t since h(t) = h(1/t) makes
     g(x, y) = g(y, x): x >= y, 101 x 201 on the defaults.  Row 0 is t = 1,
     grid point or not, where (v) reads |g_xx| - g_xy + g_x/x: condition (iii)
-    wherever (i) holds, so KS_iii reports it.  Reported margins are normalized
-    (see ``_normalized``); signs and verdicts are unaffected.
+    wherever (i) holds, so KS_iii reports it.
+
+    Each margin is weighted into the units of w = z^2 f''(z), those of the
+    split conditions: (i) is min(x^2 g_xx, y^2 g_yy) = min(A(t, z), A(1/t, z)),
+    A = t^2 h'' + w; (ii) is y (x g_x - y g_y)/(x - y) = 2t h'/(t - 1); (iii)
+    to (v) are multiplied by xy = z.  The sizes take the same positive weights.
     """
     t = _ks_axis(t_grid)
     rows = np.sort(np.r_[1.0, np.maximum(t, 1.0 / t)])
@@ -252,33 +250,33 @@ def ks_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
     with np.errstate(all="ignore"):
         x, y, _, g_x, g_y, g_xx, g_xy, g_yy = g_partials(e, ts, zs)
 
-        scale_te = np.abs(g_xx) + np.abs(g_yy)
-        reports = [
-            _grid_report("KS_i", _normalized(np.minimum(g_xx, g_yy), scale_te),
-                         (x, y), tol),
-        ]
+        a_t, a_inv = x * x * g_xx, y * y * g_yy
+        reports = [_grid_report("KS_i", np.minimum(a_t, a_inv), (x, y), tol,
+                                size=np.abs(a_t) + np.abs(a_inv))]
 
         # conditions ii and iv divide by x - y > 0, on the rows past t = 1
-        m_ii = (x * g_x - y * g_y) / (x - y)
-        s_ii = (np.abs(x * g_x) + np.abs(y * g_y)) / (x - y)
-        reports.append(_grid_report("KS_ii", _normalized(m_ii, s_ii)[1:],
-                                    (x[1:], y[1:]), tol))
+        gap = x - y
+        xg, yg, weight = x * g_x, y * g_y, y / gap
+        reports.append(_grid_report("KS_ii", ((xg - yg) * weight)[1:],
+                                    (x[1:], y[1:]), tol,
+                                    size=((np.abs(xg) + np.abs(yg)) * weight)[1:]))
 
         prod = g_xx * g_yy
         root = np.sqrt(np.maximum(prod, 0.0))
         ok = prod >= 0.0  # negative products already fail condition i
-        s_root = root + np.abs(g_xy)
-        m_v = root - g_xy + (g_x + g_y) / (x + y)
-        s_v = s_root + (np.abs(g_x) + np.abs(g_y)) / (x + y)
-        v = _normalized(m_v, s_v)
-        reports.append(_grid_report("KS_iii", v[0], (x[0], y[0]), tol))
-
-        m_iv = root + g_xy + (g_x - g_y) / (x - y)
-        s_iv = s_root + (np.abs(g_x) + np.abs(g_y)) / (x - y)
+        s_root, s_g, width = root + np.abs(g_xy), np.abs(g_x) + np.abs(g_y), x + y
+        m_v = root - g_xy + (g_x + g_y) / width
+        s_v = s_root + s_g / width
+        m_iv = root + g_xy + (g_x - g_y) / gap
+        s_iv = s_root + s_g / gap
+        for a in (m_v, s_v, m_iv, s_iv):
+            a *= zs  # the weight xy = z
+        reports.append(_grid_report("KS_iii", m_v[0], (x[0], y[0]), tol, size=s_v[0]))
         sel = ok & (ts > 1.0)
-        reports.append(_grid_report("KS_iv", _normalized(m_iv, s_iv)[sel],
-                                    (x[sel], y[sel]), tol))
-        reports.append(_grid_report("KS_v", v[ok], (x[ok], y[ok]), tol))
+        reports.append(_grid_report("KS_iv", m_iv[sel], (x[sel], y[sel]), tol,
+                                    size=s_iv[sel]))
+        reports.append(_grid_report("KS_v", m_v[ok], (x[ok], y[ok]), tol,
+                                    size=s_v[ok]))
 
     return _overall(reports, "KS")
 

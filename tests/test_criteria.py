@@ -23,7 +23,7 @@ from rankone2d import (
 from rankone2d.energy import (CATALOG, DEFAULT_T_GRID, DEFAULT_TOL, DEFAULT_Z_GRID,
                               INFIMUM_GRID)
 from rankone2d.expr import eval_jet2_array
-from rankone2d.scalar_inf import convexity_verdict
+from rankone2d.scalar_inf import convexity_verdict, weighted_second
 
 import strategies
 
@@ -227,15 +227,49 @@ class TestVolisoCheck:
             voliso_check(e, t_grid=SMALL_T, z_grid=SMALL_Z)
 
 
-class TestKsCheck:
-    def test_margins_are_normalized(self):
-        v = ks_check(catalog("example2"), t_grid=SMALL_T, z_grid=SMALL_Z)
-        for r in v.reports:
-            assert abs(r.worst_margin) < 10.0
+def _ks_samples(monkeypatch, e):
+    """{condition id: (margins, points, sizes)} as ``ks_check`` hands them
+    to ``_grid_report``, on the default grids."""
+    seen, report = {}, criteria._grid_report
 
+    def record(cid, margins, points, tol, samples=None, size=None):
+        seen[cid] = (margins, points, size)
+        return report(cid, margins, points, tol, samples, size)
+
+    monkeypatch.setattr(criteria, "_grid_report", record)
+    ks_check(e)
+    return seen
+
+
+class TestKsCheck:
     def test_nonconvex_isochoric_fails(self):
         v = ks_check(catalog("exp_hencky_iso"), t_grid=SMALL_T, z_grid=SMALL_Z)
         assert v.overall == "NotRankOneConvex"
+
+    # the margins are in the units of the split conditions, those of w = z^2 f''
+    @pytest.mark.parametrize("cid", sorted(CATALOG))
+    def test_ks_i_is_the_split_condition_a(self, cid, monkeypatch):
+        e = catalog(cid)
+        margins, (x, y), size = _ks_samples(monkeypatch, e)["KS_i"]
+        t, z = x / y, x * y
+        w = weighted_second(e.f, z)
+        want = np.minimum(weighted_second(e.h, t) + w, weighted_second(e.h, 1.0 / t) + w)
+        assert np.all(np.abs(margins - want) <= 1e-12 * size)
+
+    @pytest.mark.parametrize("cid", sorted(CATALOG))
+    def test_ks_ii_is_the_split_condition_b(self, cid, monkeypatch):
+        # 2t h'/(t - 1), the scan's B'
+        e = catalog(cid)
+        margins, (x, y), size = _ks_samples(monkeypatch, e)["KS_ii"]
+        t = x / y
+        want = 2.0 * t * eval_jet2_array(e.h, t).d1 / (t - 1.0)
+        assert np.all(np.abs(margins - want) <= 1e-12 * size)
+
+    def test_an_overflowed_volumetric_part_is_decided(self):
+        # f'' overflows on the z grid: a margin of +inf over a size of +inf
+        # holds, and KS (v) fails as vol-iso's D does
+        e = make_split(STIFF_HENCKY[0], "2.6*exp(6*log(z)^2)")
+        assert ks_check(e).overall == "NotRankOneConvex"
 
     @pytest.mark.parametrize("cid", sorted(CATALOG))
     def test_ks_iii_equals_a_separate_diagonal_evaluation(self, cid):
@@ -249,22 +283,23 @@ class TestKsCheck:
         with np.errstate(all="ignore"):
             x, y, _, g_x, g_y, g_xx, g_xy, g_yy = g_partials(e, np.ones_like(zs), zs)
             root = np.sqrt(np.maximum(g_xx * g_yy, 0.0))
-            margin = root - g_xy + (g_x + g_y) / (x + y)
-            scale = root + np.abs(g_xy) + (np.abs(g_x) + np.abs(g_y)) / (x + y)
-        want = criteria._normalized(margin, scale)
-        i = int(np.argmin(want))
-        assert got.worst_margin == want[i]
+            margin = (root - g_xy + (g_x + g_y) / (x + y)) * zs
+            size = (root + np.abs(g_xy) + (np.abs(g_x) + np.abs(g_y)) / (x + y)) * zs
+        i = int(np.argmin(margin + criteria._ROUNDING * size))
+        assert got.worst_margin == margin[i]
         assert got.witness == [np.sqrt(zs[i])] * 2
         assert got.samples_used == zs.size
 
     def test_diamond_energy_is_not_certified(self):
         # A = t^2 h'' + z^2 f'' is -0.0193 at (t, z) = (1e4, 1e4), a point
-        # the x, y square [1e-2, 1e2] never reached; on the (t, z) stride
-        # KS_i falls below zero there, inside tol, so Marginal
+        # the x, y square [1e-2, 1e2] never reached; KS_i, in the units of
+        # A, fails there
         e = make_split("(t + 1/t)/2", "(1/100)*log(1 + (z/1000)^2)")
         v = ks_check(e)
-        assert v.overall != "RankOneConvex"
-        assert v.reports[0].verdict == "Marginal"
+        assert v.overall == "NotRankOneConvex"
+        assert v.reports[0].verdict == "Fails"
+        assert v.reports[0].worst_margin == pytest.approx(-0.0193, abs=1e-4)
+        assert v.reports[0].witness == pytest.approx([1e4, 1.0])
 
     def test_report_serialization(self):
         v = ks_check(catalog("example1"), t_grid=SMALL_T, z_grid=SMALL_Z)
@@ -278,34 +313,40 @@ class TestKsCheck:
 def _ks_full_plane(e, t_grid, z_grid, tol=DEFAULT_TOL):
     """The KS route over both halves of the plane, x < y included, with the
     classical condition (iii) from its own walk of the row t = 1: the
-    reference the route on x >= y must reproduce."""
+    reference the route on x >= y must reproduce.  The weights are those
+    of the route, symmetric in x and y: x^2 and y^2 in (i), the smaller of
+    x and y in (ii) and xy elsewhere."""
     ts = criteria._ks_axis(t_grid)[:, np.newaxis]
     zs = criteria._ks_axis(z_grid)
-    norm, report = criteria._normalized, criteria._grid_report
+    report = criteria._grid_report
     with np.errstate(all="ignore"):
         x, y, _, g_x, g_y, g_xx, g_xy, g_yy = g_partials(e, ts, zs)
+        xy = x * y
         off = np.abs(x - y) > 1e-9 * (x + y)
-        reports = [report("KS_i", norm(np.minimum(g_xx, g_yy),
-                                       np.abs(g_xx) + np.abs(g_yy)), (x, y), tol)]
-        m_ii = (x * g_x - y * g_y) / (x - y)
-        s_ii = (np.abs(x * g_x) + np.abs(y * g_y)) / np.abs(x - y)
-        reports.append(report("KS_ii", norm(m_ii, s_ii)[off], (x[off], y[off]), tol))
+        a_x, a_y = x * x * g_xx, y * y * g_yy
+        reports = [report("KS_i", np.minimum(a_x, a_y), (x, y), tol,
+                          size=np.abs(a_x) + np.abs(a_y))]
+        m_ii = (x * g_x - y * g_y) * np.minimum(x, y) / (x - y)
+        s_ii = (np.abs(x * g_x) + np.abs(y * g_y)) * np.minimum(x, y) / np.abs(x - y)
+        reports.append(report("KS_ii", m_ii[off], (x[off], y[off]), tol,
+                              size=s_ii[off]))
         d, _, _, dg_x, dg_y, dg_xx, dg_xy, dg_yy = g_partials(e, 1.0, zs)
-        m_iii = np.minimum(dg_xx - dg_xy + dg_x / d, dg_yy - dg_xy + dg_y / d)
+        m_iii = np.minimum(dg_xx - dg_xy + dg_x / d, dg_yy - dg_xy + dg_y / d) * zs
         s_iii = (np.abs(dg_xx) + np.abs(dg_yy) + np.abs(dg_xy)
-                 + (np.abs(dg_x) + np.abs(dg_y)) / d)
-        reports.append(report("KS_iii", norm(m_iii, s_iii), (d, d), tol))
+                 + (np.abs(dg_x) + np.abs(dg_y)) / d) * zs
+        reports.append(report("KS_iii", m_iii, (d, d), tol, size=s_iii))
         prod = g_xx * g_yy
         root = np.sqrt(np.maximum(prod, 0.0))
         ok = prod >= 0.0
         s_root = root + np.abs(g_xy)
-        m_iv = root + g_xy + (g_x - g_y) / (x - y)
-        s_iv = s_root + (np.abs(g_x) + np.abs(g_y)) / np.abs(x - y)
+        m_iv = (root + g_xy + (g_x - g_y) / (x - y)) * xy
+        s_iv = (s_root + (np.abs(g_x) + np.abs(g_y)) / np.abs(x - y)) * xy
         sel = off & ok
-        reports.append(report("KS_iv", norm(m_iv, s_iv)[sel], (x[sel], y[sel]), tol))
-        m_v = root - g_xy + (g_x + g_y) / (x + y)
-        s_v = s_root + (np.abs(g_x) + np.abs(g_y)) / (x + y)
-        reports.append(report("KS_v", norm(m_v, s_v)[ok], (x[ok], y[ok]), tol))
+        reports.append(report("KS_iv", m_iv[sel], (x[sel], y[sel]), tol,
+                              size=s_iv[sel]))
+        m_v = (root - g_xy + (g_x + g_y) / (x + y)) * xy
+        s_v = (s_root + (np.abs(g_x) + np.abs(g_y)) / (x + y)) * xy
+        reports.append(report("KS_v", m_v[ok], (x[ok], y[ok]), tol, size=s_v[ok]))
     return criteria._overall(reports, "KS")
 
 
