@@ -55,7 +55,7 @@ from .energy import (
     SplitEnergy,
     _Coupled,
     _coupled_conditions,
-    g_partials,
+    _g_from_jets,
 )
 from .errors import DegenerateGrid, DomainError
 from .expr import eval_jet2_array, terms
@@ -241,18 +241,27 @@ def ks_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
     Each margin is weighted into the units of w = z^2 f''(z), those of the
     split conditions: (i) is min(x^2 g_xx, y^2 g_yy) = min(A(t, z), A(1/t, z)),
     A = t^2 h'' + w; (ii) is y (x g_x - y g_y)/(x - y) = 2t h'/(t - 1); (iii)
-    to (v) are multiplied by xy = z.  The sizes take the same positive weights.
+    to (v) are multiplied by xy = z.  The sizes take the same positive weights,
+    except that KS_i's is the size of the smaller candidate's own terms:
+    |t^2 h''(t)| + |w| or |t^-2 h''(1/t)| + |w|.
     """
     t = _ks_axis(t_grid)
     rows = np.sort(np.r_[1.0, np.maximum(t, 1.0 / t)])
     ts = rows[np.r_[True, np.diff(rows) > 1e-12 * rows[1:]]][:, np.newaxis]
     zs = _ks_axis(z_grid)
     with np.errstate(all="ignore"):
-        x, y, _, g_x, g_y, g_xx, g_xy, g_yy = g_partials(e, ts, zs)
+        hj, fj = eval_jet2_array(e.h, ts), eval_jet2_array(e.f, zs)
+        x, y, _, g_x, g_y, g_xx, g_xy, g_yy = _g_from_jets(ts, zs, hj, fj)
 
+        # the band is the size of the smaller candidate's own terms, t^2 h''(t)
+        # and w for A(t, z), t^-2 h''(1/t) = t^2 h''(t) + 2t h'(t) and w for
+        # A(1/t, z): on a Hadamard h the other one is about mu*t
         a_t, a_inv = x * x * g_xx, y * y * g_yy
+        iso = ts * ts * hj.d2
+        size = (np.where(a_t <= a_inv, np.abs(iso), np.abs(iso + 2.0 * ts * hj.d1))
+                + np.abs(zs * zs * fj.d2))
         reports = [_grid_report("KS_i", np.minimum(a_t, a_inv), (x, y), tol,
-                                size=np.abs(a_t) + np.abs(a_inv))]
+                                size=size)]
 
         # conditions ii and iv divide by x - y > 0, on the rows past t = 1
         gap = x - y

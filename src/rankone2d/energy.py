@@ -138,8 +138,11 @@ def g_partials(e: SplitEnergy, ts, zs):
     """
     t = np.asarray(ts, dtype=float)
     z = np.asarray(zs, dtype=float)
-    hj = eval_jet2_array(e.h, t)
-    fj = eval_jet2_array(e.f, z)
+    return _g_from_jets(t, z, eval_jet2_array(e.h, t), eval_jet2_array(e.f, z))
+
+
+def _g_from_jets(t, z, hj, fj):
+    """``g_partials`` from the h jets at t and the f jets at z."""
     x = np.sqrt(t * z)
     y = np.sqrt(z / t)
     return (x, y,

@@ -20,7 +20,7 @@ import numpy as np
 from .energy import DEFAULT_ORACLE_GRID, DEFAULT_TOL, SingularPair, SplitEnergy, eval_W
 from .errors import DegenerateGrid, LeftGLplus, NonPositiveDeterminant
 from .expr import eval_jet2, eval_jet2_array, eval_jet2_finite
-from .kernels import _svd2, direction_min_batch
+from .kernels import direction_min_batch
 
 # |t - 1| at or below which _psi_jets takes the limit branch: there its
 # O((t - 1)^2) error meets the O(eps/|t - 1|) rounding of the chain rule,
@@ -38,15 +38,19 @@ def svd2(F: np.ndarray) -> Tuple[SingularPair, float, float]:
 
     Returns (singular pair with lambda1 >= lambda2 > 0, theta_left,
     theta_right) such that F = R(theta_left) @ diag(lambda1, lambda2)
-    @ R(theta_right); a scalar front for the kernel's ``_svd2``.
+    @ R(theta_right).  The smaller singular value is det F / lambda1, formed
+    without subtracting the two singular values.
     """
     (a, b), (c, d) = np.asarray(F, dtype=float)
     det = a * d - b * c
     if det <= 0.0:
         raise NonPositiveDeterminant(f"det F = {det:.6g} <= 0")
-    lambda1, lambda2, theta_left, theta_right, _ = _svd2(a, b, c, d)
-    return (SingularPair(float(lambda1), float(lambda2)),
-            float(theta_left), float(theta_right))
+    e_, f_ = 0.5 * (a + d), 0.5 * (a - d)
+    g_, h_ = 0.5 * (c + b), 0.5 * (c - b)
+    lambda1 = math.hypot(e_, h_) + math.hypot(f_, g_)
+    a1, a2 = math.atan2(g_, f_), math.atan2(h_, e_)
+    return (SingularPair(lambda1, float(det / lambda1)),
+            0.5 * (a2 + a1), 0.5 * (a2 - a1))
 
 
 def eval_W_matrix(e: SplitEnergy, F: np.ndarray) -> float:
@@ -144,41 +148,34 @@ class BruteForceResult(NamedTuple):
         return "Violation" if self.violation else "NoViolationFound"
 
 
-def _kernel_batch(e: SplitEnergy, lam1, lam2, alpha, beta, n_angles):
-    """Assemble per-sample matrices and jets, run the direction kernel."""
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
-    # R(alpha) @ diag(l1, l2) @ R(beta)
-    f00 = ca * lam1 * cb - sa * lam2 * sb
-    f01 = -ca * lam1 * sb - sa * lam2 * cb
-    f10 = sa * lam1 * cb + ca * lam2 * sb
-    f11 = -sa * lam1 * sb + ca * lam2 * cb
-
+def _kernel_batch(e: SplitEnergy, lam1, lam2, offset, n_angles):
+    """The direction kernel at diag(lam1, lam2), lam1 >= lam2, with its jets."""
     psi1, psi2 = _psi_jets(e, lam1 / lam2)
     fpp = eval_jet2_array(e.f, lam1 * lam2).d2
-    return (f00, f01, f10, f11), direction_min_batch(
-        f00, f01, f10, f11, psi1, psi2, fpp, n_angles)
+    return direction_min_batch(lam1, lam2, offset, psi1, psi2, fpp, n_angles)
 
 
 def brute_force_check(
     e: SplitEnergy,
     n_lambda: int = DEFAULT_ORACLE_GRID.n,
-    n_rotation_pairs: int = 8,
-    n_angles: int = 24,
+    n_angles: int = 48,
     n_refine: int = 1000,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> BruteForceResult:
-    """Grid search over sampled F and rank-one directions, then seeded
+    """Grid search over diagonal states and rank-one directions, then seeded
     random refinement around the worst point.  Deterministic given the seed.
 
-    The stretches are n_lambda log-spaced points per axis on the range of
-    ``DEFAULT_ORACLE_GRID``, [1e-2, 1e2].  ``DegenerateGrid`` is raised
-    unless n_lambda, n_rotation_pairs and n_angles are at least 1 and the
-    seed is in [0, SEED_MAX], whether or not n_refine draws from it.
+    W depends on F only through its singular values, so every sample is a
+    diagonal F = diag(l1, l2) with l1 >= l2: the n_lambda*(n_lambda + 1)/2
+    such pairs of n_lambda log-spaced stretches on the range of
+    ``DEFAULT_ORACLE_GRID``, [1e-2, 1e2], with eta on n_angles angles
+    k*pi/n_angles.  The refinement draws (log l1, log l2, eta offset) about
+    the worst grid state.  ``DegenerateGrid`` is raised unless n_lambda and
+    n_angles are at least 1 and the seed is in [0, SEED_MAX], whether or
+    not n_refine draws from it.
     """
-    for name, size in (("n_lambda", n_lambda), ("n_rotation_pairs", n_rotation_pairs),
-                       ("n_angles", n_angles)):
+    for name, size in (("n_lambda", n_lambda), ("n_angles", n_angles)):
         if size < 1:
             raise DegenerateGrid(f"{name} must be at least 1, got {size}")
     if not 0 <= seed <= SEED_MAX:
@@ -186,27 +183,24 @@ def brute_force_check(
     # its own log grid, as scan_domain's: GridSpec.points() rejects the one
     # point per axis both accept, and scan's linear spacing
     lam = np.logspace(*np.log10(DEFAULT_ORACLE_GRID[:2]), n_lambda)
-    l1, l2 = map(np.ravel, np.meshgrid(lam, lam, indexing="ij"))
-    rot = np.arange(n_rotation_pairs) * (0.5 * np.pi / n_rotation_pairs)
-    alpha = np.repeat(rot, l1.size)
-    beta = np.repeat(rot[(3 * np.arange(n_rotation_pairs)) % n_rotation_pairs],
-                     l1.size)
-    lam1 = np.tile(l1, n_rotation_pairs)
-    lam2 = np.tile(l2, n_rotation_pairs)
+    j, i = np.triu_indices(n_lambda)  # i >= j
+    lam1, lam2 = lam[i], lam[j]
+    offset = np.zeros(lam1.size)
 
-    mats, (vals, xis, etas) = _kernel_batch(e, lam1, lam2, alpha, beta, n_angles)
+    vals, xis, etas = _kernel_batch(e, lam1, lam2, offset, n_angles)
     k = int(np.argmin(vals))
-    winners = [_pack(e, mats, xis, etas, k)]
+    winners = [_pack(e, lam1, lam2, xis, etas, k)]
 
     if n_refine > 0:
-        n1, n2, na, nb = 0.2 * _normals(seed, n_refine)
+        n1, n2, n3 = 0.2 * _normals(seed, n_refine)
         s1 = np.exp(np.log(lam1[k]) + n1)
         s2 = np.exp(np.log(lam2[k]) + n2)
-        sa = alpha[k] + na
-        sb = beta[k] + nb
-        mats_r, (vals_r, xis_r, etas_r) = _kernel_batch(
-            e, s1, s2, sa, sb, 2 * n_angles)
-        winners.append(_pack(e, mats_r, xis_r, etas_r, int(np.argmin(vals_r))))
+        # diag(s1, s2) with s1 < s2 is diag(s2, s1) with eta turned by pi/2
+        swap = s1 < s2
+        s1, s2 = np.where(swap, s2, s1), np.where(swap, s1, s2)
+        off = n3 + np.where(swap, 0.5 * np.pi, 0.0)
+        vals_r, xis_r, etas_r = _kernel_batch(e, s1, s2, off, n_angles)
+        winners.append(_pack(e, s1, s2, xis_r, etas_r, int(np.argmin(vals_r))))
 
     # the kernel's value can lose its sign where f'' * J^2 dominates, so
     # each stage's winner is judged by its re-checked value
@@ -215,20 +209,21 @@ def brute_force_check(
 
 
 def _normals(seed: int, n: int) -> np.ndarray:
-    """4 x n standard normals, Box-Muller on ``random.Random(seed).random()``,
+    """3 x n standard normals, Box-Muller on ``random.Random(seed).random()``,
     the stream Python keeps the same across versions."""
     rng = random.Random(seed)
-    u1, u2 = np.array([rng.random() for _ in range(4 * n)]).reshape(2, 2 * n)
+    pairs = (3 * n + 1) // 2
+    u1, u2 = np.array([rng.random() for _ in range(2 * pairs)]).reshape(2, pairs)
     r = np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 lies in (0, 1]
     angle = 2.0 * np.pi * u2
-    return (r * np.stack([np.cos(angle), np.sin(angle)])).reshape(4, n)
+    return (r * np.stack([np.cos(angle), np.sin(angle)])).ravel()[:3 * n].reshape(3, n)
 
 
-def _pack(e: SplitEnergy, mats, xis, etas, k) -> tuple:
-    """(value, F, xi, eta) of witness k of a kernel batch, valued by
-    ``analytic_second_derivative`` at the float witness it prints."""
-    f00, f01, f10, f11 = mats
-    F = np.array([[f00[k], f01[k]], [f10[k], f11[k]]])
+def _pack(e: SplitEnergy, lam1, lam2, xis, etas, k) -> tuple:
+    """(value, F, xi, eta) of witness k of a kernel batch, F = diag(lam1[k],
+    lam2[k]), valued by ``analytic_second_derivative`` at the float witness
+    it prints."""
+    F = np.diag([lam1[k], lam2[k]])
     xi = np.array([math.cos(xis[k]), math.sin(xis[k])])
     eta = np.array([math.cos(etas[k]), math.sin(etas[k])])
     return analytic_second_derivative(e, F, xi, eta), F, xi, eta

@@ -250,11 +250,14 @@ class TestKsCheck:
     @pytest.mark.parametrize("cid", sorted(CATALOG))
     def test_ks_i_is_the_split_condition_a(self, cid, monkeypatch):
         e = catalog(cid)
-        margins, (x, y), size = _ks_samples(monkeypatch, e)["KS_i"]
+        margins, (x, y), _ = _ks_samples(monkeypatch, e)["KS_i"]
         t, z = x / y, x * y
         w = weighted_second(e.f, z)
-        want = np.minimum(weighted_second(e.h, t) + w, weighted_second(e.h, 1.0 / t) + w)
-        assert np.all(np.abs(margins - want) <= 1e-12 * size)
+        a_t, a_inv = weighted_second(e.h, t) + w, weighted_second(e.h, 1.0 / t) + w
+        # to 1e-12 of both candidates: h'' cancels within its own jet here
+        # (exp_hencky_iso at t = 3.98), below KS_i's size
+        assert np.all(np.abs(margins - np.minimum(a_t, a_inv))
+                      <= 1e-12 * (np.abs(a_t) + np.abs(a_inv)))
 
     @pytest.mark.parametrize("cid", sorted(CATALOG))
     def test_ks_ii_is_the_split_condition_b(self, cid, monkeypatch):
@@ -300,6 +303,34 @@ class TestKsCheck:
         assert v.reports[0].verdict == "Fails"
         assert v.reports[0].worst_margin == pytest.approx(-0.0193, abs=1e-4)
         assert v.reports[0].witness == pytest.approx([1e4, 1.0])
+
+    @pytest.mark.parametrize("cid", sorted(CATALOG))
+    def test_ks_i_size_is_the_smaller_candidates_own(self, cid, monkeypatch):
+        # |t^2 h''(t)| + |w| where A(t, z) is the smaller candidate, else
+        # |t^-2 h''(1/t)| + |w|, not the sum of both candidates
+        e = catalog(cid)
+        _, (x, y), size = _ks_samples(monkeypatch, e)["KS_i"]
+        t, z = x / y, x * y
+        w = np.abs(weighted_second(e.f, z))
+        a_t, a_inv = weighted_second(e.h, t), weighted_second(e.h, 1.0 / t)
+        want = np.where(a_t <= a_inv, np.abs(a_t), np.abs(a_inv)) + w
+        assert np.allclose(size, want, rtol=1e-9, atol=0.0)
+
+    # on these grids vol-iso's A fails at t = 1e8, where the other candidate
+    # A(1/t, z) is about mu*t; a band on the sum of both hid the failure
+    @pytest.mark.parametrize("name, h, f, params, margin", [
+        ("had_tail", "(mu/2)*(t + 1/t)", "-(1/100000)*log(1 + (z/1000)^2)",
+         {"mu": 100.0}, -1.457e-6),
+        ("near_had(1e-12)", "(t + 1/t)/2 + c*log(t)^4", "(z - 1)^2",
+         {"c": 1e-12}, -1.093e-8),
+    ])
+    def test_ks_i_fails_past_the_default_grids(self, name, h, f, params, margin):
+        e = make_split(h, f, params=params)
+        v = ks_check(e, t_grid=GridSpec(1e-8, 1e8, 3001),
+                     z_grid=GridSpec(1e-8, 1e8, 777))
+        assert v.overall == "NotRankOneConvex"
+        assert v.reports[0].verdict == "Fails"
+        assert v.reports[0].worst_margin == pytest.approx(margin, rel=1e-3)
 
     def test_report_serialization(self):
         v = ks_check(catalog("example1"), t_grid=SMALL_T, z_grid=SMALL_Z)

@@ -8,32 +8,31 @@ from rankone2d.kernels import direction_min_batch
 from rankone2d.expr import eval_jet2
 from rankone2d.oracle import _PSI_EPS, _psi_jets, second_derivative_terms
 
-from references import rotation
+
+def _state_batch(e, n, seed, spread=2.0):
+    """Diagonal states F = diag(l1, l2), l1 >= l2 in e^+-spread, and their
+    eta offsets in [0, pi)."""
+    rng = np.random.RandomState(seed)
+    lam = np.exp(rng.uniform(-spread, spread, (2, n)))
+    lam1, lam2 = lam.max(axis=0), lam.min(axis=0)
+    offset = rng.uniform(0.0, np.pi, n)
+    mats = [np.diag([l1, l2]) for l1, l2 in zip(lam1, lam2)]
+    terms = np.array([second_derivative_terms(e, F) for F in mats])
+    return mats, (lam1, lam2, offset, *terms.T)
 
 
 def make_batch(n=64, seed=0):
-    rng = np.random.RandomState(seed)
-    e = catalog("example2")
-    lam1 = np.exp(rng.uniform(-1.5, 1.5, n))
-    lam2 = np.exp(rng.uniform(-1.5, 1.5, n))
-    f00, f01 = lam1, np.zeros(n)
-    f10, f11 = np.zeros(n), lam2
-    psi1 = np.empty(n)
-    psi2 = np.empty(n)
-    fpp = np.empty(n)
-    for i in range(n):
-        F = np.diag([lam1[i], lam2[i]])
-        psi1[i], psi2[i], fpp[i] = second_derivative_terms(e, F)
-    return f00, f01, f10, f11, psi1, psi2, fpp
+    """Diagonal states of example2 in e^+-1.5, as kernel arguments."""
+    return _state_batch(catalog("example2"), n, seed, spread=1.5)[1]
 
 
 class TestKernelContract:
     def test_min_is_attained_at_reported_angles(self):
         batch = make_batch(16, seed=3)
         vals, xis, etas = direction_min_batch(*batch, 16)
-        f00, f01, f10, f11, psi1, psi2, fpp = batch
+        lam1, lam2, _, psi1, psi2, fpp = batch
         for i in range(16):
-            F = np.array([[f00[i], f01[i]], [f10[i], f11[i]]])
+            F = np.diag([lam1[i], lam2[i]])
             xi = np.array([np.cos(xis[i]), np.sin(xis[i])])
             eta = np.array([np.cos(etas[i]), np.sin(etas[i])])
             J = np.linalg.det(F)
@@ -60,7 +59,7 @@ class TestKernelContract:
         F = np.diag([0.1559, 0.00316])
         terms = second_derivative_terms(e, F)
         vals, _, _ = direction_min_batch(
-            [F[0, 0]], [0.0], [0.0], [F[1, 1]], *([v] for v in terms), n_angles)
+            [F[0, 0]], [F[1, 1]], [0.0], *([v] for v in terms), n_angles)
         assert -96.5 < vals[0] < -96.3
 
     def test_angles_lie_in_half_circle(self):
@@ -69,26 +68,31 @@ class TestKernelContract:
         assert np.all((0 <= xis) & (xis < np.pi))
         assert np.all((0 <= etas) & (etas < np.pi))
 
+    def test_eta_lies_on_the_offset_lattice(self):
+        # eta = offset + k*pi/n_angles, taken mod pi
+        batch = make_batch(8, seed=6)
+        _, _, etas = direction_min_batch(*batch, 24)
+        k = (etas - batch[2]) / (np.pi / 24)
+        assert np.allclose(k, np.round(k), atol=1e-9)
 
-def _rotated_batch(e, n, seed, spread=2.0):
-    """Rotated F = R(a) diag(l1, l2) R(b) with stretches in e^+-spread."""
-    rng = np.random.RandomState(seed)
-    lam1 = np.exp(rng.uniform(-spread, spread, n))
-    lam2 = np.exp(rng.uniform(-spread, spread, n))
-    mats = [rotation(a) @ np.diag([l1, l2]) @ rotation(b) for l1, l2, a, b in
-            zip(lam1, lam2, rng.uniform(0, np.pi, n), rng.uniform(0, np.pi, n))]
-    terms = np.array([second_derivative_terms(e, F) for F in mats])
-    f00, f01, f10, f11 = (np.array([F[i, j] for F in mats])
-                          for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    return mats, (f00, f01, f10, f11, *terms.T)
+    def test_offset_by_the_lattice_step_changes_nothing(self):
+        # offsets of j*pi/n_angles sample the same eta, from another first k
+        lam1, lam2, offset, *jets = make_batch(8, seed=7)
+        vals, xis, etas = direction_min_batch(lam1, lam2, offset, *jets, 24)
+        turned = offset + 5 * np.pi / 24
+        vals5, xis5, etas5 = direction_min_batch(lam1, lam2, turned, *jets, 24)
+        assert np.allclose(vals5, vals, rtol=1e-12, atol=1e-15)
+        assert np.allclose(np.cos(2 * (etas5 - etas)), 1.0, atol=1e-12)
 
 
-def _grid_min(F, psi1, psi2, fpp, n_angles):
-    """Smallest second derivative over a uniform xi x eta angle grid."""
+def _grid_min(F, psi1, psi2, fpp, n_angles, offset=0.0):
+    """Smallest second derivative over a uniform xi x eta angle grid, eta
+    turned by ``offset``."""
     ang = np.arange(n_angles) * (np.pi / n_angles)
     xi = np.stack([np.cos(ang), np.sin(ang)])
-    A = xi.T @ F @ xi                   # rows: xi angle, cols: eta angle
-    B = xi.T @ np.linalg.inv(F).T @ xi  # <F^-1 xi, eta>
+    eta = np.stack([np.cos(ang + offset), np.sin(ang + offset)])
+    A = xi.T @ F @ eta                   # rows: xi angle, cols: eta angle
+    B = xi.T @ np.linalg.inv(F).T @ eta  # <F^-1 xi, eta>
     J = np.linalg.det(F)
     nf2 = np.sum(F * F)
     vals = (psi2 / J**2 * (A - 0.5 * nf2 * B) ** 2
@@ -120,10 +124,11 @@ class TestAcousticKernel:
     @pytest.mark.parametrize("cid", sorted(CATALOG))
     def test_below_grid_and_exact_at_reported_angles(self, cid):
         e = catalog(cid)
-        mats, batch = _rotated_batch(e, 12, seed=sorted(CATALOG).index(cid))
+        mats, batch = _state_batch(e, 12, seed=sorted(CATALOG).index(cid))
         vals, xis, etas = direction_min_batch(*batch, 48)
+        offset, psi1, psi2, fpp = batch[2:]
         for i, F in enumerate(mats):
-            grid = _grid_min(F, batch[4][i], batch[5][i], batch[6][i], 48)
+            grid = _grid_min(F, psi1[i], psi2[i], fpp[i], 48, offset[i])
             assert vals[i] <= grid + 1e-10 * (1.0 + abs(grid))
             xi = np.array([np.cos(xis[i]), np.sin(xis[i])])
             eta = np.array([np.cos(etas[i]), np.sin(etas[i])])

@@ -8,8 +8,10 @@ from rankone2d import (
     errors,
     fd_second_derivative,
     make_split,
+    oracle,
     svd2,
 )
+from rankone2d.kernels import direction_min_batch
 
 from references import acoustic_tensor, rotation
 
@@ -134,6 +136,19 @@ class TestAcousticTensor:
         assert Q.min_eigenvalue() > 0.0
 
 
+def _record_kernel(monkeypatch):
+    """The (l1, l2, offset, n_angles) of every direction-kernel call of the
+    oracle, appended to the returned list."""
+    calls = []
+
+    def recording(l1, l2, offset, psi1, psi2, fpp, n_angles):
+        calls.append((l1, l2, offset, n_angles))
+        return direction_min_batch(l1, l2, offset, psi1, psi2, fpp, n_angles)
+
+    monkeypatch.setattr(oracle, "direction_min_batch", recording)
+    return calls
+
+
 class TestBruteForce:
     def test_no_violation_for_convex_energies(self):
         for cid in ("example1", "example2", "idealized"):
@@ -172,7 +187,7 @@ class TestBruteForce:
         assert np.linalg.norm(res.xi) == pytest.approx(1.0)
         assert np.linalg.norm(res.eta) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("size", ["n_lambda", "n_rotation_pairs", "n_angles"])
+    @pytest.mark.parametrize("size", ["n_lambda", "n_angles"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_empty_sizes_rejected(self, size, value):
         with pytest.raises(errors.DegenerateGrid, match=f"{size} must be at least 1"):
@@ -188,6 +203,46 @@ class TestBruteForce:
         assert isinstance(exc.value, ValueError)
 
     def test_single_sample_grid_runs(self):
-        res = brute_force_check(catalog("example1"), n_lambda=1,
-                                n_rotation_pairs=1, n_angles=1, n_refine=0)
+        res = brute_force_check(catalog("example1"), n_lambda=1, n_angles=1,
+                                n_refine=0)
         assert res.summary == "NoViolationFound"
+
+    @pytest.mark.parametrize("n_lambda", [1, 5, 20])
+    def test_grid_stage_is_one_kernel_call_on_the_diagonal_states(
+            self, monkeypatch, n_lambda):
+        # one call on the n(n + 1)/2 states l1 >= l2 of the log axis, at
+        # offset 0, on 48 eta angles by default
+        calls = _record_kernel(monkeypatch)
+        brute_force_check(catalog("hencky"), n_lambda=n_lambda, n_refine=0)
+        assert len(calls) == 1
+        l1, l2, offset, n_angles = calls[0]
+        assert l1.size == n_lambda * (n_lambda + 1) // 2 and n_angles == 48
+        lam = np.logspace(-2, 2, n_lambda)
+        assert set(zip(l1, l2)) == {(a, b) for a in lam for b in lam if a >= b}
+        assert not offset.any()
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_refinement_states_are_ordered(self, monkeypatch, seed):
+        # a draw with s1 < s2 enters as diag(s2, s1) with eta turned by
+        # pi/2, so every state the kernel sees and the printed witness F
+        # have l1 >= l2; example1's worst grid state lies next to l1 = l2,
+        # so about half the draws are turned
+        calls = _record_kernel(monkeypatch)
+        res = brute_force_check(catalog("example1"), n_refine=200, seed=seed)
+        assert len(calls) == 2 and calls[1][0].size == 200
+        assert all(np.all(l1 >= l2) for l1, l2, _, _ in calls)
+        assert 50 < np.sum(calls[1][2] > np.pi / 4) < 150
+        assert res.F[0, 1] == res.F[1, 0] == 0.0 and res.F[0, 0] >= res.F[1, 1]
+
+    def test_swapped_draw_is_the_same_state(self):
+        # diag(s1, s2) with eta at phi is diag(s2, s1) with eta at phi + pi/2
+        e = catalog("hencky")
+        s1, s2, phi, theta = 0.3, 2.5, 0.4, 1.1
+        a = analytic_second_derivative(
+            e, np.diag([s1, s2]), np.array([np.cos(theta), np.sin(theta)]),
+            np.array([np.cos(phi), np.sin(phi)]))
+        b = analytic_second_derivative(
+            e, np.diag([s2, s1]),
+            np.array([np.cos(theta + np.pi / 2), np.sin(theta + np.pi / 2)]),
+            np.array([np.cos(phi + np.pi / 2), np.sin(phi + np.pi / 2)]))
+        assert a == pytest.approx(b, rel=1e-12)

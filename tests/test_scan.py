@@ -356,10 +356,9 @@ def _kernel_cells(e, lam1, lam2, n_angles):
     """The direction kernel at diag(lam1, lam2), lam1 >= lam2."""
     psi1, psi2 = _psi_jets(e, lam1 / lam2)
     fpp = eval_jet2_array(e.f, lam1 * lam2).d2
-    zeros = np.zeros(lam1.size)
     with np.errstate(all="ignore"):
-        return direction_min_batch(lam1, zeros, zeros, lam2, psi1, psi2, fpp,
-                                   n_angles)
+        return direction_min_batch(lam1, lam2, np.zeros(lam1.size), psi1, psi2,
+                                   fpp, n_angles)
 
 
 def _mp_function(ast, mp):
