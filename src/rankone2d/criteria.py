@@ -21,14 +21,10 @@ scan shares, so a scan loads none of this module.  The f' terms cancel in
 Knowles-Sternberg condition (v), which leaves -w in D.  Main3 and Main4
 are C and D at w = f0, the infimum of z^2 f''(z).
 
-For fixed t each condition is convex and piecewise linear in w, so its
-minimum over the z samples lies at w_min, at w_max or next to the crossing
-of the two lines.  ``_coupled_min`` sorts the samples of w once and checks
-those four candidates per t: O((T + Z) log Z) for T t-samples and Z
-z-samples instead of the T x Z table.  The first row with the smallest
-minimum holds the first-index argmin over that table, ties included, so
-``_coupled_report`` evaluates that one row over all z for the margin and
-witness.
+``_coupled_min`` finds each t's minimum over the Z samples of w in
+O((T + Z) log Z), not over the T x Z table, and ``_coupled_report``
+evaluates the one row that holds the table's first-index argmin.  Since
+h(t) = h(1/t), main, vol-iso and KS sample t on ``_fold_t``'s t >= 1 rows.
 
 Every condition is judged by one rule (``_report``).  A margin is a sum of
 terms, each rounded to about eps of its own size, so a margin given a size,
@@ -151,6 +147,17 @@ def _overall(reports: Sequence[ConditionReport], route: str) -> RankOneVerdict:
     return RankOneVerdict(overall, list(reports), route)
 
 
+def _fold_t(t: np.ndarray) -> np.ndarray:
+    """The t >= 1 rows the routes sample: ``t`` sorted, t < 1 folded to 1/t
+    and t = 1 added.  Of points within 1e-12 relative one is kept, 1 or else
+    a sample t >= 1, so a grid symmetric in log t keeps its own upper half."""
+    cand = np.r_[1.0, t[t >= 1.0], 1.0 / t[t < 1.0]]
+    order = np.argsort(cand, kind="stable")  # a merge of two sorted runs on a grid
+    rows = cand[order]
+    first = np.flatnonzero(np.r_[True, np.diff(rows) > 1e-12 * rows[1:]])
+    return cand[np.minimum.reduceat(order, first)]
+
+
 # ---------------------------------------------------------------------------
 # the coupled split conditions C and D
 
@@ -233,10 +240,10 @@ def ks_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
     """Evaluate the five classical conditions for rank-one convexity on GL+(2).
 
     They are sampled at x = sqrt(t*z), y = sqrt(z/t) over a stride of each
-    grid (``_ks_axis``), t below 1 folded to 1/t since h(t) = h(1/t) makes
-    g(x, y) = g(y, x): x >= y, 101 x 201 on the defaults.  Row 0 is t = 1,
-    grid point or not, where (v) reads |g_xx| - g_xy + g_x/x: condition (iii)
-    wherever (i) holds, so KS_iii reports it.
+    grid (``_ks_axis``), the t stride folded by ``_fold_t`` since h(t) = h(1/t)
+    makes g(x, y) = g(y, x): x >= y, 101 x 201 on the defaults.  Row 0 is
+    t = 1, where (v) reads |g_xx| - g_xy + g_x/x: condition (iii) wherever
+    (i) holds, so KS_iii reports it.
 
     Each margin is weighted into the units of w = z^2 f''(z), those of the
     split conditions: (i) is min(x^2 g_xx, y^2 g_yy) = min(A(t, z), A(1/t, z)),
@@ -245,9 +252,7 @@ def ks_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
     except that KS_i's is the size of the smaller candidate's own terms:
     |t^2 h''(t)| + |w| or |t^-2 h''(1/t)| + |w|.
     """
-    t = _ks_axis(t_grid)
-    rows = np.sort(np.r_[1.0, np.maximum(t, 1.0 / t)])
-    ts = rows[np.r_[True, np.diff(rows) > 1e-12 * rows[1:]]][:, np.newaxis]
+    ts = _fold_t(_ks_axis(t_grid))[:, np.newaxis]
     zs = _ks_axis(z_grid)
     with np.errstate(all="ignore"):
         hj, fj = eval_jet2_array(e.h, ts), eval_jet2_array(e.f, zs)
@@ -298,7 +303,7 @@ def voliso_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
                  z_grid: GridSpec = DEFAULT_Z_GRID,
                  tol: float = DEFAULT_TOL) -> RankOneVerdict:
     """Evaluate the four equivalent split conditions on the (t, z) grid."""
-    ts = t_grid.points()
+    ts = _fold_t(t_grid.points())
     zs = z_grid.points()
     hj = eval_jet2_array(e.h, ts)
     # z^2 f''(z) may overflow to +inf.  C and D then take their w -> +inf
@@ -306,15 +311,15 @@ def voliso_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
     # like a NaN jet, raises DomainError naming the sample.
     with np.errstate(over="ignore", invalid="ignore"):
         wz = zs**2 * eval_jet2_array(e.f, zs).d2
-        wt = ts**2 * hj.d2  # t^2 h''(t)
+        wt = ts**2 * hj.d2  # t^2 h''(t); at 1/t it is t^2 h''(t) + 2t h'(t)
+        wt = np.minimum(wt, wt + 2.0 * ts * hj.d1)
     # A) separate convexity: min decouples into the two 1-D minima
     it, iz = int(np.argmin(wt)), int(np.argmin(wz))
     reports = [_report("A", float(wt[it] + wz[iz]), [float(ts[it]), float(zs[iz])],
                        int(ts.size * zs.size), tol)]
 
-    # B) monotonicity of h on t >= 1
-    upper = ts >= 1.0
-    reports.append(_grid_report("B", hj.d1[upper], (ts[upper],), tol))
+    # B) monotonicity of h
+    reports.append(_grid_report("B", hj.d1, (ts,), tol))
 
     # C) and D); a NaN jet anywhere makes D raise DomainError
     reports += [_coupled_report(cid, cond, ts, zs, wz, tol) for cid, cond
@@ -347,18 +352,14 @@ def main_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
         reports.append(_report("Main1", h0.value + f0.value,
                                [h0.attained_at, f0.attained_at], 2, tol))
 
-    ts = t_grid.points()
+    ts = _fold_t(t_grid.points())
     hj = eval_jet2_array(e.h, ts)
-    upper = ts >= 1.0
-    reports.append(_grid_report("Main2", hj.d1[upper], (ts[upper],), tol))
-
-    if f0.unbounded:
-        # both coupled conditions degenerate together with condition 1
-        reports += [_report(cid, -math.inf, str(f0.attained_at), int(ts.size), tol)
-                    for cid in ("Main3", "Main4")]
-        return MainCheckResult(_overall(reports, "MainTheorem"), h0, f0)
+    reports.append(_grid_report("Main2", hj.d1, (ts,), tol))
 
     for cid, cond in zip(("Main3", "Main4"), _coupled_conditions(ts, hj.d1, hj.d2)):
+        if f0.unbounded:  # both degenerate together with condition 1
+            reports.append(_report(cid, -math.inf, str(f0.attained_at), ts.size, tol))
+            continue
         with np.errstate(all="ignore"):  # a NaN margin raises DomainError
             m = cond.margin(f0.value)
         reports.append(_grid_report(cid, m[cond.mask], (ts[cond.mask],), tol))

@@ -175,15 +175,16 @@ class _Coupled(NamedTuple):
 
 
 def _coupled_conditions(ts: np.ndarray, h1: np.ndarray, h2: np.ndarray):
-    """Conditions C and D; they share a(t)."""
+    """Conditions C and D; they share a(t).  a, b - c and b + c are factored:
+    expanded, large h' and h'' overflow to inf - inf in them."""
     with np.errstate(all="ignore"):
         wt = ts**2 * h2
-        a = ts**2 * (ts**2 - 1.0) * h1 * h2 - 2.0 * ts * h1**2
-        b = (ts**2 + 3.0) * h1 + 2.0 * ts * (ts**2 + 1.0) * h2
-        c = 4.0 * ts * (h1 + ts * h2)
-        return (_Coupled(2.0 * ts / (ts - 1.0) * h1 - wt, 1.0, a, b - c,
+        a = ts * h1 * (ts * (ts**2 - 1.0) * h2 - 2.0 * h1)
+        b_minus_c = (ts - 1.0) * ((ts - 3.0) * h1 + 2.0 * ts * (ts - 1.0) * h2)
+        b_plus_c = (ts + 1.0) * ((ts + 3.0) * h1 + 2.0 * ts * (ts + 1.0) * h2)
+        return (_Coupled(2.0 * ts / (ts - 1.0) * h1 - wt, 1.0, a, b_minus_c,
                          np.abs(ts - 1.0) > 1e-12),
-                _Coupled(2.0 * ts / (ts + 1.0) * h1 + wt, -1.0, a, b + c,
+                _Coupled(2.0 * ts / (ts + 1.0) * h1 + wt, -1.0, a, b_plus_c,
                          np.ones_like(ts, dtype=bool)))
 
 

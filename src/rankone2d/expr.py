@@ -78,7 +78,7 @@ class Jet2(NamedTuple):
 
 _JETS = {  # g, g' and g''
     "exp": (np.exp, np.exp, np.exp),
-    "log": (np.log, lambda u: 1.0 / u, lambda u: -1.0 / u**2),
+    "log": (np.log, None, None),  # ``_jet_call`` writes its chain rule out
     "sqrt": (np.sqrt, lambda u: 0.5 / np.sqrt(u), lambda u: -0.25 / u**1.5),
     "cosh": (np.cosh, np.sinh, np.cosh),
     "sinh": (np.sinh, np.cosh, np.sinh),
@@ -95,6 +95,9 @@ def _jet_call(name: str, x: Jet2) -> Jet2:
     function itself reuses its value."""
     g, g1, g2 = _JETS[name]
     v = g(x.value)
+    if name == "log":  # g'' = -1/u^2 would be -0 once u^2 overflows
+        r = np.where(np.isnan(v), np.nan, x.d1 / x.value)
+        return Jet2(v, r, x.d2 / x.value - r * r)
     gv1 = v if g1 is g else np.where(np.isnan(v), np.nan, g1(x.value))
     gv2 = v if g2 is g else g2(x.value)
     return Jet2(v, gv1 * x.d1, gv1 * x.d2 + gv2 * x.d1**2)

@@ -3,18 +3,21 @@
 None of these is run by a subcommand or another module of the package:
 a rotation matrix to build deformation gradients, the acoustic tensor as a
 finite-difference Hessian of W (the oracle's kernel minimises the
-closed-form 2x2 tensor instead) and the quadratic linearized energy.
+closed-form 2x2 tensor instead), the quadratic linearized energy and the
+split conditions on the unfolded t grid (the routes fold it onto t >= 1).
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from rankone2d.energy import SplitEnergy
+from rankone2d import criteria
+from rankone2d.energy import GridSpec, SplitEnergy, _coupled_conditions
 from rankone2d.errors import LeftGLplus
+from rankone2d.expr import eval_jet2_array
 from rankone2d.oracle import eval_W_matrix
 
 # the Hessian stencil's step relative to |F|
@@ -86,3 +89,31 @@ def w_lin(mu: float, kappa: float, xi: np.ndarray, eta: np.ndarray) -> float:
     eta = np.asarray(eta, dtype=float)
     dot = float(xi @ eta)
     return 0.5 * mu * float(xi @ xi) * float(eta @ eta) + 0.5 * kappa * dot * dot
+
+
+def unfolded_reports(e: SplitEnergy, t_grid: GridSpec, z_grid: GridSpec,
+                     f0: Optional[float], tol: float) -> dict:
+    """{condition id: report} of vol-iso's A to D and, unless ``f0`` is
+    None, main's Main2 to Main4 at ``f0``, on every t of ``t_grid``: A is
+    t^2 h''(t) + w at each sample, and B and Main2 read the t >= 1 half."""
+    ts, zs = t_grid.points(), z_grid.points()
+    hj = eval_jet2_array(e.h, ts)
+    with np.errstate(all="ignore"):
+        wz = zs**2 * eval_jet2_array(e.f, zs).d2
+        wt = ts**2 * hj.d2
+    it, iz = int(np.argmin(wt)), int(np.argmin(wz))
+    reports = {"A": criteria._report("A", float(wt[it] + wz[iz]),
+                                     [float(ts[it]), float(zs[iz])],
+                                     ts.size * zs.size, tol)}
+    upper = ts >= 1.0
+    reports["B"] = criteria._grid_report("B", hj.d1[upper], (ts[upper],), tol)
+    if f0 is not None:
+        reports["Main2"] = reports["B"]._replace(condition_id="Main2")
+    conds = _coupled_conditions(ts, hj.d1, hj.d2)
+    for cid, mid, cond in zip("CD", ("Main3", "Main4"), conds):
+        reports[cid] = criteria._coupled_report(cid, cond, ts, zs, wz, tol)
+        if f0 is not None:
+            with np.errstate(all="ignore"):
+                margins = cond.margin(f0)[cond.mask]
+            reports[mid] = criteria._grid_report(mid, margins, (ts[cond.mask],), tol)
+    return reports

@@ -142,8 +142,10 @@ class TestExtremeInputs:
          "error: bad grid [0.0001, inf] x 1001"),
         (("check", "--catalog", "hadamard_k", "--t-max", "1e300"), 3,
          "error: Main3 undefined at"),
+        # t below 1 folds to 1/t: the first undefined row is the smallest
+        # t >= 1 where h' and h'' overflow
         (("check", "--catalog", "example1", "--t-min", "1e-300"), 3,
-         "error: Main3 undefined at [1e-300]"),
+         "error: Main3 undefined at [4.570881896149014e+36]"),
         (("scan", "--catalog", "example1", "--lambda-min", "1e-200",
           "--lambda-max", "1e200"), 2, ""),
         (("classify", "--catalog", "exp_hencky", "--k", "40"), 3,

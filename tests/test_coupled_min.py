@@ -218,7 +218,8 @@ def test_seeded_witnesses_match_dense(e):
 
 
 def _split(e, t_grid, z_grid):
-    ts, zs = t_grid.points(), z_grid.points()
+    """The folded t rows the route samples, the z samples, w and C and D."""
+    ts, zs = criteria._fold_t(t_grid.points()), z_grid.points()
     hj = eval_jet2_array(e.h, ts)
     with np.errstate(all="ignore"):
         ws = zs**2 * eval_jet2_array(e.f, zs).d2

@@ -25,6 +25,7 @@ from rankone2d.energy import (CATALOG, DEFAULT_T_GRID, DEFAULT_TOL, DEFAULT_Z_GR
 from rankone2d.expr import eval_jet2_array
 from rankone2d.scalar_inf import convexity_verdict, weighted_second
 
+import references
 import strategies
 
 SMALL_T = GridSpec(1e-3, 1e3, 801)
@@ -168,12 +169,13 @@ class TestVolisoCheck:
         big = voliso_check(e, z_grid=GridSpec(1e-4, 1e4, 10**6))
         assert big.overall == voliso_check(e).overall == "RankOneConvex"
 
-    def test_undefined_margins_raise(self):
-        # a = t^2 (t^2 - 1) h' h'' - 2 t h'^2 is inf - inf at the grid's ends
+    def test_fast_growing_h_has_defined_margins(self):
+        # expanded, a = t^2 (t^2 - 1) h' h'' - 2t h'^2 was inf - inf past
+        # t ~ 2e3 although h' and h'' are +inf there; factored, it is +inf
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(errors.DomainError):
-                voliso_check(catalog("exp_hencky", k=12))
+            v = voliso_check(catalog("exp_hencky", k=12))
+        assert v.overall == "RankOneConvex"
 
     @pytest.mark.parametrize("c", [1.4, 3, 6, 10])
     def test_stiff_volumetric_part_gives_no_warning(self, c):
@@ -190,9 +192,11 @@ class TestVolisoCheck:
                 assert not any(math.isnan(r.worst_margin) for r in v.reports)
             else:
                 # the first NaN sample is z = 4613.18, where exp's own jet
-                # is inf - inf; below z = 1 its jets only overflow
+                # is inf - inf; below z = 1 its jets only overflow.  The
+                # row is the first folded t past t = 1, where C is defined
                 with pytest.raises(errors.DomainError,
-                                   match=r"^C undefined at \[0\.0001, 4613\.1757456038\]$"):
+                                   match=r"^C undefined at \[1\.0046157902783945, "
+                                   r"4613\.1757456038\]$"):
                     voliso_check(e)
 
     def test_extreme_t_grid_gives_no_warning(self):
@@ -214,17 +218,62 @@ class TestVolisoCheck:
         assert convex.overall == "RankOneConvex"
         by_id = {r.condition_id: r for r in hencky.reports}
         assert by_id["C"].verdict == "Holds"
-        # b + c < 0 at t = 1e-4, so D -> -inf at the first infinite w
+        # b + c = (t + 1)/t (2(t + 1) + (1 - t) log t) < 0 from t ~ 11 on,
+        # so D -> -inf at the first such row and the first infinite w
         assert by_id["D"].verdict == "Unbounded"
-        zs = DEFAULT_Z_GRID.points()
+        ts, zs = criteria._fold_t(DEFAULT_T_GRID.points()), DEFAULT_Z_GRID.points()
+        first_neg = ts[np.argmax(2.0 * (ts + 1.0) + (1.0 - ts) * np.log(ts) < 0.0)]
         with np.errstate(over="ignore"):
             first_inf = zs[np.argmax(np.isinf(zs**2 * 2e300))]
-        assert by_id["D"].witness == [1e-4, first_inf]
+        assert by_id["D"].witness == [first_neg, first_inf]
 
     def test_undefined_volumetric_jets_raise(self):
         e = make_split("(t + 1/t)/2 - 1", "log(z - 1)")
         with pytest.raises(errors.DomainError):
             voliso_check(e, t_grid=SMALL_T, z_grid=SMALL_Z)
+
+
+class TestFold:
+    """main, vol-iso and KS sample t >= 1 only, through ``criteria._fold_t``."""
+
+    @pytest.mark.parametrize("route", [main_check, voliso_check, ks_check])
+    def test_routes_walk_h_only_at_t_from_1(self, route, monkeypatch):
+        walked, walk = [], criteria.eval_jet2_array
+
+        def record(u, xs):
+            if u.variable == "t":
+                walked.append(np.asarray(xs))
+            return walk(u, xs)
+
+        monkeypatch.setattr(criteria, "eval_jet2_array", record)
+        route(catalog("example1"))
+        assert walked and all(xs.min() == 1.0 for xs in walked)
+
+    def test_symmetric_grid_keeps_its_upper_half(self):
+        ts = DEFAULT_T_GRID.points()
+        assert np.array_equal(criteria._fold_t(ts), ts[ts >= 1.0])
+        # a grid without t = 1 gains it, and a folded point that is not
+        # a near-duplicate stays
+        assert np.array_equal(criteria._fold_t(np.array([0.25, 2.0, 3.0])),
+                              [1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("cid", sorted(CATALOG))
+    def test_fold_matches_the_unfolded_reference(self, cid):
+        e = catalog(cid)
+        res = main_check(e)
+        f0 = None if res.f0.unbounded else res.f0.value
+        ref = references.unfolded_reports(e, DEFAULT_T_GRID, DEFAULT_Z_GRID, f0,
+                                          DEFAULT_TOL)
+        for v in (voliso_check(e), res.verdict):
+            # Main1 is not folded, nor are Main3 and Main4 at an unbounded f0
+            expected = [ref.get(r.condition_id, r) for r in v.reports]
+            assert criteria._overall(expected, v.route).overall == v.overall
+            for r, want in zip(v.reports, expected):
+                m = want.worst_margin
+                assert r.verdict == want.verdict, r.condition_id
+                assert (r.worst_margin == m
+                        or abs(r.worst_margin - m) <= 1e-9 * (1 + abs(m)))
+                assert r.condition_id not in ref or r.witness[0] >= 1.0
 
 
 def _ks_samples(monkeypatch, e):

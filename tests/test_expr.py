@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rankone2d import errors, expr
 from rankone2d.energy import CATALOG
+from rankone2d.scalar_inf import weighted_second
 import strategies
 
 
@@ -223,6 +224,14 @@ class TestJets:
         j = jet("log(t)", 3.0)
         assert j.d1 == pytest.approx(1.0 / 3.0)
         assert j.d2 == pytest.approx(-1.0 / 9.0)
+
+    @pytest.mark.parametrize("z", [1000.0, 6720.0])
+    def test_log_jet_keeps_its_sign_past_overflow(self, z):
+        # u = 1 + (1e75 z)^2 is finite and u^2 is not: g'' = -1/u^2 would
+        # read -0 and drop the -(u'/u)^2 term (+2 at z = 1000, NaN at 6720);
+        # mpmath at 50 digits gives z^2 f''(z) = -2 at both points
+        e = expr.parse("log(1 + (1e75*z)^2)", "z")
+        assert weighted_second(e, z) == pytest.approx(-2.0, rel=1e-12)
 
     def test_variable_exponent_power(self):
         j = jet("2^t", 1.5)

@@ -68,7 +68,6 @@ WRONG = {
     **{("stiff(10)", c): _OVERFLOW for c in ("exit", *ROUTES)},
     ("big", "exit"): _OVERFLOW,
     ("big", "ks"): _OVERFLOW,
-    **{("logbig", c): _OVERFLOW for c in COLUMNS},
 }
 
 

@@ -132,15 +132,23 @@ class TestScanDomain:
         assert (emap.verdicts == _verdicts_where(emap.margins, tol)).all()
 
     def test_overflowing_h_gives_boundary_cells(self):
-        # h = exp(6 log(t)^2)/12: beyond t ~ 2e3 the products of its
-        # derivatives in C and D overflow to inf - inf.  Those cells are
-        # undefined, not an error, and no RuntimeWarning escapes
+        # h = exp(6 log(t)^2)/12: beyond t ~ 5.3e4 its own jet is inf - inf.
+        # Those cells are undefined, not an error, and no RuntimeWarning
+        # escapes
         emap = scan_domain(catalog("exp_hencky", k=12.0), n_points=32)
         nan = np.isnan(emap.margins)
         assert nan.any() and (emap.verdicts[nan] == "Boundary").all()
         t = emap.lambda1[:, None] / emap.lambda2[None, :]
-        assert (np.maximum(t, 1.0 / t)[nan] > 2e3).all()
+        assert (np.maximum(t, 1.0 / t)[nan] > 5e4).all()
         assert set(emap.verdicts[~nan]) == {"Elliptic"}
+
+    def test_large_jets_leave_only_the_undefined_h(self):
+        # C and D's coefficients are factored, so h' and h'' at +inf give
+        # defined margins; only the 72 cells past t ~ 5.3e4, where h's own
+        # jet is inf - inf, are Boundary (1,806 with the expanded products)
+        emap = scan_domain(catalog("exp_hencky", k=12.0))
+        assert (emap.verdicts == "Boundary").sum() == 72
+        assert (emap.verdicts == "NonElliptic").sum() == 0
 
     def test_bad_spacing_rejected(self):
         with pytest.raises(ValueError):
