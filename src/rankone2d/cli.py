@@ -162,12 +162,8 @@ def _verdict_exit(overall: str) -> int:
 
 
 def _condition_lines(reports) -> list:
-    lines = []
-    for r in reports:
-        margin = "-inf" if math.isinf(r.worst_margin) else f"{r.worst_margin:.6g}"
-        lines.append(f"  {r.condition_id:<12} {r.verdict:<10} "
-                     f"worst_margin={margin} witness={r.witness}")
-    return lines
+    return [f"  {r.condition_id:<12} {r.verdict:<10} "
+            f"worst_margin={r.worst_margin:.6g} witness={r.witness}" for r in reports]
 
 
 # ---------------------------------------------------------------------------

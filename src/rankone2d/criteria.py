@@ -286,11 +286,13 @@ def ks_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
         for a in (m_v, s_v, m_iv, s_iv):
             a *= zs  # the weight xy = z
         reports.append(_grid_report("KS_iii", m_v[0], (x[0], y[0]), tol, size=s_v[0]))
-        sel = ok & (ts > 1.0)
-        reports.append(_grid_report("KS_iv", m_iv[sel], (x[sel], y[sel]), tol,
-                                    size=s_iv[sel]))
-        reports.append(_grid_report("KS_v", m_v[ok], (x[ok], y[ok]), tol,
-                                    size=s_v[ok]))
+        for cid, m, s, sel in (("KS_iv", m_iv, s_iv, ok & (ts > 1.0)),
+                               ("KS_v", m_v, s_v, ok)):
+            if sel.any():
+                reports.append(_grid_report(cid, m[sel], (x[sel], y[sel]), tol,
+                                            size=s[sel]))
+            else:  # condition i fails at every sample: nothing left to ask
+                reports.append(_report(cid, math.inf, None, 0, tol))
 
     return _overall(reports, "KS")
 

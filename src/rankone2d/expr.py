@@ -78,26 +78,37 @@ class Jet2(NamedTuple):
 
 _JETS = {  # g, g' and g''
     "exp": (np.exp, np.exp, np.exp),
-    "log": (np.log, None, None),  # ``_jet_call`` writes its chain rule out
     "sqrt": (np.sqrt, lambda u: 0.5 / np.sqrt(u), lambda u: -0.25 / u**1.5),
     "cosh": (np.cosh, np.sinh, np.cosh),
     "sinh": (np.sinh, np.cosh, np.sinh),
     "tanh": (np.tanh, lambda u: 1.0 / np.cosh(u) ** 2,
              lambda u: -2.0 * np.tanh(u) / np.cosh(u) ** 2),
-    "arcosh": (np.arccosh, lambda u: 1.0 / np.sqrt(u**2 - 1.0),
-               lambda u: -u / (u**2 - 1.0) ** 1.5),
 }
+
+
+def _arcosh_ratios(u):
+    ug1 = 1.0 / np.sqrt((u - 1.0) / u * ((u + 1.0) / u))  # 1/sqrt(1 - 1/u^2)
+    return ug1, -ug1**3
+
+
+# g and (u g'(u), u^2 g''(u)), chained in r = u'/u: they keep their size
+# where g' and g'' of a large u underflow and u'^2 overflows
+_RATIO_JETS = {"log": (np.log, lambda u: (1.0, -1.0)),
+               "arcosh": (np.arccosh, _arcosh_ratios)}
 
 
 def _jet_call(name: str, x: Jet2) -> Jet2:
     """The function ``name`` through the jet; where it is NaN so is the jet,
     though g' of log and arcosh is finite there.  A derivative that is the
     function itself reuses its value."""
+    if name in _RATIO_JETS:
+        g, ratios = _RATIO_JETS[name]
+        v = g(x.value)
+        ug1, ug2 = ratios(x.value)
+        r = np.where(np.isnan(v), np.nan, x.d1 / x.value)
+        return Jet2(v, ug1 * r, ug1 * (x.d2 / x.value) + ug2 * (r * r))
     g, g1, g2 = _JETS[name]
     v = g(x.value)
-    if name == "log":  # g'' = -1/u^2 would be -0 once u^2 overflows
-        r = np.where(np.isnan(v), np.nan, x.d1 / x.value)
-        return Jet2(v, r, x.d2 / x.value - r * r)
     gv1 = v if g1 is g else np.where(np.isnan(v), np.nan, g1(x.value))
     gv2 = v if g2 is g else g2(x.value)
     return Jet2(v, gv1 * x.d1, gv1 * x.d2 + gv2 * x.d1**2)

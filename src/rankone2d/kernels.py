@@ -2,11 +2,12 @@
 
 W depends on F only through its singular values, so the kernel works at the
 diagonal state F = diag(l1, l2), l1 >= l2 > 0, with J = l1*l2 and t = l1/l2.
-Given the distortion jets psi1 = psi'(K), psi2 = psi''(K) and the volumetric
+Given the distortion slope psi1 = psi'(K), the isochoric curvature
+c_iso = psi''(K) * (t - 1/t)^2 / 4 = t^2 h''(t) - psi1/t and the volumetric
 curvature fpp = f''(J), it minimizes
 
     D^2 W(F)[xi (x) eta, xi (x) eta]
-        = psi2/J^2 * (A - 0.5*|F|^2*B)^2
+        = c_iso * (2*A - |F|^2*B)^2 / (l1^2 - l2^2)^2
           + psi1/J * (1 - 2*A*B + |F|^2*B^2)
           + fpp * J^2 * B^2,      A = xi^T F eta,  B = <F^-1 xi, eta>,
 
@@ -20,11 +21,10 @@ With eta = (c, s), u = c/l1 and v = s/l2,
     Q = psi1/J * diag(s^2 + c^2/t^2, c^2 + t^2 s^2)
         + c_iso * p p^T + c_vol * r r^T,   p = (u, -v),  r = (u, v),
 
-with c_iso = psi2 * (t - 1/t)^2 / 4 and c_vol = fpp * J^2.  Every piece is
-a weighted square, so no O(|F|^2) terms cancel.  det Q follows from
-Cauchy-Binet as a weighted sum of squared cross products, and the smaller
-eigenvalue is det/lambda_max when tr Q > 0, which avoids subtracting two
-nearly equal numbers.
+with c_vol = fpp * J^2.  Every piece is a weighted square, so no O(|F|^2)
+terms cancel.  det Q follows from Cauchy-Binet as a weighted sum of squared
+cross products, and the smaller eigenvalue is det/lambda_max when tr Q > 0,
+which avoids subtracting two nearly equal numbers.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _half_turn(angle):
     return np.where(angle >= np.pi, 0.0, angle)  # mod rounds -1e-17 up to pi
 
 
-def direction_min_batch(l1, l2, offset, psi1, psi2, fpp, n_angles):
+def direction_min_batch(l1, l2, offset, psi1, c_iso, fpp, n_angles):
     """Minimize over unit xi (exactly) and eta (on n_angles grid angles) at
     the diagonal states diag(l1, l2), l1 >= l2 > 0.
 
@@ -75,12 +75,10 @@ def direction_min_batch(l1, l2, offset, psi1, psi2, fpp, n_angles):
     diagonal frame; each value is the smaller eigenvalue of Q at the
     reported eta, the one the eta angle was ranked by.
     """
-    l1, l2, offset, psi1, psi2, fpp = (
-        np.asarray(a, dtype=float) for a in (l1, l2, offset, psi1, psi2, fpp))
+    l1, l2, offset, psi1, c_iso, fpp = (
+        np.asarray(a, dtype=float) for a in (l1, l2, offset, psi1, c_iso, fpp))
     J = l1 * l2
     t = l1 / l2
-    t_gap = (l1 - l2) * (l1 + l2) / J  # t - 1/t
-    c_iso = 0.25 * psi2 * t_gap * t_gap
     c_vol = fpp * J * J
 
     n = l1.shape[0]

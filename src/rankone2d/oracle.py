@@ -19,10 +19,10 @@ import numpy as np
 
 from .energy import DEFAULT_ORACLE_GRID, DEFAULT_TOL, SingularPair, SplitEnergy, eval_W
 from .errors import DegenerateGrid, LeftGLplus, NonPositiveDeterminant
-from .expr import eval_jet2, eval_jet2_array, eval_jet2_finite
+from .expr import eval_jet2_finite
 from .kernels import direction_min_batch
 
-# |t - 1| at or below which _psi_jets takes the limit branch: there its
+# |t - 1| at or below which _curvatures takes psi' at its limit: there its
 # O((t - 1)^2) error meets the O(eps/|t - 1|) rounding of the chain rule,
 # so psi' and c_iso jump by about 2e-11 * h''(1) across the switch
 _PSI_EPS = 3e-6
@@ -59,35 +59,23 @@ def eval_W_matrix(e: SplitEnergy, F: np.ndarray) -> float:
     return eval_W(e, pair)
 
 
-def _psi_jets(e: SplitEnergy, t) -> Tuple[np.ndarray, np.ndarray]:
-    """First and second derivative of the distortion representation at K(t).
+def _curvatures(e: SplitEnergy, l1, l2) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(psi', c_iso, f'') at the states diag(l1, l2), l1 >= l2, vectorized.
 
-    Vectorized over ``t``.  The isochoric part h(t) equals psi(K) with
-    K = (t + 1/t)/2; the chain rule is inverted through K'(t) and K''(t),
-    written with (t - 1)(t + 1) so that no 1 - 1/t^2 is formed near t = 1.
-    At |t - 1| <= _PSI_EPS the limit psi' = t^3 h''(t) (exact to second
-    order in t - 1), psi'' = 0 is used; psi'' enters the second derivative
-    only through psi'' * (t - 1/t)^2 / 4, which is continuous across the
-    switch.
-    Non-finite jets raise the typed errors of ``eval_jet2_finite``.
+    h(t), t = l1/l2, is psi(K) with K = (t + 1/t)/2, so psi' = t h'(t) /
+    ((t - 1)(t + 1)/(2t)), or at |t - 1| <= _PSI_EPS its limit t^3 h''(t);
+    psi'' enters only as c_iso = psi'' (t - 1/t)^2/4 = t^2 h''(t) - psi'/t.
+    A jet of h, then of f at l1 l2, that is not finite raises the typed
+    error of ``eval_jet2_finite``.
     """
-    t = np.asarray(t, dtype=float)
+    l1, l2 = np.asarray(l1, dtype=float), np.asarray(l2, dtype=float)
+    t = l1 / l2
     hj = eval_jet2_finite(e.h, t)
-    near = np.abs(t - 1.0) <= _PSI_EPS
+    fpp = eval_jet2_finite(e.f, l1 * l2).d2
     with np.errstate(divide="ignore", invalid="ignore"):
-        half_gap = (t - 1.0) * (t + 1.0) / (2.0 * t)  # (t - 1/t)/2 = t*K'(t)
-        psi1 = hj.d1 * t / half_gap
-        psi2 = (t * t * hj.d2 - psi1 / t) / half_gap**2
-    return np.where(near, t**3 * hj.d2, psi1), np.where(near, 0.0, psi2)
-
-
-def second_derivative_terms(e: SplitEnergy, F: np.ndarray) -> Tuple[float, float, float]:
-    """(psi1, psi2, f'') evaluated at the state of F, for the kernel."""
-    F = np.asarray(F, dtype=float)
-    pair, _, _ = svd2(F)
-    psi1, psi2 = _psi_jets(e, pair.lambda1 / pair.lambda2)
-    fpp = eval_jet2(e.f, pair.lambda1 * pair.lambda2).d2
-    return float(psi1), float(psi2), fpp
+        psi1 = hj.d1 * t / ((t - 1.0) * (t + 1.0) / (2.0 * t))
+    psi1 = np.where(np.abs(t - 1.0) <= _PSI_EPS, t**3 * hj.d2, psi1)
+    return psi1, t * t * hj.d2 - psi1 / t, fpp
 
 
 def analytic_second_derivative(e: SplitEnergy, F: np.ndarray,
@@ -97,9 +85,12 @@ def analytic_second_derivative(e: SplitEnergy, F: np.ndarray,
     The factors that depend only on (F, xi, eta) are formed in exact
     rational arithmetic from the float inputs: their O(|F|^2) terms cancel
     at extreme stretches, and B = <F^-1 xi, eta> nearly vanishes along a
-    stiff volumetric direction.  Only psi', psi'' and f'' carry rounding.
+    stiff volumetric direction.  c_iso's factor is (2JA - |F|^2 JB)^2 over
+    J^2 (|F|^4 - 4J^2), 0 at a conformal F.  Only psi', c_iso and f'' from
+    ``_curvatures`` at the singular values of F carry rounding.
     """
-    psi1, psi2, fpp = second_derivative_terms(e, F)
+    pair, _, _ = svd2(F)
+    psi1, c_iso, fpp = map(float, _curvatures(e, pair.lambda1, pair.lambda2))
     (a, b), (c, d) = ((Fraction(v) for v in row) for row in np.asarray(F, dtype=float))
     x0, x1 = (Fraction(v) for v in np.asarray(xi, dtype=float))
     y0, y1 = (Fraction(v) for v in np.asarray(eta, dtype=float))
@@ -108,9 +99,10 @@ def analytic_second_derivative(e: SplitEnergy, F: np.ndarray,
     A = x0 * (a * y0 + b * y1) + x1 * (c * y0 + d * y1)
     JB = x0 * (d * y0 - c * y1) + x1 * (a * y1 - b * y0)  # J * B
     n2 = (x0 * x0 + x1 * x1) * (y0 * y0 + y1 * y1)
-    iso = (J * A - nf2 * JB / 2) ** 2 / J**4
+    gap = nf2 * nf2 - 4 * J * J  # (l1^2 - l2^2)^2
+    iso = (2 * J * A - nf2 * JB) ** 2 / (J * J * gap) if gap else 0
     dist = (n2 * J * J - 2 * A * JB * J + nf2 * JB * JB) / J**3
-    return psi2 * float(iso) + psi1 * float(dist) + fpp * float(JB * JB)
+    return c_iso * float(iso) + psi1 * float(dist) + fpp * float(JB * JB)
 
 
 def fd_second_derivative(e: SplitEnergy, F: np.ndarray, xi: np.ndarray,
@@ -148,13 +140,6 @@ class BruteForceResult(NamedTuple):
         return "Violation" if self.violation else "NoViolationFound"
 
 
-def _kernel_batch(e: SplitEnergy, lam1, lam2, offset, n_angles):
-    """The direction kernel at diag(lam1, lam2), lam1 >= lam2, with its jets."""
-    psi1, psi2 = _psi_jets(e, lam1 / lam2)
-    fpp = eval_jet2_array(e.f, lam1 * lam2).d2
-    return direction_min_batch(lam1, lam2, offset, psi1, psi2, fpp, n_angles)
-
-
 def brute_force_check(
     e: SplitEnergy,
     n_lambda: int = DEFAULT_ORACLE_GRID.n,
@@ -187,7 +172,8 @@ def brute_force_check(
     lam1, lam2 = lam[i], lam[j]
     offset = np.zeros(lam1.size)
 
-    vals, xis, etas = _kernel_batch(e, lam1, lam2, offset, n_angles)
+    vals, xis, etas = direction_min_batch(lam1, lam2, offset,
+                                          *_curvatures(e, lam1, lam2), n_angles)
     k = int(np.argmin(vals))
     winners = [_pack(e, lam1, lam2, xis, etas, k)]
 
@@ -199,7 +185,8 @@ def brute_force_check(
         swap = s1 < s2
         s1, s2 = np.where(swap, s2, s1), np.where(swap, s1, s2)
         off = n3 + np.where(swap, 0.5 * np.pi, 0.0)
-        vals_r, xis_r, etas_r = _kernel_batch(e, s1, s2, off, n_angles)
+        vals_r, xis_r, etas_r = direction_min_batch(s1, s2, off,
+                                                    *_curvatures(e, s1, s2), n_angles)
         winners.append(_pack(e, s1, s2, xis_r, etas_r, int(np.argmin(vals_r))))
 
     # the kernel's value can lose its sign where f'' * J^2 dominates, so

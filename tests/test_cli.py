@@ -70,6 +70,19 @@ class TestCheck:
         assert {r["overall"] for r in payload["routes"].values()} == {
             "NotRankOneConvex"}
 
+    def test_vacuous_condition_reads_holds(self, runner, tmp_path):
+        # f = log z fails KS_i at every t > 1, so KS_iv has no sample left:
+        # it holds with a margin of +inf, and check exits 1 on KS_i
+        p = tmp_path / "had_log.energy"
+        p.write_text("h = (t + 1/t)/2\nf = log(z)\n")
+        res = invoke(runner, "check", "--energy-file", str(p))
+        assert res.exit_code == 1, res.output
+        assert re.search(r"KS_iv +Holds +worst_margin=inf witness=None", res.output)
+        res = invoke(runner, "check", "--energy-file", str(p), "--report", "json")
+        ks = json.loads(res.output)["routes"]["ks"]["conditions"]
+        assert ks[3] == {"id": "KS_iv", "verdict": "Holds", "worst_margin": None,
+                         "witness": None, "samples": 0}
+
     def test_ks_samples_the_check_grids(self, runner):
         res = invoke(runner, "check", "--catalog", "example1", "--report", "json",
                      "--t-min", "0.1", "--t-max", "10", "--t-points", "801",

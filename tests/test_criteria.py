@@ -317,6 +317,17 @@ class TestKsCheck:
         want = 2.0 * t * eval_jet2_array(e.h, t).d1 / (t - 1.0)
         assert np.all(np.abs(margins - want) <= 1e-12 * size)
 
+    @pytest.mark.parametrize("mu", [0.01, 1.0, 100.0])
+    def test_a_condition_with_no_admissible_sample_holds(self, mu):
+        # f = mu log z: A(t) = mu/t - mu < 0 < A(1/t) at every t > 1, so
+        # g_xx g_yy < 0 past t = 1 and (iv) asks nothing there; KS_i fails
+        e = make_split("(mu/2)*(t + 1/t)", "mu*log(z)", params={"mu": mu})
+        v = ks_check(e)
+        reports = {r.condition_id: r for r in v.reports}
+        assert reports["KS_i"].verdict == "Fails"
+        assert reports["KS_iv"] == ("KS_iv", "Holds", math.inf, None, 0)
+        assert v.overall == "NotRankOneConvex"
+
     def test_an_overflowed_volumetric_part_is_decided(self):
         # f'' overflows on the z grid: a margin of +inf over a size of +inf
         # holds, and KS (v) fails as vol-iso's D does

@@ -233,6 +233,16 @@ class TestJets:
         e = expr.parse("log(1 + (1e75*z)^2)", "z")
         assert weighted_second(e, z) == pytest.approx(-2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("source, exact", [("arcosh(1e150*z)", -1.0),
+                                               ("arcosh(1 + (1e80*z)^2)", -2.0)])
+    @pytest.mark.parametrize("z", [1.0, 1000.0, 1e5])
+    def test_arcosh_jet_keeps_its_sign_past_overflow(self, source, exact, z):
+        # (u^2 - 1)^1.5 overflows: g'' = -u/(u^2 - 1)^1.5 would read -0, and
+        # z^2 f'' 0 on the first, NaN on the second; u g' and u^2 g'' tend
+        # to 1 and -1, so z^2 f''(z) -> -1 and -2
+        e = expr.parse(source, "z")
+        assert weighted_second(e, z) == pytest.approx(exact, rel=1e-12)
+
     def test_variable_exponent_power(self):
         j = jet("2^t", 1.5)
         expected = 2.0**1.5
@@ -244,6 +254,7 @@ class TestJets:
         j = jet("arcosh(t)", 2.0)
         assert j.value == pytest.approx(math.acosh(2.0))
         assert j.d1 == pytest.approx(1.0 / math.sqrt(3.0))
+        assert j.d2 == pytest.approx(-2.0 / 3.0**1.5)
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.floats(min_value=0.2, max_value=5.0))

@@ -6,7 +6,7 @@ from rankone2d import (analytic_second_derivative, brute_force_check, catalog,
 from rankone2d.energy import CATALOG
 from rankone2d.kernels import direction_min_batch
 from rankone2d.expr import eval_jet2
-from rankone2d.oracle import _PSI_EPS, _psi_jets, second_derivative_terms
+from rankone2d.oracle import _PSI_EPS, _curvatures
 
 
 def _state_batch(e, n, seed, spread=2.0):
@@ -17,8 +17,13 @@ def _state_batch(e, n, seed, spread=2.0):
     lam1, lam2 = lam.max(axis=0), lam.min(axis=0)
     offset = rng.uniform(0.0, np.pi, n)
     mats = [np.diag([l1, l2]) for l1, l2 in zip(lam1, lam2)]
-    terms = np.array([second_derivative_terms(e, F) for F in mats])
-    return mats, (lam1, lam2, offset, *terms.T)
+    return mats, (lam1, lam2, offset, *_curvatures(e, lam1, lam2))
+
+
+def _psi2(lam1, lam2, c_iso):
+    """psi'' = c_iso / ((t - 1/t)/2)^2 off the diagonal, t = lam1/lam2."""
+    t = lam1 / lam2
+    return c_iso / (0.5 * (t - 1.0 / t)) ** 2
 
 
 def make_batch(n=64, seed=0):
@@ -30,7 +35,8 @@ class TestKernelContract:
     def test_min_is_attained_at_reported_angles(self):
         batch = make_batch(16, seed=3)
         vals, xis, etas = direction_min_batch(*batch, 16)
-        lam1, lam2, _, psi1, psi2, fpp = batch
+        lam1, lam2, _, psi1, c_iso, fpp = batch
+        psi2 = _psi2(lam1, lam2, c_iso)
         for i in range(16):
             F = np.diag([lam1[i], lam2[i]])
             xi = np.array([np.cos(xis[i]), np.sin(xis[i])])
@@ -57,9 +63,9 @@ class TestKernelContract:
         # the rounded eigenvector would be rounding noise of order 1e10
         e = make_split("0.35*log(t)^2", "2.6*exp(1.4*log(z)^2)")
         F = np.diag([0.1559, 0.00316])
-        terms = second_derivative_terms(e, F)
-        vals, _, _ = direction_min_batch(
-            [F[0, 0]], [F[1, 1]], [0.0], *([v] for v in terms), n_angles)
+        l1, l2 = [F[0, 0]], [F[1, 1]]
+        vals, _, _ = direction_min_batch(l1, l2, [0.0], *_curvatures(e, l1, l2),
+                                         n_angles)
         assert -96.5 < vals[0] < -96.3
 
     def test_angles_lie_in_half_circle(self):
@@ -126,7 +132,8 @@ class TestAcousticKernel:
         e = catalog(cid)
         mats, batch = _state_batch(e, 12, seed=sorted(CATALOG).index(cid))
         vals, xis, etas = direction_min_batch(*batch, 48)
-        offset, psi1, psi2, fpp = batch[2:]
+        lam1, lam2, offset, psi1, c_iso, fpp = batch
+        psi2 = _psi2(lam1, lam2, c_iso)
         for i, F in enumerate(mats):
             grid = _grid_min(F, psi1[i], psi2[i], fpp[i], 48, offset[i])
             assert vals[i] <= grid + 1e-10 * (1.0 + abs(grid))
@@ -158,8 +165,7 @@ class TestAcousticKernel:
         e = catalog(cid)
         side = _PSI_EPS * (1.0 + np.array([-1e-6, 1e-6]))  # limit, chain rule
         t = np.concatenate([1.0 + side, 1.0 - side])
-        psi1, psi2 = _psi_jets(e, t)
-        c_iso = 0.25 * psi2 * (t - 1.0 / t) ** 2
+        psi1, c_iso, _ = _curvatures(e, t, np.ones_like(t))
         scale = abs(eval_jet2(e.h, 1.0).d2)
         assert np.all(np.abs(c_iso) <= 1e-10 * scale)
         assert np.all(np.abs(psi1[[1, 3]] - psi1[[0, 2]]) <= 1e-10 * scale)

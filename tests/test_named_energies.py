@@ -1,12 +1,13 @@
 """The correctness ratchet: energies whose truth is known from the paper's
 Hadamard theorem or a closed form, against the ``check`` exit code, the
-verdict of each route and that of ``classify``.
+verdict of each route, that of ``classify`` and the oracle's summary, and
+a sweep of the theorem itself over scales and volumetric atoms.
 
 Each (energy, column) pair is one test.  A cell that is wrong today is a
 strict xfail naming the open ROADMAP item that mends it: a change that
 breaks a right cell fails, and so does one that mends a wrong cell
-without removing its mark.  A route or ``classify`` that raises reads as
-the name of its error.
+without removing its mark.  A route, ``classify`` or the oracle that
+raises reads as the name of its error.
 """
 
 import functools
@@ -16,8 +17,8 @@ import tempfile
 import pytest
 from click.testing import CliRunner
 
-from rankone2d import (classify_structure, errors, ks_check, main_check, make_split,
-                       voliso_check)
+from rankone2d import (brute_force_check, classify_structure, errors, ks_check,
+                       main_check, make_split, voliso_check)
 from rankone2d.cli import main
 
 R1C, NOT = "RankOneConvex", "NotRankOneConvex"
@@ -46,15 +47,24 @@ NAMED = {
     "big": ("(t + 1/t)/2", "1e308*(z - 1)^2", {}, R1C, True),
     # z^2 f'' tends to -2
     "logbig": ("(t + 1/t)/2", "log(1 + (1e75*z)^2)", {}, NOT, True),
+    # the paper's counterexample: z^2 f'' = -1, so KS_i fails at every t > 1
+    # and KS_iv has no sample left
+    "had_log": ("(t + 1/t)/2", "log(z)", {}, NOT, True),
+    # z^2 f'' -> -1, though (u^2 - 1)^1.5 overflows in arcosh's g''
+    "had_arcosh": ("(t + 1/t)/2", "arcosh(1e150*z)", {}, NOT, True),
 }
 
-COLUMNS = ("exit", "main", "voliso", "ks", "classify")
+COLUMNS = ("exit", "main", "voliso", "ks", "classify", "oracle")
 ROUTES = ("main", "voliso", "ks")
 
 _TAIL = "items 10, 20: f0 is read unbounded from a tail that levels off"
 _PAST_GRIDS = "items 10, 20: the failure lies past the t grid of every route"
 _PAST_Z = "item 10: the failure lies past the (t, z) grids of vol-iso and KS"
 _OVERFLOW = "item 4: an overflowed jet raises DomainError instead of taking its limit"
+_PAST_LAMBDA = "item 10: the failure lies past the oracle's stretch range"
+_RECHECK = ("item 2: the kernel's violation re-checks as positive at the float "
+            "witness")
+_OVERFLOW_F = "item 4: f's jet overflows on the oracle's grid and raises OverflowValue"
 
 WRONG = {
     ("far", "exit"): _TAIL,
@@ -68,12 +78,28 @@ WRONG = {
     **{("stiff(10)", c): _OVERFLOW for c in ("exit", *ROUTES)},
     ("big", "exit"): _OVERFLOW,
     ("big", "ks"): _OVERFLOW,
+    ("stiff(6)", "oracle"): _RECHECK,
+    **{(name, "oracle"): _PAST_LAMBDA for name in (
+        "diamond", "hadfar", "had_tail", "had_log2", "near_had(1e-9)",
+        "near_had(1e-12)")},
+    ("stiff(10)", "oracle"): _OVERFLOW_F,
+    ("big", "oracle"): _OVERFLOW_F,
 }
 
 
-def _verdict(decide):
+# how each column but the exit code reads an energy
+READ = {
+    "main": lambda e: main_check(e).verdict.overall,
+    "voliso": lambda e: voliso_check(e).overall,
+    "ks": lambda e: ks_check(e).overall,
+    "classify": lambda e: classify_structure(e).verdict,
+    "oracle": lambda e: brute_force_check(e).summary,
+}
+
+
+def _verdict(column, e):
     try:
-        return decide()
+        return READ[column](e)
     except errors.RankOneError as exc:
         return type(exc).__name__
 
@@ -91,13 +117,7 @@ def _outcome(name: str) -> dict:
             entries = {"h": h, "f": f, **params}
             fh.write("".join(f"{k} = {v}\n" for k, v in entries.items()))
         code = CliRunner().invoke(main, ["check", "--energy-file", path]).exit_code
-    return {
-        "exit": code,
-        "main": _verdict(lambda: main_check(e).verdict.overall),
-        "voliso": _verdict(lambda: voliso_check(e).overall),
-        "ks": _verdict(lambda: ks_check(e).overall),
-        "classify": _verdict(lambda: classify_structure(e).verdict),
-    }
+    return {"exit": code, **{column: _verdict(column, e) for column in READ}}
 
 
 def _expected(name: str, column: str):
@@ -106,6 +126,8 @@ def _expected(name: str, column: str):
         return {R1C: 0, NOT: 1}[truth]
     if column == "classify":  # it leaves the general energies here to check
         return truth if hadamard else None
+    if column == "oracle":
+        return "Violation" if truth == NOT else "NoViolationFound"
     return truth
 
 
@@ -116,3 +138,42 @@ def _expected(name: str, column: str):
     for name in NAMED for column in COLUMNS])
 def test_named_energy(name, column):
     assert _outcome(name)[column] == _expected(name, column)
+
+
+# The theorem as a sweep: with h = (mu/2)(t + 1/t), main, vol-iso, KS and
+# classify read RankOneConvex iff f is convex; f atom: whether it is convex
+SCALES = (0.01, 1.0, 100.0)
+ATOMS = {
+    "kappa*(z - 1)^2": True,
+    "kappa*(z - log(z) - 1)": True,
+    "kappa*(z + 1/z)": True,
+    "kappa*z*log(z)": True,
+    "-kappa*log(z)": True,
+    "kappa*log(z)^2": False,
+    "kappa*((z - 1/z)^4 - (z - 1/z)^2)": False,
+    "kappa*tanh(z)": False,
+    "mu*log(z)": False,
+    "kappa*arcosh(1 + z)": False,
+}
+SWEEP_COLUMNS = ("main", "voliso", "ks", "classify")
+
+# A = mu/t + z^2 f''(z) turns negative only near t = 1.3e4
+_PAST_T = "item 10: the failure lies past the t grid of vol-iso and KS"
+SWEEP_WRONG = {(f, 100.0, 0.01, c): _PAST_T
+               for f in ("kappa*tanh(z)", "kappa*arcosh(1 + z)")
+               for c in ("voliso", "ks")}
+
+
+@functools.cache
+def _hadamard(f: str, mu: float, kappa: float):
+    return make_split(HADAMARD, f, params={"mu": mu, "kappa": kappa})
+
+
+@pytest.mark.parametrize("f, mu, kappa, column", [
+    pytest.param(f, mu, kappa, column,
+                 id=f"{f}-mu={mu:g}-kappa={kappa:g}-{column}",
+                 marks=[pytest.mark.xfail(strict=True, reason=SWEEP_WRONG[key])]
+                 if (key := (f, mu, kappa, column)) in SWEEP_WRONG else [])
+    for f in ATOMS for mu in SCALES for kappa in SCALES for column in SWEEP_COLUMNS])
+def test_hadamard_theorem(f, mu, kappa, column):
+    assert _verdict(column, _hadamard(f, mu, kappa)) == (R1C if ATOMS[f] else NOT)

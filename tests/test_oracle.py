@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -141,9 +143,9 @@ def _record_kernel(monkeypatch):
     oracle, appended to the returned list."""
     calls = []
 
-    def recording(l1, l2, offset, psi1, psi2, fpp, n_angles):
+    def recording(l1, l2, offset, psi1, c_iso, fpp, n_angles):
         calls.append((l1, l2, offset, n_angles))
-        return direction_min_batch(l1, l2, offset, psi1, psi2, fpp, n_angles)
+        return direction_min_batch(l1, l2, offset, psi1, c_iso, fpp, n_angles)
 
     monkeypatch.setattr(oracle, "direction_min_batch", recording)
     return calls
@@ -165,6 +167,18 @@ class TestBruteForce:
         check = analytic_second_derivative(e, res.F, res.xi, res.eta)
         assert check == pytest.approx(res.value, rel=1e-9)
         assert check < 0
+
+    @pytest.mark.parametrize("h, f", [("(t + 1/t)/2", "1e308*(z - 1)^2"),
+                                      ("0.35*log(t)^2", "2.6*exp(10*log(z)^2)")])
+    def test_overflowing_jet_raises_before_the_kernel(self, monkeypatch, h, f):
+        # f's jet overflows at the grid's smallest J, 1e-4: the typed error
+        # comes from the curvatures, so no NaN state reaches the kernel
+        calls = _record_kernel(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(errors.OverflowValue, match="overflowed at 0.0001"):
+                brute_force_check(make_split(h, f))
+        assert calls == [] and caught == []
 
     def test_witness_value_is_rechecked(self):
         # the kernel's most negative sample here sits at f'' ~ 1e38, where

@@ -11,9 +11,8 @@ from rankone2d import (analytic_second_derivative, catalog, emit_csv,
                        emit_svg, main_check, make_split, scan_domain)
 from rankone2d.energy import CATALOG
 from rankone2d.errors import DegenerateGrid, RankOneError
-from rankone2d.expr import eval_jet2_array
 from rankone2d.kernels import direction_min_batch
-from rankone2d.oracle import _psi_jets
+from rankone2d.oracle import _curvatures
 from rankone2d.scan import _COLORS, _LABELS, EllipticityMap
 
 LABELS = ("Elliptic", "NonElliptic", "Boundary")
@@ -362,11 +361,9 @@ ENERGIES = _energies()
 
 def _kernel_cells(e, lam1, lam2, n_angles):
     """The direction kernel at diag(lam1, lam2), lam1 >= lam2."""
-    psi1, psi2 = _psi_jets(e, lam1 / lam2)
-    fpp = eval_jet2_array(e.f, lam1 * lam2).d2
     with np.errstate(all="ignore"):
-        return direction_min_batch(lam1, lam2, np.zeros(lam1.size), psi1, psi2,
-                                   fpp, n_angles)
+        return direction_min_batch(lam1, lam2, np.zeros(lam1.size),
+                                   *_curvatures(e, lam1, lam2), n_angles)
 
 
 def _mp_function(ast, mp):
