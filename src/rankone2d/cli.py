@@ -19,17 +19,18 @@ in f), a function (``exp``, ``log``, ...) or a constant (``e``, ``pi``), or
 whose value is not a finite number is an input error, and so is a key given
 twice.  Keys that neither source uses are ignored.
 
-Every subcommand is declared with ``_command``, which owns the frame they
-share.  It adds the energy source options (``--catalog``, ``--energy-file``
-and one flag per catalog parameter) and ``--report``.  It checks ``--tol``
-where the command has one, resolves the energy and calls the body with it
-and the command's own options.  The body returns ``(exit code, payload,
-text lines)``; ``_command`` prints the JSON payload with ``schema_version``
-and ``energy`` added, or the text lines after ``energy: <name>``.  A
-``RankOneError``, ``ClickException`` or ``MemoryError`` (a grid too large
-to allocate) from any of these steps becomes one ``error:`` line on stderr
-and exit 3.  ``--tol`` is checked first, then the energy, then the body's
-own inputs, so with two bad inputs the first of these is the one reported.
+Every subcommand is declared with ``_command`` and takes the energy source
+options (``--catalog``, ``--energy-file`` and one flag per catalog
+parameter) and ``--report``.  ``main`` parses the command line, checks
+``--tol`` where the command has one, resolves the energy and calls the body
+with it and the command's own options.  The body returns ``(exit code,
+payload, text lines)``; ``main`` prints the JSON payload with
+``schema_version`` and ``energy`` added, or the text lines after ``energy:
+<name>``.  A malformed command line, a ``RankOneError`` or a ``MemoryError``
+(a grid too large to allocate) from any of these steps becomes one
+``error:`` line on stderr and exit 3.  The command line is checked first,
+then ``--tol``, the energy and the body's inputs, so with two bad inputs
+the first of these is the one reported.
 
 Each body imports the modules it runs, and option defaults come from
 ``energy``, so a process loads only what its subcommand uses.
@@ -37,14 +38,13 @@ Each body imports the modules it runs, and option defaults come from
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import math
 import os
+import re
 import sys
 from typing import TYPE_CHECKING, Optional
-
-import click
 
 from . import energy
 from .errors import RankOneError
@@ -69,25 +69,22 @@ def _load_energy_file(path: str) -> energy.SplitEnergy:
     try:
         fh = open(path)
     except OSError as exc:
-        raise click.ClickException(
-            f"{path}: cannot read energy file: {exc.strerror}") from None
+        raise RankOneError(f"{path}: cannot read energy file: {exc.strerror}") from None
     with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise click.ClickException(
-                    f"{path}:{lineno}: expected key=value, got {line!r}")
+                raise RankOneError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
             if key in entries:
-                raise click.ClickException(
-                    f"{path}:{lineno}: duplicate key {key!r}")
+                raise RankOneError(f"{path}:{lineno}: duplicate key {key!r}")
             entries[key] = value.strip()
     for required in ("h", "f"):
         if required not in entries:
-            raise click.ClickException(f"{path}: missing required key {required!r}")
+            raise RankOneError(f"{path}: missing required key {required!r}")
     name = entries.pop("name", path)
     h_src = entries.pop("h")
     f_src = entries.pop("f")
@@ -96,20 +93,18 @@ def _load_energy_file(path: str) -> energy.SplitEnergy:
         try:
             params[key] = float(value)
         except ValueError:
-            raise click.ClickException(
-                f"{path}: parameter {key!r} is not numeric: {value!r}")
+            raise RankOneError(f"{path}: parameter {key!r} is not numeric: {value!r}")
     return energy.make_split(h_src, f_src, name=name, params=params)
 
 
 def _resolve_energy(catalog: Optional[str], energy_file: Optional[str],
                     params: dict) -> energy.SplitEnergy:
     if (catalog is None) == (energy_file is None):
-        raise click.ClickException(
+        raise RankOneError(
             "provide exactly one energy source: --catalog or --energy-file")
     if energy_file is not None:
         if any(v is not None for v in params.values()):
-            raise click.ClickException(
-                "parameter flags apply to --catalog energies only")
+            raise RankOneError("parameter flags apply to --catalog energies only")
         return _load_energy_file(energy_file)
     kwargs = {k: v for k, v in params.items() if v is not None}
     return energy.catalog(catalog, **kwargs)
@@ -118,22 +113,26 @@ def _resolve_energy(catalog: Optional[str], energy_file: Optional[str],
 _PARAM_NAMES = tuple(dict.fromkeys(p for entry in energy.CATALOG.values()
                                    for p in entry.defaults))
 
+
+def _option(*flags, **kwargs):
+    """An option, given as ``argparse.ArgumentParser.add_argument`` takes it."""
+    return flags, kwargs
+
+
 _SHARED_OPTIONS = [
-    click.option("--catalog", "catalog_id", default=None,
-                 help="Catalog energy id."),
-    click.option("--energy-file", default=None, type=click.Path(),
-                 help="Energy definition file (key=value text)."),
-    *(click.option(f"--{name}", type=float, default=None) for name in _PARAM_NAMES),
-    click.option("--report", "report_format", type=click.Choice(["json", "text"]),
-                 default="text", help="Report format."),
+    _option("--catalog", dest="catalog_id", help="Catalog energy id."),
+    _option("--energy-file", help="Energy definition file (key=value text)."),
+    *(_option(f"--{name}", type=float) for name in _PARAM_NAMES),
+    _option("--report", dest="report_format", choices=["json", "text"],
+            default="text", help="Report format."),
 ]
 
-_tol_option = click.option("--tol", type=float, default=energy.DEFAULT_TOL)
+_tol_option = _option("--tol", type=float, default=energy.DEFAULT_TOL)
 
 
 def _check_at_least(option: str, value: int, lowest: int) -> None:
     if value < lowest:
-        raise click.ClickException(f"{option} must be at least {lowest}")
+        raise RankOneError(f"{option} must be at least {lowest}")
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +143,7 @@ def _open_output(path: str, **kwargs):
     try:
         return open(path, "w", **kwargs)
     except OSError as exc:
-        raise click.ClickException(
+        raise RankOneError(
             f"{path}: cannot write output file: {exc.strerror}") from None
 
 
@@ -167,12 +166,24 @@ def _condition_lines(reports) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the command group
+# the command line
 
 
-@click.group()
-def main() -> None:
-    """Rank-one convexity checks for planar volumetric-isochoric energies."""
+class _Parser(argparse.ArgumentParser):
+    """A parser that rejects abbreviated options, reads a token such as
+    ``-1e-3``, ``-inf`` or ``-nan`` as an option's value, and raises
+    ``RankOneError`` on a malformed command line, so that it exits 3."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        # set after -h is added, so that no option looks like a negative number
+        self._negative_number_matcher = re.compile(r"-[^-]")
+
+    def error(self, message):
+        raise RankOneError(message)
+
+
+_COMMANDS = {}  # name -> (body, options)
 
 
 def _command(name: str, *options):
@@ -180,45 +191,66 @@ def _command(name: str, *options):
     a subcommand taking the shared options, then ``options`` in order."""
 
     def decorate(body):
-        @functools.wraps(body)
-        def run(catalog_id, energy_file, report_format, **kwargs):
-            params = {p: kwargs.pop(p) for p in _PARAM_NAMES}
-            try:
-                # NaN fails the bounds too
-                if "tol" in kwargs and not 0.0 < kwargs["tol"] < math.inf:
-                    raise click.ClickException("--tol must be positive and finite")
-                e = _resolve_energy(catalog_id, energy_file, params)
-                code, payload, lines = body(e, **kwargs)
-            except (RankOneError, click.ClickException) as exc:
-                click.echo(f"error: {exc}", err=True)
-                sys.exit(EXIT_INPUT)
-            except MemoryError as exc:  # a grid too large to allocate
-                click.echo(f"error: out of memory: {exc}", err=True)
-                sys.exit(EXIT_INPUT)
-            if report_format == "json":
-                click.echo(json.dumps({"schema_version": SCHEMA_VERSION,
-                                       "energy": e.name, **payload},
-                                      indent=2, sort_keys=True))
-            else:
-                for line in [f"energy: {e.name}", *lines]:
-                    click.echo(line)
-            sys.exit(code)
-
-        for deco in reversed([*_SHARED_OPTIONS, *options]):
-            run = deco(run)
-        return main.command(name)(run)
+        _COMMANDS[name] = body, [*_SHARED_OPTIONS, *options]
+        return body
 
     return decorate
 
 
+def main(args=None, prog_name: str = "rankone2d") -> None:
+    """Run the subcommand that ``args`` (default ``sys.argv[1:]``) names and
+    end in ``SystemExit`` with its exit code.  ``main.name`` and ``main.main``
+    let a test runner call it as ``main.main(args=..., prog_name=main.name)``."""
+    parser = _Parser(prog=prog_name, description="Rank-one convexity checks "
+                     "for planar volumetric-isochoric energies.")
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, (body, options) in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=body.__doc__, description=body.__doc__)
+        for flags, kwargs in options:
+            sub.add_argument(*flags, **kwargs)
+    try:
+        kwargs = vars(parser.parse_args(args))
+        body = _COMMANDS[kwargs.pop("command")][0]
+        report_format = kwargs.pop("report_format")
+        source = kwargs.pop("catalog_id"), kwargs.pop("energy_file")
+        params = {p: kwargs.pop(p) for p in _PARAM_NAMES}
+        # NaN fails the bounds too
+        if "tol" in kwargs and not 0.0 < kwargs["tol"] < math.inf:
+            raise RankOneError("--tol must be positive and finite")
+        e = _resolve_energy(*source, params)
+        code, payload, lines = body(e, **kwargs)
+    except RankOneError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_INPUT)
+    except MemoryError as exc:  # a grid too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        sys.exit(EXIT_INPUT)
+    if report_format == "json":
+        out = json.dumps({"schema_version": SCHEMA_VERSION, "energy": e.name,
+                          **payload}, indent=2, sort_keys=True)
+    else:
+        out = "\n".join([f"energy: {e.name}", *lines])
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:  # the reader closed stdout: exit 1 quietly
+        # what is left goes to devnull, so no later flush raises
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_FAIL
+    sys.exit(code)
+
+
+main.name = "rankone2d"
+main.main = main
+
+
 @_command(
     "check",
-    click.option("--t-min", type=float, default=energy.DEFAULT_T_GRID.lo),
-    click.option("--t-max", type=float, default=energy.DEFAULT_T_GRID.hi),
-    click.option("--t-points", type=int, default=energy.DEFAULT_T_GRID.n),
-    click.option("--z-min", type=float, default=energy.DEFAULT_Z_GRID.lo),
-    click.option("--z-max", type=float, default=energy.DEFAULT_Z_GRID.hi),
-    click.option("--z-points", type=int, default=energy.DEFAULT_Z_GRID.n),
+    _option("--t-min", type=float, default=energy.DEFAULT_T_GRID.lo),
+    _option("--t-max", type=float, default=energy.DEFAULT_T_GRID.hi),
+    _option("--t-points", type=int, default=energy.DEFAULT_T_GRID.n),
+    _option("--z-min", type=float, default=energy.DEFAULT_Z_GRID.lo),
+    _option("--z-max", type=float, default=energy.DEFAULT_Z_GRID.hi),
+    _option("--z-points", type=int, default=energy.DEFAULT_Z_GRID.n),
     _tol_option,
 )
 def check(e, t_min, t_max, t_points, z_min, z_max, z_points, tol):
@@ -280,12 +312,12 @@ def classify(e):
 
 @_command(
     "oracle",
-    click.option("--seed", type=int, default=0),
-    click.option("--samples", type=int, default=1000,
-                 help="Random refinement samples around the worst grid point."),
-    click.option("--grid", "grid_n", type=int,
-                 default=energy.DEFAULT_ORACLE_GRID.n,
-                 help="Stretch samples per axis."),
+    _option("--seed", type=int, default=0),
+    _option("--samples", type=int, default=1000,
+            help="Random refinement samples around the worst grid point."),
+    _option("--grid", dest="grid_n", type=int,
+            default=energy.DEFAULT_ORACLE_GRID.n,
+            help="Stretch samples per axis."),
     _tol_option,
 )
 def oracle_cmd(e, seed, samples, grid_n, tol):
@@ -295,7 +327,7 @@ def oracle_cmd(e, seed, samples, grid_n, tol):
     _check_at_least("--grid", grid_n, 1)
     _check_at_least("--samples", samples, 0)
     if not 0 <= seed <= oracle.SEED_MAX:
-        raise click.ClickException(f"--seed must be in [0, {oracle.SEED_MAX}]")
+        raise RankOneError(f"--seed must be in [0, {oracle.SEED_MAX}]")
     res = oracle.brute_force_check(e, n_lambda=grid_n, n_refine=samples,
                                    seed=seed, tol=tol)
     payload = {
@@ -315,8 +347,8 @@ def oracle_cmd(e, seed, samples, grid_n, tol):
 
 @_command(
     "stress",
-    click.option("--at", nargs=2, type=float, default=(1.0, 1.0),
-                 help="Principal stretches lambda1 lambda2."),
+    _option("--at", nargs=2, type=float, default=(1.0, 1.0),
+            help="Principal stretches lambda1 lambda2."),
     _tol_option,
 )
 def stress_cmd(e, at, tol):
@@ -364,18 +396,18 @@ def stress_cmd(e, at, tol):
 
 @_command(
     "scan",
-    click.option("--grid", "grid_n", type=int, default=energy.DEFAULT_SCAN_GRID.n,
-                 help="Grid points per stretch axis."),
-    click.option("--lambda-min", type=float, default=energy.DEFAULT_SCAN_GRID.lo),
-    click.option("--lambda-max", type=float, default=energy.DEFAULT_SCAN_GRID.hi),
-    click.option("--spacing", type=click.Choice(["log", "linear"]), default="log"),
-    click.option("--angles", type=int, default=48,
-                 help="Accepted for compatibility and checked to be at least 1; "
-                      "it no longer affects the map, whose labels come from the "
-                      "exact split conditions."),
+    _option("--grid", dest="grid_n", type=int, default=energy.DEFAULT_SCAN_GRID.n,
+            help="Grid points per stretch axis."),
+    _option("--lambda-min", type=float, default=energy.DEFAULT_SCAN_GRID.lo),
+    _option("--lambda-max", type=float, default=energy.DEFAULT_SCAN_GRID.hi),
+    _option("--spacing", choices=["log", "linear"], default="log"),
+    _option("--angles", type=int, default=48,
+            help="Accepted for compatibility and checked to be at least 1; "
+                 "it no longer affects the map, whose labels come from the "
+                 "exact split conditions."),
     _tol_option,
-    click.option("--out-csv", type=click.Path(), default=None),
-    click.option("--out-svg", type=click.Path(), default=None),
+    _option("--out-csv"),
+    _option("--out-svg"),
 )
 def scan_cmd(e, grid_n, lambda_min, lambda_max, spacing, angles, tol, out_csv,
              out_svg):
@@ -421,8 +453,8 @@ def run() -> None:
     """Process entry point: run ``main``, flush stdout and stderr, and end
     the process with ``os._exit``, skipping interpreter teardown.
 
-    Teardown, a full garbage-collector pass over numpy, click and this
-    package, costs a CLI process about as much as most commands compute.
+    Teardown, a full garbage-collector pass over numpy and this package,
+    costs a CLI process about as much as most commands compute.
     Nothing is lost by skipping it: every file a command writes is closed by
     its ``with`` block, and the package registers no ``atexit`` handler.
     Any exception other than ``SystemExit``, or an exit code that is neither
@@ -431,7 +463,7 @@ def run() -> None:
     """
     try:
         main()
-    except SystemExit as exc:  # click's standalone mode always exits
+    except SystemExit as exc:  # main always exits
         if exc.code is not None and not isinstance(exc.code, int):
             raise
         code = exc.code or 0

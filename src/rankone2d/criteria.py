@@ -312,7 +312,7 @@ def voliso_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
     # limits at that sample; a zero slope times the infinite w is NaN and,
     # like a NaN jet, raises DomainError naming the sample.
     with np.errstate(over="ignore", invalid="ignore"):
-        wz = zs**2 * eval_jet2_array(e.f, zs).d2
+        wz = weighted_second(e.f, zs)
         wt = ts**2 * hj.d2  # t^2 h''(t); at 1/t it is t^2 h''(t) + 2t h'(t)
         wt = np.minimum(wt, wt + 2.0 * ts * hj.d1)
     # A) separate convexity: min decouples into the two 1-D minima

@@ -120,8 +120,6 @@ def _diverges_into_boundary(xs: np.ndarray, vals: np.ndarray, upper: bool) -> bo
     else:
         outer = (log_x < log_x[0] + 1.0)
         inner = (log_x >= log_x[0] + 1.0) & (log_x < log_x[0] + 2.0)
-    if outer.sum() < 2 or inner.sum() < 2:
-        return False
     outer_min = float(vals[outer].min())
     inner_min = float(vals[inner].min())
     if outer_min >= 0.0:

@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import os
 import re
@@ -21,6 +23,15 @@ def runner():
 
 def invoke(runner, *args):
     return runner.invoke(main, list(args))
+
+
+def run_main(*args):
+    """``main`` in-process, as (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        main(list(args))
+    return exc.value.code, out.getvalue(), err.getvalue()
 
 
 def run_fresh(*args, stdout=subprocess.PIPE, python=("-m", "rankone2d.cli")):
@@ -396,6 +407,20 @@ class TestEnergyFile:
         assert res.exit_code == 3
         assert f"error: {p}:{lineno}: duplicate key {key!r}" in res.output
 
+    @pytest.mark.parametrize("text, message", [
+        ("h = (t + 1/t)/2\nf = (z - 1)^2\nmu 2\n",
+         "{p}:3: expected key=value, got 'mu 2'"),
+        ("h = mu*((t + 1/t)/2 - 1)\nf = (z - 1)^2\nmu = two\n",
+         "{p}: parameter 'mu' is not numeric: 'two'"),
+        ("h = (t + 1/t/2\nf = (z - 1)^2\n", "expected ')' (at offset 10)"),
+    ], ids=["no_equals", "not_numeric", "unclosed_paren"])
+    def test_malformed_file_is_input_error(self, runner, tmp_path, text, message):
+        p = tmp_path / "bad.energy"
+        p.write_text(text)
+        res = invoke(runner, "check", "--energy-file", str(p))
+        assert res.exit_code == 3
+        assert res.output == f"error: {message.format(p=p)}\n"
+
     def test_param_flags_rejected_with_energy_file(self, runner, tmp_path):
         p = tmp_path / "e.txt"
         p.write_text("h = 0\nf = z^2\n")
@@ -493,6 +518,23 @@ class TestStress:
         assert res.exit_code == 0
         assert "LocallyInvertible" in res.output
 
+    def test_flat_volumetric_part_is_not_certified(self, runner):
+        # k_energy's f = 0: f'' neither certifies nor breaks invertibility
+        res = invoke(runner, "stress", "--catalog", "k_energy", "--report", "json")
+        assert res.exit_code == 2
+        assert json.loads(res.output)["verdicts"]["invertibility"] == "NotCertified"
+
+    def test_isochoric_factor_witness(self, runner, tmp_path):
+        # t h'' + h' = -2/t, most negative at the grid's first t = 1e-3
+        p = tmp_path / "neg_hencky.energy"
+        p.write_text("h = -log(t)^2\nf = (z - 1)^2\n")
+        res = invoke(runner, "stress", "--energy-file", str(p), "--report", "json")
+        assert res.exit_code == 1
+        verdicts = json.loads(res.output)["verdicts"]
+        assert verdicts["invertibility"] == "Degenerate"
+        assert verdicts["invertibility_witness"] == {
+            "factor": "isochoric", "t": 0.001, "value": -2000.0}
+
     def test_undefined_sample_is_an_input_error(self, runner, tmp_path):
         # f is undefined below z = 1/2, so no verdict rests on its samples
         p = tmp_path / "undefined_dip.txt"
@@ -573,6 +615,51 @@ class TestScan:
         assert f"{target}: cannot write output file" in res.output
 
 
+class TestCommandLine:
+    """A malformed command line is an input error like any other: exit 3 and
+    one ``error:`` line naming what is wrong.  The assertions name the flag,
+    not the parser's wording, which differs between Python versions."""
+
+    @pytest.mark.parametrize("args, named", [
+        (("check", "--catalog", "example1", "--tol", "abc"), "--tol"),
+        (("check", "--catalog", "example1", "--bogus", "1"), "--bogus"),
+        (("check", "--catalog", "example1", "--report", "xml"), "--report"),
+        (("scan", "--catalog", "example1", "--spacing", "cubic"), "--spacing"),
+        (("stress", "--catalog", "example1", "--at", "1"), "--at"),
+        ((), ""),
+        (("chec", "--catalog", "example1"), "chec"),
+        # no option is abbreviated
+        (("check", "--cat", "example1"), "--cat"),
+        (("classify", "--catalog", "example1", "--rep", "json"), "--rep"),
+    ], ids=["tol", "unknown", "report", "spacing", "at", "no_command",
+            "command", "catalog_abbrev", "report_abbrev"])
+    def test_malformed_exits_three(self, args, named):
+        code, out, err = run_main(*args)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
+    @pytest.mark.parametrize("args, code, message", [
+        (("classify", "--catalog", "hadamard_k", "--mu", "-1e-3"), 2,
+         "energy: hadamard_k(mu=-0.001)\n"),
+        (("stress", "--catalog", "hadamard_k", "--kappa", "-1.5"), 1,
+         "energy: hadamard_k(kappa=-1.5)\n"),
+        (("check", "--catalog", "example1", "--tol", "-nan"), 3,
+         "error: --tol must be positive and finite\n"),
+    ], ids=["mu", "kappa", "tol"])
+    def test_negative_number_is_a_value(self, args, code, message):
+        got, out, err = run_main(*args)
+        assert got == code
+        assert (out + err).startswith(message)
+
+    def test_help_lists_the_subcommands(self):
+        code, out, err = run_main("--help")
+        assert code == 0 and err == ""
+        for name in ("check", "classify", "oracle", "stress", "scan"):
+            assert name in out
+
+
 # commands with small grids, so each fresh process costs mostly start-up
 EXIT_PATH_COMMANDS = {"check": (), "classify": (), "stress": (),
                       "oracle": ("--grid", "3", "--samples", "10"),
@@ -583,8 +670,8 @@ COMMAND_SCRIPT = """
 import sys
 from rankone2d import cli
 
-@cli.main.command("boom")
-def boom():
+@cli._command("boom")
+def boom(e):
     {}
 
 cli.run()
@@ -637,12 +724,12 @@ class TestExitPath:
             outputs[label] = [p.read_bytes() for p in paths]
         assert outputs["fresh"] == outputs["in_process"]
 
-    def test_usage_error_exits_two(self):
+    def test_usage_error_exits_three(self):
         res = run_fresh("check", "--catalog", "example1", "--report", "xml")
-        assert res.returncode == 2
+        assert res.returncode == 3
         assert res.stdout == ""
-        assert "Usage: " in res.stderr
-        assert "Invalid value for '--report'" in res.stderr
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "--report" in res.stderr
 
     def test_closed_stdout_exits_one_quietly(self):
         read_end, write_end = os.pipe()
@@ -663,14 +750,14 @@ class TestExitPath:
         assert "teardown ran" not in res.stdout
 
     def test_unexpected_exception_prints_traceback(self):
-        res = run_fresh("boom", python=("-c", COMMAND_SCRIPT.format(
-            'raise RuntimeError("boom")')))
+        res = run_fresh("boom", "--catalog", "example1", python=(
+            "-c", COMMAND_SCRIPT.format('raise RuntimeError("boom")')))
         assert res.returncode == 1
         assert "Traceback" in res.stderr
         assert "RuntimeError: boom" in res.stderr
 
     def test_exit_with_message_takes_normal_exit(self):
-        res = run_fresh("boom", python=("-c", COMMAND_SCRIPT.format(
-            'sys.exit("boom")')))
+        res = run_fresh("boom", "--catalog", "example1", python=(
+            "-c", COMMAND_SCRIPT.format('sys.exit("boom")')))
         assert res.returncode == 1
         assert res.stderr == "boom\n"

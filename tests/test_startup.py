@@ -19,28 +19,29 @@ SUBMODULES = {"cli", "criteria", "energy", "errors", "expr", "kernels", "oracle"
 # "numpy.ma" is what np.unique without return_inverse would import, and
 # "numpy.random" is numpy's generator package, which the oracle's seeded
 # refinement does without; no subcommand loads "dataclasses", as the
-# package's records are named tuples
+# package's records are named tuples, nor "click", as the command line is
+# parsed with argparse
 SUBCOMMANDS = {
     "check": (["check", "--catalog", "example1"],
               {"errors", "expr", "energy", "scalar_inf", "criteria"},
               {"oracle", "kernels", "scan", "stress", "fractions", "numpy.ma",
-               "dataclasses"}),
+               "dataclasses", "click"}),
     "classify": (["classify", "--catalog", "example1"],
                  {"errors", "expr", "energy", "scalar_inf", "criteria"},
                  {"oracle", "kernels", "scan", "stress", "fractions", "numpy.ma",
-                  "dataclasses"}),
+                  "dataclasses", "click"}),
     "oracle": (["oracle", "--catalog", "example1", "--grid", "3", "--samples", "10"],
                {"errors", "expr", "energy", "kernels", "oracle"},
                {"criteria", "scalar_inf", "scan", "stress", "numpy.ma",
-                "numpy.random", "dataclasses"}),
+                "numpy.random", "dataclasses", "click"}),
     "scan": (["scan", "--catalog", "example1", "--grid", "8"],
              {"errors", "expr", "energy", "scan"},
              {"criteria", "scalar_inf", "oracle", "kernels", "stress", "fractions",
-              "numpy.ma", "dataclasses"}),
+              "numpy.ma", "dataclasses", "click"}),
     "stress": (["stress", "--catalog", "example1"],
                {"stress"},
                {"criteria", "scalar_inf", "oracle", "kernels", "scan", "numpy.ma",
-                "dataclasses"}),
+                "dataclasses", "click"}),
 }
 
 RUN_PROBE = """
@@ -48,7 +49,7 @@ import contextlib, io, json, sys
 from rankone2d import cli
 with contextlib.redirect_stdout(io.StringIO()):
     try:
-        cli.main({argv!r}, standalone_mode=False)
+        cli.main({argv!r})
     except SystemExit:
         pass
 print(json.dumps(sorted(sys.modules)))
