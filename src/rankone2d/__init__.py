@@ -37,12 +37,11 @@ _EXPORTS = {
     "criteria": ("ConditionReport", "MainCheckResult", "RankOneVerdict",
                  "StructureClassification", "classify_structure", "ks_check",
                  "main_check", "necessary_battery", "voliso_check"),
-    "energy": ("GridSpec", "SingularPair", "SplitEnergy", "catalog", "eval_W",
-               "g_partials", "make_split"),
+    "energy": ("GridSpec", "SingularPair", "SplitEnergy", "catalog", "make_split"),
     "errors": ("RankOneError",),
     "expr": ("Expr", "Jet2", "eval_jet2", "parse", "pretty"),
     "oracle": ("BruteForceResult", "analytic_second_derivative", "brute_force_check",
-               "eval_W_matrix", "fd_second_derivative", "svd2"),
+               "svd2"),
     "scalar_inf": ("InfimumResult", "convexity_verdict", "infimum_weighted_second"),
     "scan": ("EllipticityMap", "emit_csv", "emit_svg", "scan_domain"),
     "stress": ("InfinitesimalModuli", "InvertibilityReport", "StressState",

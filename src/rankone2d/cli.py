@@ -5,7 +5,8 @@ rank-one convex verdict (or plain success), 1 for a certified failure with
 a printed witness, 2 for inconclusive/marginal outcomes, 3 for input
 errors.
 
-Energy-definition files are plain key/value text::
+Energy-definition files are plain key/value text, read as UTF-8 whatever
+the locale, with a leading byte order mark skipped::
 
     name = my energy
     h = mu * ((t + 1/t)/2 - 1)
@@ -65,23 +66,26 @@ EXIT_INPUT = 3
 
 
 def _load_energy_file(path: str) -> energy.SplitEnergy:
-    entries = {}
     try:
-        fh = open(path)
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise RankOneError(f"{path}: cannot read energy file: {exc.strerror}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise RankOneError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in entries:
-                raise RankOneError(f"{path}:{lineno}: duplicate key {key!r}")
-            entries[key] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise RankOneError(
+            f"{path}: cannot read energy file: not UTF-8 text ({exc.reason})") from None
+    entries = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise RankOneError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in entries:
+            raise RankOneError(f"{path}:{lineno}: duplicate key {key!r}")
+        entries[key] = value.strip()
     for required in ("h", "f"):
         if required not in entries:
             raise RankOneError(f"{path}: missing required key {required!r}")
@@ -139,9 +143,12 @@ def _check_at_least(option: str, value: int, lowest: int) -> None:
 # report helpers
 
 
-def _open_output(path: str, **kwargs):
+def _write_output(path: str, emit, emap, **kwargs) -> None:
+    """``emit(emap, fh)`` into the file ``path``; a failed open, write or
+    close is an input error."""
     try:
-        return open(path, "w", **kwargs)
+        with open(path, "w", **kwargs) as fh:
+            emit(emap, fh)
     except OSError as exc:
         raise RankOneError(
             f"{path}: cannot write output file: {exc.strerror}") from None
@@ -419,11 +426,9 @@ def scan_cmd(e, grid_n, lambda_min, lambda_max, spacing, angles, tol, out_csv,
     emap = scan.scan_domain(e, lambda_range=(lambda_min, lambda_max),
                             n_points=grid_n, tol=tol, spacing=spacing)
     if out_csv:
-        with _open_output(out_csv, newline="") as fh:
-            scan.emit_csv(emap, fh)
+        _write_output(out_csv, scan.emit_csv, emap, newline="")
     if out_svg:
-        with _open_output(out_svg) as fh:
-            scan.emit_svg(emap, fh)
+        _write_output(out_svg, scan.emit_svg, emap)
     counts = {v: int((emap.verdicts == v).sum())
               for v in ("Elliptic", "NonElliptic", "Boundary")}
     wl1, wl2, wmargin = emap.worst()

@@ -51,7 +51,6 @@ from .energy import (
     SplitEnergy,
     _Coupled,
     _coupled_conditions,
-    _g_from_jets,
 )
 from .errors import DegenerateGrid, DomainError
 from .expr import eval_jet2_array, terms
@@ -232,6 +231,21 @@ def _ks_axis(grid: GridSpec) -> np.ndarray:
     ``numpy.ma`` on its hash path and slow the first call."""
     stride = -(-(grid.n - 1) // (_KS_AXIS_POINTS - 1))
     return grid.points()[np.r_[0:grid.n - 1:stride, grid.n - 1]]
+
+
+def _g_from_jets(t, z, hj, fj):
+    """The general form g(x, y) = h(x/y) + f(x*y) and its partials up to
+    order 2 at x = sqrt(t*z), y = sqrt(z/t), from the h jets ``hj`` at t and
+    the f jets ``fj`` at z: (x, y, g, g_x, g_y, g_xx, g_xy, g_yy)."""
+    x = np.sqrt(t * z)
+    y = np.sqrt(z / t)
+    return (x, y,
+            hj.value + fj.value,
+            hj.d1 / y + y * fj.d1,
+            -x / y**2 * hj.d1 + x * fj.d1,
+            hj.d2 / y**2 + y**2 * fj.d2,
+            -hj.d1 / y**2 - x / y**3 * hj.d2 + fj.d1 + x * y * fj.d2,
+            2.0 * x / y**3 * hj.d1 + x**2 / y**4 * hj.d2 + x**2 * fj.d2)
 
 
 def ks_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,

@@ -2,12 +2,11 @@
 
 The isochoric part h must satisfy h(t) = h(1/t); this is validated on a log
 grid at construction.  The module also carries the built-in catalog of named
-energies, the first and second partials of the general two-variable form
-g(x, y) on (t, z) samples, the split conditions C and D that the routes and
-the scan share, and the sampling defaults every check shares: the
-tolerance and every range a check samples, each a named ``GridSpec``, so
-changing a range is an edit to one block.  The command line reads those
-defaults from here, so its options load none of the checking modules.
+energies, the split conditions C and D that the routes and the scan share,
+and the sampling defaults every check shares: the tolerance and every range
+a check samples, each a named ``GridSpec``, so changing a range is an edit
+to one block.  The command line reads those defaults from here, so its
+options load none of the checking modules.
 """
 
 from __future__ import annotations
@@ -119,39 +118,6 @@ def make_split(h_source: str, f_source: str, name: str = "",
     if abs(d1_at_one) >= 1e-9:
         raise SymmetryViolation(1.0, abs(d1_at_one))
     return SplitEnergy(h=h, f=f, name=name or h_source + " + " + f_source)
-
-
-def eval_W(e: SplitEnergy, p: SingularPair) -> float:
-    """Energy value at the given singular values."""
-    return float(eval_jet2(e.h, p.lambda1 / p.lambda2).value
-                 + eval_jet2(e.f, p.lambda1 * p.lambda2).value)
-
-
-def g_partials(e: SplitEnergy, ts, zs):
-    """The general form g(x, y) = h(x/y) + f(x*y) and its partials up to
-    order 2, at x = sqrt(t*z), y = sqrt(z/t).
-
-    Returns (x, y, g, g_x, g_y, g_xx, g_xy, g_yy) on ``ts`` and ``zs``
-    broadcast together.  The h jets are evaluated once per element of ``ts``
-    and the f jets once per element of ``zs``, so a column of T values of t
-    against a row of Z values of z costs T + Z jets for T x Z points.
-    """
-    t = np.asarray(ts, dtype=float)
-    z = np.asarray(zs, dtype=float)
-    return _g_from_jets(t, z, eval_jet2_array(e.h, t), eval_jet2_array(e.f, z))
-
-
-def _g_from_jets(t, z, hj, fj):
-    """``g_partials`` from the h jets at t and the f jets at z."""
-    x = np.sqrt(t * z)
-    y = np.sqrt(z / t)
-    return (x, y,
-            hj.value + fj.value,
-            hj.d1 / y + y * fj.d1,
-            -x / y**2 * hj.d1 + x * fj.d1,
-            hj.d2 / y**2 + y**2 * fj.d2,
-            -hj.d1 / y**2 - x / y**3 * hj.d2 + fj.d1 + x * y * fj.d2,
-            2.0 * x / y**3 * hj.d1 + x**2 / y**4 * hj.d2 + x**2 * fj.d2)
 
 
 # ---------------------------------------------------------------------------

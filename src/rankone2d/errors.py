@@ -55,7 +55,3 @@ class UnknownCatalogId(RankOneError):
 class DegenerateGrid(RankOneError, ValueError):
     """A grid or sampling setting (size, range, seed) is empty, collapsed or
     out of range."""
-
-
-class LeftGLplus(RankOneError):
-    """A finite-difference step left GL+(2); shrink the step."""

@@ -1,11 +1,10 @@
 """Independent brute-force verification on matrices.
 
 Everything here works directly with 2x2 deformation gradients: a closed-form
-SVD, the energy of a matrix, second directional derivatives along rank-one
-lines (both by finite differences of the energy and by the closed-form
-expression through the distortion function), and a sampled search for
-violating (F, xi, eta) triples, whose direction kernel minimises the
-closed-form acoustic tensor.
+SVD, the closed-form second directional derivative along rank-one lines
+through the distortion function, and a sampled search for violating
+(F, xi, eta) triples, whose direction kernel minimises the closed-form
+acoustic tensor.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .energy import DEFAULT_ORACLE_GRID, DEFAULT_TOL, SingularPair, SplitEnergy, eval_W
-from .errors import DegenerateGrid, LeftGLplus, NonPositiveDeterminant
+from .energy import DEFAULT_ORACLE_GRID, DEFAULT_TOL, SingularPair, SplitEnergy
+from .errors import DegenerateGrid, NonPositiveDeterminant
 from .expr import eval_jet2_finite
 from .kernels import direction_min_batch
 
@@ -27,8 +26,8 @@ from .kernels import direction_min_batch
 # so psi' and c_iso jump by about 2e-11 * h''(1) across the switch
 _PSI_EPS = 3e-6
 
-# the 5-point second difference's step along xi (x) eta, relative to |F|
-_FD_STEP = 1e-3
+# eta angles k*pi/_N_ANGLES of every kernel call, grid and refinement alike
+_N_ANGLES = 48
 
 SEED_MAX = 2**32 - 1  # seeds are unsigned 32-bit integers
 
@@ -51,12 +50,6 @@ def svd2(F: np.ndarray) -> Tuple[SingularPair, float, float]:
     a1, a2 = math.atan2(g_, f_), math.atan2(h_, e_)
     return (SingularPair(lambda1, float(det / lambda1)),
             0.5 * (a2 + a1), 0.5 * (a2 - a1))
-
-
-def eval_W_matrix(e: SplitEnergy, F: np.ndarray) -> float:
-    """Energy value on a 2x2 matrix with positive determinant."""
-    pair, _, _ = svd2(F)
-    return eval_W(e, pair)
 
 
 def _curvatures(e: SplitEnergy, l1, l2) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -105,23 +98,6 @@ def analytic_second_derivative(e: SplitEnergy, F: np.ndarray,
     return c_iso * float(iso) + psi1 * float(dist) + fpp * float(JB * JB)
 
 
-def fd_second_derivative(e: SplitEnergy, F: np.ndarray, xi: np.ndarray,
-                         eta: np.ndarray) -> float:
-    """5-point central second difference of s -> W(F + s * xi (x) eta),
-    with step 1e-3 |F|."""
-    F = np.asarray(F, dtype=float)
-    D = np.outer(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
-    step = float(np.linalg.norm(F)) * _FD_STEP
-    samples = []
-    for k in (-2, -1, 0, 1, 2):
-        Fk = F + k * step * D
-        if np.linalg.det(Fk) <= 0.0:
-            raise LeftGLplus(f"F + {k}*step*(xi(x)eta) left GL+(2); shrink step")
-        samples.append(eval_W_matrix(e, Fk))
-    w_m2, w_m1, w_0, w_p1, w_p2 = samples
-    return (-w_m2 + 16.0 * w_m1 - 30.0 * w_0 + 16.0 * w_p1 - w_p2) / (12.0 * step**2)
-
-
 # ---------------------------------------------------------------------------
 # sampled search for violations
 
@@ -143,7 +119,6 @@ class BruteForceResult(NamedTuple):
 def brute_force_check(
     e: SplitEnergy,
     n_lambda: int = DEFAULT_ORACLE_GRID.n,
-    n_angles: int = 48,
     n_refine: int = 1000,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
@@ -154,15 +129,14 @@ def brute_force_check(
     W depends on F only through its singular values, so every sample is a
     diagonal F = diag(l1, l2) with l1 >= l2: the n_lambda*(n_lambda + 1)/2
     such pairs of n_lambda log-spaced stretches on the range of
-    ``DEFAULT_ORACLE_GRID``, [1e-2, 1e2], with eta on n_angles angles
-    k*pi/n_angles.  The refinement draws (log l1, log l2, eta offset) about
-    the worst grid state.  ``DegenerateGrid`` is raised unless n_lambda and
-    n_angles are at least 1 and the seed is in [0, SEED_MAX], whether or
-    not n_refine draws from it.
+    ``DEFAULT_ORACLE_GRID``, [1e-2, 1e2], with eta on the 48 angles
+    k*pi/48.  The refinement draws (log l1, log l2, eta offset) about the
+    worst grid state.  ``DegenerateGrid`` is raised unless n_lambda is at
+    least 1 and the seed is in [0, SEED_MAX], whether or not n_refine draws
+    from it.
     """
-    for name, size in (("n_lambda", n_lambda), ("n_angles", n_angles)):
-        if size < 1:
-            raise DegenerateGrid(f"{name} must be at least 1, got {size}")
+    if n_lambda < 1:
+        raise DegenerateGrid(f"n_lambda must be at least 1, got {n_lambda}")
     if not 0 <= seed <= SEED_MAX:
         raise DegenerateGrid(f"seed must be in [0, {SEED_MAX}], got {seed}")
     # its own log grid, as scan_domain's: GridSpec.points() rejects the one
@@ -173,7 +147,7 @@ def brute_force_check(
     offset = np.zeros(lam1.size)
 
     vals, xis, etas = direction_min_batch(lam1, lam2, offset,
-                                          *_curvatures(e, lam1, lam2), n_angles)
+                                          *_curvatures(e, lam1, lam2), _N_ANGLES)
     k = int(np.argmin(vals))
     winners = [_pack(e, lam1, lam2, xis, etas, k)]
 
@@ -186,7 +160,7 @@ def brute_force_check(
         s1, s2 = np.where(swap, s2, s1), np.where(swap, s1, s2)
         off = n3 + np.where(swap, 0.5 * np.pi, 0.0)
         vals_r, xis_r, etas_r = direction_min_batch(s1, s2, off,
-                                                    *_curvatures(e, s1, s2), n_angles)
+                                                    *_curvatures(e, s1, s2), _N_ANGLES)
         winners.append(_pack(e, s1, s2, xis_r, etas_r, int(np.argmin(vals_r))))
 
     # the kernel's value can lose its sign where f'' * J^2 dominates, so

@@ -12,7 +12,7 @@ every convexity verdict of the package reads that one domain.
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class InfimumResult(NamedTuple):
 
     value: float  # -inf when divergence was detected
     attained_at: Union[float, str]  # interior point or a limit marker
-    margin_history: List[Tuple[int, float]]
 
     @property
     def unbounded(self) -> bool:
@@ -86,25 +85,23 @@ def infimum_weighted_second(e: Expr) -> InfimumResult:
     """
     xs, vals, idx = _dense_min(e)
     best_val = float(vals[idx])
-    history: List[Tuple[int, float]] = [(0, best_val)]
     if best_val < _DIVERGENCE_VALUE:
         marker = LIMIT_LOWER if idx < len(xs) // 2 else LIMIT_UPPER
-        return InfimumResult(-math.inf, marker, history)
+        return InfimumResult(-math.inf, marker)
     at_lower = idx < 2
     at_upper = idx > len(xs) - 3
     if at_lower or at_upper:
         marker = LIMIT_LOWER if at_lower else LIMIT_UPPER
         if _diverges_into_boundary(xs, vals, at_upper):
-            return InfimumResult(-math.inf, marker, history)
-        return InfimumResult(best_val, marker, history)
+            return InfimumResult(-math.inf, marker)
+        return InfimumResult(best_val, marker)
     # refine the winning bracket
     best_x = float(xs[idx])
     x_star, v_star = _refine(e, math.log(float(xs[idx - 1])),
                              math.log(float(xs[idx + 1])))
     if v_star < best_val:
         best_val, best_x = v_star, x_star
-    history.append((1, best_val))
-    return InfimumResult(best_val, best_x, history)
+    return InfimumResult(best_val, best_x)
 
 
 def _diverges_into_boundary(xs: np.ndarray, vals: np.ndarray, upper: bool) -> bool:

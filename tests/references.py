@@ -1,10 +1,14 @@
 """Independent references the tests check the package against.
 
 None of these is run by a subcommand or another module of the package:
-a rotation matrix to build deformation gradients, the acoustic tensor as a
-finite-difference Hessian of W (the oracle's kernel minimises the
-closed-form 2x2 tensor instead), the quadratic linearized energy and the
-split conditions on the unfolded t grid (the routes fold it onto t >= 1).
+the energy on stretches and on matrices, the general form g(x, y) and its
+partials on (t, z) samples (Knowles-Sternberg takes them from the jets it
+already holds), a rotation matrix to build deformation gradients, the
+rank-one second derivative as a 5-point finite difference of W and the
+acoustic tensor as a finite-difference Hessian of W (the oracle's kernel
+minimises the closed-form 2x2 tensor instead), the quadratic linearized
+energy and the split conditions on the unfolded t grid (the routes fold it
+onto t >= 1).
 """
 
 from __future__ import annotations
@@ -15,13 +19,63 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from rankone2d import criteria
-from rankone2d.energy import GridSpec, SplitEnergy, _coupled_conditions
-from rankone2d.errors import LeftGLplus
-from rankone2d.expr import eval_jet2_array
-from rankone2d.oracle import eval_W_matrix
+from rankone2d.energy import GridSpec, SingularPair, SplitEnergy, _coupled_conditions
+from rankone2d.errors import RankOneError
+from rankone2d.expr import eval_jet2, eval_jet2_array
+from rankone2d.oracle import svd2
 
+# the 5-point second difference's step along xi (x) eta, relative to |F|
+_FD_STEP = 1e-3
 # the Hessian stencil's step relative to |F|
 _HESSIAN_STEP = 3e-4
+
+
+class LeftGLplus(RankOneError):
+    """A finite-difference step left GL+(2); shrink the step."""
+
+
+def eval_W(e: SplitEnergy, p: SingularPair) -> float:
+    """Energy value at the given singular values."""
+    return float(eval_jet2(e.h, p.lambda1 / p.lambda2).value
+                 + eval_jet2(e.f, p.lambda1 * p.lambda2).value)
+
+
+def eval_W_matrix(e: SplitEnergy, F: np.ndarray) -> float:
+    """Energy value on a 2x2 matrix with positive determinant."""
+    pair, _, _ = svd2(F)
+    return eval_W(e, pair)
+
+
+def g_partials(e: SplitEnergy, ts, zs):
+    """The general form g(x, y) = h(x/y) + f(x*y) and its partials up to
+    order 2, at x = sqrt(t*z), y = sqrt(z/t).
+
+    Returns (x, y, g, g_x, g_y, g_xx, g_xy, g_yy) on ``ts`` and ``zs``
+    broadcast together.  The h jets are evaluated once per element of ``ts``
+    and the f jets once per element of ``zs``, so a column of T values of t
+    against a row of Z values of z costs T + Z jets for T x Z points.
+    """
+    t = np.asarray(ts, dtype=float)
+    z = np.asarray(zs, dtype=float)
+    return criteria._g_from_jets(t, z, eval_jet2_array(e.h, t),
+                                 eval_jet2_array(e.f, z))
+
+
+def fd_second_derivative(e: SplitEnergy, F: np.ndarray, xi: np.ndarray,
+                         eta: np.ndarray) -> float:
+    """5-point central second difference of s -> W(F + s * xi (x) eta),
+    with step 1e-3 |F|."""
+    F = np.asarray(F, dtype=float)
+    D = np.outer(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
+    step = float(np.linalg.norm(F)) * _FD_STEP
+    samples = []
+    for k in (-2, -1, 0, 1, 2):
+        Fk = F + k * step * D
+        if np.linalg.det(Fk) <= 0.0:
+            raise LeftGLplus(f"F + {k}*step*(xi(x)eta) left GL+(2); shrink step")
+        samples.append(eval_W_matrix(e, Fk))
+    w_m2, w_m1, w_0, w_p1, w_p2 = samples
+    return (-w_m2 + 16.0 * w_m1 - 30.0 * w_0 + 16.0 * w_p1 - w_p2) / (12.0 * step**2)
 
 
 def rotation(angle: float) -> np.ndarray:

@@ -15,7 +15,6 @@ from rankone2d import (
     brute_force_check,
     catalog,
     classify_structure,
-    fd_second_derivative,
     infinitesimal_moduli,
     invertibility_verdict,
     ks_check,
@@ -31,7 +30,7 @@ from rankone2d import (
 from rankone2d.energy import SingularPair
 from rankone2d.expr import eval_jet2
 
-from references import acoustic_tensor, rotation
+from references import acoustic_tensor, fd_second_derivative, rotation
 
 
 def _criterion(num, desc):

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import importlib
 import io
 import json
@@ -34,11 +35,13 @@ def run_main(*args):
     return exc.value.code, out.getvalue(), err.getvalue()
 
 
-def run_fresh(*args, stdout=subprocess.PIPE, python=("-m", "rankone2d.cli")):
+def run_fresh(*args, stdout=subprocess.PIPE, python=("-m", "rankone2d.cli"),
+              env=()):
     """The CLI in a fresh process, so stderr is what a user sees: Python
     shows a warning once per location and process, and pytest captures
-    them.  ``python`` is what the interpreter runs, with ``args`` after it."""
-    env = dict(os.environ,
+    them.  ``python`` is what the interpreter runs, with ``args`` after it,
+    and ``env`` holds variables set on top of this process's environment."""
+    env = dict(os.environ, **dict(env),
                PYTHONPATH=os.path.dirname(os.path.dirname(rankone2d.__file__)))
     return subprocess.run([sys.executable, *python, *args], env=env,
                           stdout=stdout, stderr=subprocess.PIPE, text=True)
@@ -421,6 +424,34 @@ class TestEnergyFile:
         assert res.exit_code == 3
         assert res.output == f"error: {message.format(p=p)}\n"
 
+    def test_file_that_is_not_utf8_is_input_error(self, runner, tmp_path):
+        p = tmp_path / "latin1.energy"
+        p.write_bytes(b"name = caf\xe9\nh = (t + 1/t)/2\nf = (z - 1)^2\n")
+        res = invoke(runner, "classify", "--energy-file", str(p))
+        assert res.exit_code == 3
+        assert res.output == (f"error: {p}: cannot read energy file: "
+                              "not UTF-8 text (invalid continuation byte)\n")
+
+    def test_utf8_is_read_whatever_the_locale(self, tmp_path):
+        p = tmp_path / "utf8.energy"
+        p.write_bytes("name = caf\u00e9\nh = (t + 1/t)/2\nf = (z - 1)^2\n"
+                      .encode("utf-8"))
+        res = run_fresh("classify", "--energy-file", str(p), "--report", "json",
+                        env={"LC_ALL": "C", "PYTHONUTF8": "0"})
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["energy"] == "caf\u00e9"
+
+    def test_byte_order_mark_is_skipped(self, runner, tmp_path):
+        text = "name = e\nh = (t + 1/t)/2\nf = (z - 1)^2\n"
+        plain, marked = tmp_path / "plain.energy", tmp_path / "bom.energy"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want = invoke(runner, "classify", "--energy-file", str(plain))
+        got = invoke(runner, "classify", "--energy-file", str(marked))
+        assert (got.exit_code, got.output) == (want.exit_code, want.output)
+        assert want.exit_code == 0
+
     def test_param_flags_rejected_with_energy_file(self, runner, tmp_path):
         p = tmp_path / "e.txt"
         p.write_text("h = 0\nf = z^2\n")
@@ -604,15 +635,22 @@ class TestScan:
         assert "worst margin 1.00002154 at" in text.output
 
     @pytest.mark.parametrize("flag", ["--out-csv", "--out-svg"])
-    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
-    def test_unwritable_output_is_input_error(self, runner, tmp_path, flag,
-                                              where):
-        target = (tmp_path / "no" / "map.out" if where == "missing_dir"
-                  else tmp_path)
-        res = invoke(runner, "scan", "--catalog", "example1", "--grid", "4",
-                     flag, str(target))
-        assert res.exit_code == 3
-        assert f"{target}: cannot write output file" in res.output
+    @pytest.mark.parametrize("where", [
+        "missing_dir", "directory",
+        # opens, but its every write fails
+        pytest.param("full_device", marks=pytest.mark.skipif(
+            not os.path.exists("/dev/full"), reason="needs /dev/full")),
+    ])
+    def test_unwritable_output_is_input_error(self, tmp_path, flag, where):
+        target = {"missing_dir": tmp_path / "no" / "map.out",
+                  "directory": tmp_path, "full_device": "/dev/full"}[where]
+        code, out, err = run_main("scan", "--catalog", "example1", "--grid", "8",
+                                  flag, str(target))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {target}: cannot write output file: ")
+        assert err.count("\n") == 1
+        if where == "full_device":
+            assert err.endswith(f": {os.strerror(errno.ENOSPC)}\n")
 
 
 class TestCommandLine:

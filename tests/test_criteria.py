@@ -13,7 +13,6 @@ from rankone2d import (
     catalog,
     classify_structure,
     errors,
-    g_partials,
     ks_check,
     main_check,
     make_split,
@@ -344,7 +343,8 @@ class TestKsCheck:
         assert got.condition_id == "KS_iii"
         zs = z_grid.points()
         with np.errstate(all="ignore"):
-            x, y, _, g_x, g_y, g_xx, g_xy, g_yy = g_partials(e, np.ones_like(zs), zs)
+            x, y, _, g_x, g_y, g_xx, g_xy, g_yy = references.g_partials(
+                e, np.ones_like(zs), zs)
             root = np.sqrt(np.maximum(g_xx * g_yy, 0.0))
             margin = (root - g_xy + (g_x + g_y) / (x + y)) * zs
             size = (root + np.abs(g_xy) + (np.abs(g_x) + np.abs(g_y)) / (x + y)) * zs
@@ -411,7 +411,7 @@ def _ks_full_plane(e, t_grid, z_grid, tol=DEFAULT_TOL):
     zs = criteria._ks_axis(z_grid)
     report = criteria._grid_report
     with np.errstate(all="ignore"):
-        x, y, _, g_x, g_y, g_xx, g_xy, g_yy = g_partials(e, ts, zs)
+        x, y, _, g_x, g_y, g_xx, g_xy, g_yy = references.g_partials(e, ts, zs)
         xy = x * y
         off = np.abs(x - y) > 1e-9 * (x + y)
         a_x, a_y = x * x * g_xx, y * y * g_yy
@@ -421,7 +421,7 @@ def _ks_full_plane(e, t_grid, z_grid, tol=DEFAULT_TOL):
         s_ii = (np.abs(x * g_x) + np.abs(y * g_y)) * np.minimum(x, y) / np.abs(x - y)
         reports.append(report("KS_ii", m_ii[off], (x[off], y[off]), tol,
                               size=s_ii[off]))
-        d, _, _, dg_x, dg_y, dg_xx, dg_xy, dg_yy = g_partials(e, 1.0, zs)
+        d, _, _, dg_x, dg_y, dg_xx, dg_xy, dg_yy = references.g_partials(e, 1.0, zs)
         m_iii = np.minimum(dg_xx - dg_xy + dg_x / d, dg_yy - dg_xy + dg_y / d) * zs
         s_iii = (np.abs(dg_xx) + np.abs(dg_yy) + np.abs(dg_xy)
                  + (np.abs(dg_x) + np.abs(dg_y)) / d) * zs

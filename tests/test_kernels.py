@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from rankone2d import (analytic_second_derivative, brute_force_check, catalog,
-                       g_partials, make_split, scan_domain)
+                       make_split, scan_domain)
 from rankone2d.energy import CATALOG
 from rankone2d.kernels import direction_min_batch
 from rankone2d.expr import eval_jet2
 from rankone2d.oracle import _PSI_EPS, _curvatures
+
+from references import g_partials
 
 
 def _state_batch(e, n, seed, spread=2.0):

@@ -77,11 +77,6 @@ class TestUnboundedness:
         assert r.attained_at == scalar_inf.LIMIT_UPPER
         assert r.value == pytest.approx(0.0, abs=1e-5)
 
-    def test_margin_history_is_recorded(self):
-        r = infimum("(z - 1/z)^4 - (z - 1/z)^2", "z")
-        assert len(r.margin_history) >= 1
-        assert r.margin_history[-1][1] == pytest.approx(r.value)
-
 
 class TestDomainHandling:
     def test_nan_inside_domain_raises(self):

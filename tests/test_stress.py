@@ -5,7 +5,6 @@ from rankone2d import (
     SingularPair,
     SplitEnergy,
     catalog,
-    eval_W,
     infinitesimal_moduli,
     invertibility_verdict,
     linear_rank_one_check,
@@ -17,7 +16,7 @@ from rankone2d import (
 from rankone2d.errors import DomainError
 from rankone2d.expr import eval_jet2
 
-from references import w_lin
+from references import eval_W, w_lin
 
 
 def fd_principal_stresses(e, l1, l2, h=1e-6):
