@@ -237,6 +237,9 @@ def main(args=None, prog_name: str = "rankone2d") -> None:
                           **payload}, indent=2, sort_keys=True)
     else:
         out = "\n".join([f"energy: {e.name}", *lines])
+    # a character stdout cannot encode is written as a backslash escape
+    encoding = sys.stdout.encoding or "utf-8"
+    out = out.encode(encoding, "backslashreplace").decode(encoding)
     try:
         print(out, flush=True)
     except BrokenPipeError:  # the reader closed stdout: exit 1 quietly

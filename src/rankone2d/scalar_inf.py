@@ -4,7 +4,9 @@ These two scalars (one for the isochoric part, one for the volumetric part)
 couple the reduced one-dimensional rank-one convexity conditions.  The
 infimum over (0, inf) is approximated on ``energy.INFIMUM_GRID``, the dense
 log grid of [1e-6, 1e6], followed by sampled refinement of the best
-bracket; boundary minima and divergence to -inf are reported explicitly.
+bracket.  A minimum at an end of the grid is reported with a limit marker,
+and as -inf when a sample overflowed to -inf or the last two decades keep
+falling; no size of the minimum counts as divergence.
 The sign of the dense grid's minimum is the convexity verdict of u, so
 every convexity verdict of the package reads that one domain.
 """
@@ -22,7 +24,6 @@ from .expr import Expr, eval_jet2_array, eval_jet2_finite
 
 _REFINE_SAMPLES = 64  # per refinement round
 _REL_TOL = 1e-10  # refined bracket width, relative
-_DIVERGENCE_VALUE = -1e12
 
 LIMIT_LOWER = "limit:x->0+"
 LIMIT_UPPER = "limit:x->inf"
@@ -78,21 +79,18 @@ def infimum_weighted_second(e: Expr) -> InfimumResult:
     """Minimum of x^2 * u''(x) on ``INFIMUM_GRID``'s range [1e-6, 1e6].
 
     A dense log-grid locates the best bracket (handling multimodality),
-    ``_refine`` narrows it.  Monotone decrease into a boundary that either
-    falls below the divergence threshold or keeps shrinking by a large factor
-    over the last two decades is reported as value -inf; a plain boundary
-    minimum gets a limit marker with the boundary evaluation as value.
+    ``_refine`` narrows it.  A first dense minimum that is -inf or lies
+    within two samples of an end of the grid is reported with the nearer
+    end's limit marker: as -inf when the sample is -inf or the last two
+    decades keep falling, else as the boundary value.  Every other minimum
+    is refined, however large.
     """
     xs, vals, idx = _dense_min(e)
     best_val = float(vals[idx])
-    if best_val < _DIVERGENCE_VALUE:
-        marker = LIMIT_LOWER if idx < len(xs) // 2 else LIMIT_UPPER
-        return InfimumResult(-math.inf, marker)
-    at_lower = idx < 2
-    at_upper = idx > len(xs) - 3
-    if at_lower or at_upper:
-        marker = LIMIT_LOWER if at_lower else LIMIT_UPPER
-        if _diverges_into_boundary(xs, vals, at_upper):
+    if best_val == -math.inf or not 2 <= idx <= len(xs) - 3:
+        upper = idx >= len(xs) // 2
+        marker = LIMIT_UPPER if upper else LIMIT_LOWER
+        if best_val == -math.inf or _diverges_into_boundary(xs, vals, upper):
             return InfimumResult(-math.inf, marker)
         return InfimumResult(best_val, marker)
     # refine the winning bracket
@@ -111,14 +109,9 @@ def _diverges_into_boundary(xs: np.ndarray, vals: np.ndarray, upper: bool) -> bo
     decades; a true divergence keeps dropping by a detectable amount.
     """
     log_x = np.log10(xs)
-    if upper:
-        outer = (log_x > log_x[-1] - 1.0)
-        inner = (log_x <= log_x[-1] - 1.0) & (log_x > log_x[-1] - 2.0)
-    else:
-        outer = (log_x < log_x[0] + 1.0)
-        inner = (log_x >= log_x[0] + 1.0) & (log_x < log_x[0] + 2.0)
-    outer_min = float(vals[outer].min())
-    inner_min = float(vals[inner].min())
+    decades = log_x[-1] - log_x if upper else log_x - log_x[0]
+    outer_min = float(vals[decades < 1.0].min())
+    inner_min = float(vals[(decades >= 1.0) & (decades < 2.0)].min())
     if outer_min >= 0.0:
         return False
     return outer_min <= inner_min - 1e-6 * (1.0 + abs(inner_min))

@@ -441,6 +441,18 @@ class TestEnergyFile:
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["energy"] == "caf\u00e9"
 
+    @pytest.mark.parametrize("command", ["classify", "check"])
+    def test_text_report_escapes_what_the_locale_cannot_encode(self, tmp_path,
+                                                               command):
+        p = tmp_path / "utf8.energy"
+        p.write_bytes("name = caf\u00e9\nh = (t + 1/t)/2\nf = (z - 1)^2\n"
+                      .encode("utf-8"))
+        # an empty PYTHONIOENCODING counts as unset
+        res = run_fresh(command, "--energy-file", str(p),
+                        env={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONIOENCODING": ""})
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout.splitlines()[0] == "energy: caf\\xe9"
+
     def test_byte_order_mark_is_skipped(self, runner, tmp_path):
         text = "name = e\nh = (t + 1/t)/2\nf = (z - 1)^2\n"
         plain, marked = tmp_path / "plain.energy", tmp_path / "bom.energy"

@@ -1,7 +1,8 @@
 """The correctness ratchet: energies whose truth is known from the paper's
 Hadamard theorem or a closed form, against the ``check`` exit code, the
 verdict of each route, that of ``classify`` and the oracle's summary, and
-a sweep of the theorem itself over scales and volumetric atoms.
+a sweep of the theorem itself over scales and volumetric atoms, and a
+sweep of the catalog over scales c of the whole energy.
 
 Each (energy, column) pair is one test.  A cell that is wrong today is a
 strict xfail naming the open ROADMAP item that mends it: a change that
@@ -20,6 +21,7 @@ from click.testing import CliRunner
 from rankone2d import (brute_force_check, classify_structure, errors, ks_check,
                        main_check, make_split, voliso_check)
 from rankone2d.cli import main
+from rankone2d.energy import CATALOG
 
 R1C, NOT = "RankOneConvex", "NotRankOneConvex"
 HADAMARD = "(mu/2)*(t + 1/t)"
@@ -97,27 +99,32 @@ READ = {
 }
 
 
-def _verdict(column, e):
+def _verdict(column, e, read=READ):
     try:
-        return READ[column](e)
+        return read[column](e)
     except errors.RankOneError as exc:
         return type(exc).__name__
 
 
-@functools.cache
-def _outcome(name: str) -> dict:
-    """Every column of one energy: ``check``'s exit code from the command
-    line, run in this process on an energy file, and the rest from the
-    library on the default grids."""
-    h, f, params, _, _ = NAMED[name]
-    e = make_split(h, f, params=params)
+def _check_exit(h: str, f: str, params: dict) -> int:
+    """``check``'s exit code from the command line, run in this process on
+    an energy file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "named.energy")
         with open(path, "w") as fh:
             entries = {"h": h, "f": f, **params}
             fh.write("".join(f"{k} = {v}\n" for k, v in entries.items()))
-        code = CliRunner().invoke(main, ["check", "--energy-file", path]).exit_code
-    return {"exit": code, **{column: _verdict(column, e) for column in READ}}
+        return CliRunner().invoke(main, ["check", "--energy-file", path]).exit_code
+
+
+@functools.cache
+def _outcome(name: str) -> dict:
+    """Every column of one energy: the exit code from ``_check_exit`` and the
+    rest from the library on the default grids."""
+    h, f, params, _, _ = NAMED[name]
+    e = make_split(h, f, params=params)
+    return {"exit": _check_exit(h, f, params),
+            **{column: _verdict(column, e) for column in READ}}
 
 
 def _expected(name: str, column: str):
@@ -177,3 +184,39 @@ def _hadamard(f: str, mu: float, kappa: float):
     for f in ATOMS for mu in SCALES for kappa in SCALES for column in SWEEP_COLUMNS])
 def test_hadamard_theorem(f, mu, kappa, column):
     assert _verdict(column, _hadamard(f, mu, kappa)) == (R1C if ATOMS[f] else NOT)
+
+
+# Rank-one convexity is a cone property: c*W is rank-one convex iff W is, so
+# each column of a catalog energy scaled by c > 0 reads as at c = 1
+SCALE_FACTORS = (1e-12, 1e-6, 1e6, 1e12)
+SCALE_COLUMNS = ("exit", *ROUTES, "oracle")
+SCALE_READ = {**{route: READ[route] for route in ROUTES},
+              "oracle": lambda e: brute_force_check(e, seed=1).summary}
+
+_ABSOLUTE_TOL = "item 24: margins of order c are judged against the absolute tol"
+SCALE_WRONG = {
+    **{(cid, 1e-12, column): _ABSOLUTE_TOL
+       for cid in ("hencky", "exp_hencky_iso", "exp_hencky_coupled", "double_well_vol")
+       for column in ("exit", *ROUTES)},
+    **{(cid, 1e-12, "oracle"): _ABSOLUTE_TOL
+       for cid in ("hencky", "exp_hencky_iso", "exp_hencky_coupled")},
+}
+
+
+@functools.cache
+def _scaled(catalog_id: str, c: float) -> dict:
+    """Every scale column of ``c*(h)``, ``c*(f)`` at the catalog defaults."""
+    entry = CATALOG[catalog_id]
+    h, f = f"{c!r}*({entry.h})", f"{c!r}*({entry.f})"
+    e = make_split(h, f, params=entry.defaults)
+    return {"exit": _check_exit(h, f, entry.defaults),
+            **{column: _verdict(column, e, SCALE_READ) for column in SCALE_READ}}
+
+
+@pytest.mark.parametrize("catalog_id, c, column", [
+    pytest.param(cid, c, column, id=f"{cid}-c={c:g}-{column}",
+                 marks=[pytest.mark.xfail(strict=True, reason=SCALE_WRONG[key])]
+                 if (key := (cid, c, column)) in SCALE_WRONG else [])
+    for cid in CATALOG for c in SCALE_FACTORS for column in SCALE_COLUMNS])
+def test_scale_invariance(catalog_id, c, column):
+    assert _scaled(catalog_id, c)[column] == _scaled(catalog_id, 1.0)[column]

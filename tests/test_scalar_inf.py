@@ -37,6 +37,12 @@ class TestKnownInfima:
         assert r.value == pytest.approx(-8.090151482887336, abs=1e-8)
         assert r.attained_at == pytest.approx(0.9778145, rel=1e-5)
 
+    def test_large_interior_minimum_is_refined(self):
+        # the same well scaled by 1e12: no size of a minimum reads as divergence
+        r = infimum("1e12*((z - 1/z)^4 - (z - 1/z)^2)", "z")
+        assert r.value == pytest.approx(-8.090151482887336e12, rel=1e-10)
+        assert r.attained_at == pytest.approx(0.9778145, rel=1e-5)
+
     def test_quadratic_volumetric_boundary_marker(self):
         # z^2 * 2 -> infimum 0 in the limit z -> 0+
         r = infimum("(z - 1)^2", "z")
@@ -69,6 +75,12 @@ class TestUnboundedness:
         r = infimum("0 - (z^2 - 1)^2", "z")
         assert r.unbounded
         assert r.attained_at == scalar_inf.LIMIT_UPPER
+
+    def test_overflowed_sample_diverges_at_nearer_end(self):
+        # z^2 f'' = -(2 + 4 z^2) z^2 exp(z^2) overflows to -inf near z = 26.4,
+        # far inside the grid
+        r = infimum("-exp(z^2)", "z")
+        assert (r.value, r.attained_at) == (-math.inf, scalar_inf.LIMIT_UPPER)
 
     def test_bounded_boundary_limit_not_flagged(self):
         # k-energy: t^2 h'' = mu / t -> 0+ at the upper boundary; finite
