@@ -39,14 +39,14 @@ _EXPORTS = {
                  "main_check", "necessary_battery", "voliso_check"),
     "energy": ("GridSpec", "SingularPair", "SplitEnergy", "catalog", "make_split"),
     "errors": ("RankOneError",),
-    "expr": ("Expr", "Jet2", "eval_jet2", "parse", "pretty"),
+    "expr": ("Expr", "Jet2", "eval_jet2", "parse"),
     "oracle": ("BruteForceResult", "analytic_second_derivative", "brute_force_check",
                "svd2"),
     "scalar_inf": ("InfimumResult", "convexity_verdict", "infimum_weighted_second"),
     "scan": ("EllipticityMap", "emit_csv", "emit_svg", "scan_domain"),
     "stress": ("InfinitesimalModuli", "InvertibilityReport", "StressState",
                "infinitesimal_moduli", "invertibility_verdict",
-               "linear_rank_one_check", "principal_cauchy", "stress_jacobian_det"),
+               "linear_rank_one_check", "principal_cauchy"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

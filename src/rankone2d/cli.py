@@ -367,7 +367,6 @@ def stress_cmd(e, at, tol):
 
     pair = energy.SingularPair(at[0], at[1])
     st = stress.principal_cauchy(e, pair)
-    det = stress.stress_jacobian_det(e, pair)
     moduli = stress.infinitesimal_moduli(e, tol=tol)
     linear = stress.linear_rank_one_check(moduli.mu, moduli.kappa)
     inv = stress.invertibility_verdict(e, tol=tol)
@@ -377,7 +376,7 @@ def stress_cmd(e, at, tol):
         "sigma2": st.sigma2,
         "tau_iso": st.tau_iso,
         "tau_vol": st.tau_vol,
-        "det_D_sigma": det,
+        "det_D_sigma": st.det_D_sigma,
         "moduli": {"mu": moduli.mu, "kappa": moduli.kappa,
                    "lame_lambda": moduli.lame_lambda,
                    "stress_free": moduli.stress_free},
@@ -389,7 +388,7 @@ def stress_cmd(e, at, tol):
         f"sigma1 = {st.sigma1:.9g}",
         f"sigma2 = {st.sigma2:.9g}",
         f"tau_iso = {st.tau_iso:.9g}, tau_vol = {st.tau_vol:.9g}",
-        f"det D sigma = {det:.9g}",
+        f"det D sigma = {st.det_D_sigma:.9g}",
         f"moduli: mu = {moduli.mu:.9g}, kappa = {moduli.kappa:.9g}"
         f" (stress-free reference: {moduli.stress_free})",
         f"linearized verdict: {linear}",

@@ -234,13 +234,12 @@ def _ks_axis(grid: GridSpec) -> np.ndarray:
 
 
 def _g_from_jets(t, z, hj, fj):
-    """The general form g(x, y) = h(x/y) + f(x*y) and its partials up to
-    order 2 at x = sqrt(t*z), y = sqrt(z/t), from the h jets ``hj`` at t and
-    the f jets ``fj`` at z: (x, y, g, g_x, g_y, g_xx, g_xy, g_yy)."""
+    """The partials up to order 2 of the general form g(x, y) = h(x/y) +
+    f(x*y) at x = sqrt(t*z), y = sqrt(z/t), from the h jets ``hj`` at t and
+    the f jets ``fj`` at z: (x, y, g_x, g_y, g_xx, g_xy, g_yy)."""
     x = np.sqrt(t * z)
     y = np.sqrt(z / t)
     return (x, y,
-            hj.value + fj.value,
             hj.d1 / y + y * fj.d1,
             -x / y**2 * hj.d1 + x * fj.d1,
             hj.d2 / y**2 + y**2 * fj.d2,
@@ -270,7 +269,7 @@ def ks_check(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
     zs = _ks_axis(z_grid)
     with np.errstate(all="ignore"):
         hj, fj = eval_jet2_array(e.h, ts), eval_jet2_array(e.f, zs)
-        x, y, _, g_x, g_y, g_xx, g_xy, g_yy = _g_from_jets(ts, zs, hj, fj)
+        x, y, g_x, g_y, g_xx, g_xy, g_yy = _g_from_jets(ts, zs, hj, fj)
 
         # the band is the size of the smaller candidate's own terms, t^2 h''(t)
         # and w for A(t, z), t^-2 h''(1/t) = t^2 h''(t) + 2t h'(t) and w for
@@ -392,8 +391,8 @@ def necessary_battery(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
     """Necessary-condition battery; any failure certifies non-convexity.
     Nec_a: h or f is convex by ``convexity_verdict``, which reads each of
     them on ``INFIMUM_GRID`` whatever the t grid, as ``classify`` does.  Its
-    margin is 0 if one is convex, else the larger of x^2 h'' and x^2 f''
-    at their convexity witnesses, judged against ``tol`` like the others."""
+    margin is 0 if one is convex, else the larger of the two grid minima of
+    x^2 u'' that verdict judged, judged against ``tol`` like the others."""
     ts = t_grid.points()
     hj = eval_jet2_array(e.h, ts)
     h1, h2 = hj.d1, hj.d2
@@ -401,8 +400,8 @@ def necessary_battery(e: SplitEnergy, t_grid: GridSpec = DEFAULT_T_GRID,
 
     kinds, margins = {}, []
     for part, u in (("h", e.h), ("f", e.f)):
-        kinds[part], x = convexity_verdict(u)
-        margins.append(0.0 if x is None else float(weighted_second(u, x)))
+        kinds[part], x, least = convexity_verdict(u)
+        margins.append(0.0 if x is None else least)
     reports = [_report("Nec_a", max(margins), kinds, 2 * INFIMUM_GRID.n, tol)]
     reports.append(_grid_report("Nec_b", h2 + f2, (ts,), tol))
     signed = np.where(ts >= 1.0, h1, -h1)
@@ -470,7 +469,7 @@ def classify_structure(e: SplitEnergy) -> StructureClassification:
         kind, part, scale = "idealized_same_h", e.h, {"ratio": ratio}
     else:
         return StructureClassification("general")
-    convexity, witness = convexity_verdict(part)
+    convexity, witness, _ = convexity_verdict(part)
     verdict = {"Convex": "RankOneConvex",
                "NonConvex": "NotRankOneConvex"}.get(convexity, "Inconclusive")
     return StructureClassification(kind, convexity=convexity, witness=witness,

@@ -159,48 +159,37 @@ def _coupled_conditions(ts: np.ndarray, h1: np.ndarray, h2: np.ndarray):
 
 
 class _CatalogEntry(NamedTuple):
-    """Source templates of h and f, the parameters they take with their
-    default values, and a description.  Parameters are bound at parse time."""
+    """Source templates of h and f and the parameters they take, with their
+    default values.  Parameters are bound at parse time."""
 
     h: str
     f: str
     defaults: dict
-    description: str
 
 
 CATALOG = {
     "example1": _CatalogEntry(
-        "exp((1/10)*log(t)^2)", "(1/60)*(z - 1/z)^2", {},
-        "smooth exp-log isochoric part with convex volumetric coupling"),
+        "exp((1/10)*log(t)^2)", "(1/60)*(z - 1/z)^2", {}),
     "example2": _CatalogEntry(
-        "(6/5)*(t - 1/t)^2", "(z - 1/z)^4 - (z - 1/z)^2", {},
-        "convex isochoric part with double-well volumetric part"),
+        "(6/5)*(t - 1/t)^2", "(z - 1/z)^4 - (z - 1/z)^2", {}),
     "k_energy": _CatalogEntry(
-        "(mu/2)*(t + 1/t)", "0", {"mu": 1.0},
-        "pure distortion energy mu*K"),
+        "(mu/2)*(t + 1/t)", "0", {"mu": 1.0}),
     "hadamard_k": _CatalogEntry(
-        "(mu/2)*(t + 1/t)", "(kappa/2)*(z - 1)^2", {"mu": 1.0, "kappa": 1.0},
-        "distortion energy plus convex quadratic volumetric part"),
+        "(mu/2)*(t + 1/t)", "(kappa/2)*(z - 1)^2", {"mu": 1.0, "kappa": 1.0}),
     "hencky": _CatalogEntry(
-        "(mu/2)*log(t)^2", "(kappa/2)*log(z)^2", {"mu": 1.0, "kappa": 1.0},
-        "planar logarithmic-strain energy"),
+        "(mu/2)*log(t)^2", "(kappa/2)*log(z)^2", {"mu": 1.0, "kappa": 1.0}),
     "exp_hencky": _CatalogEntry(
         "(mu/k)*exp((k/2)*log(t)^2)", "(kappa/(2*khat))*exp(khat*log(z)^2)",
-        {"mu": 1.0, "kappa": 1.0, "k": 0.25, "khat": 0.25},
-        "exponentiated logarithmic-strain energy"),
+        {"mu": 1.0, "kappa": 1.0, "k": 0.25, "khat": 0.25}),
     "exp_hencky_iso": _CatalogEntry(
-        "mu*exp(k*log(t)^2)", "0", {"mu": 1.0, "k": 0.1},
-        "isochoric exponentiated log-strain part only"),
+        "mu*exp(k*log(t)^2)", "0", {"mu": 1.0, "k": 0.1}),
     "exp_hencky_coupled": _CatalogEntry(
-        "mu*exp(k*log(t)^2)", "(1/1000)*(z - 1/z)^2", {"mu": 1.0, "k": 0.1},
-        "isochoric exponentiated part with weak volumetric coupling"),
+        "mu*exp(k*log(t)^2)", "(1/1000)*(z - 1/z)^2", {"mu": 1.0, "k": 0.1}),
     "idealized": _CatalogEntry(
         "mu*((t + 1/t)/2 - 1)", "(kappa/2)*((z + 1/z)/2 - 1)",
-        {"mu": 1.0, "kappa": 1.0},
-        "same shape function for isochoric and volumetric response"),
+        {"mu": 1.0, "kappa": 1.0}),
     "double_well_vol": _CatalogEntry(
-        "0", "scale*((z - 1/z)^4 - (z - 1/z)^2)", {"scale": 1.0},
-        "pure double-well volumetric part"),
+        "0", "scale*((z - 1/z)^4 - (z - 1/z)^2)", {"scale": 1.0}),
 }
 
 

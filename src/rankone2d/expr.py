@@ -320,27 +320,6 @@ def parse(source: str, variable_name: str,
     return Expr(ast=ast, variable=variable_name, source_text=source)
 
 
-def pretty(e: Expr) -> str:
-    """Canonical fully parenthesized rendering; reparsing yields an equal AST."""
-    return _pretty(e.ast, e.variable)
-
-
-def _pretty(ast: tuple, var: str) -> str:
-    tag = ast[0]
-    if tag == "num":
-        # the grammar reads -x as a negation: (-2)^t is not -(2^t)
-        v = ast[1]
-        return f"(-{-v!r})" if math.copysign(1.0, v) < 0 else repr(v)
-    if tag == "var":
-        return var
-    if tag == "neg":
-        return f"(-{_pretty(ast[1], var)})"
-    if tag == "call":
-        return f"{ast[1]}({_pretty(ast[2], var)})"
-    sym = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}[tag]
-    return f"({_pretty(ast[1], var)} {sym} {_pretty(ast[2], var)})"
-
-
 def terms(e: Expr) -> dict:
     """The folded tree of ``e`` as ``{key: coefficient}``: a float key p
     stands for x^p (the constant is x^0), any other key for a subtree.  Sums,

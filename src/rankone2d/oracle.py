@@ -1,10 +1,10 @@
 """Independent brute-force verification on matrices.
 
-Everything here works directly with 2x2 deformation gradients: a closed-form
-SVD, the closed-form second directional derivative along rank-one lines
-through the distortion function, and a sampled search for violating
-(F, xi, eta) triples, whose direction kernel minimises the closed-form
-acoustic tensor.
+Everything here works directly with 2x2 deformation gradients: closed-form
+singular values, the closed-form second directional derivative along
+rank-one lines through the distortion function, and a sampled search for
+violating (F, xi, eta) triples, whose direction kernel minimises the
+closed-form acoustic tensor.
 """
 
 from __future__ import annotations
@@ -32,24 +32,18 @@ _N_ANGLES = 48
 SEED_MAX = 2**32 - 1  # seeds are unsigned 32-bit integers
 
 
-def svd2(F: np.ndarray) -> Tuple[SingularPair, float, float]:
-    """Closed-form SVD of a 2x2 matrix with positive determinant.
-
-    Returns (singular pair with lambda1 >= lambda2 > 0, theta_left,
-    theta_right) such that F = R(theta_left) @ diag(lambda1, lambda2)
-    @ R(theta_right).  The smaller singular value is det F / lambda1, formed
-    without subtracting the two singular values.
+def svd2(F: np.ndarray) -> SingularPair:
+    """Singular values of a 2x2 matrix with positive determinant, in closed
+    form: the pair lambda1 >= lambda2 > 0.  The smaller one is det F /
+    lambda1, formed without subtracting the two singular values.
     """
     (a, b), (c, d) = np.asarray(F, dtype=float)
     det = a * d - b * c
     if det <= 0.0:
         raise NonPositiveDeterminant(f"det F = {det:.6g} <= 0")
-    e_, f_ = 0.5 * (a + d), 0.5 * (a - d)
-    g_, h_ = 0.5 * (c + b), 0.5 * (c - b)
-    lambda1 = math.hypot(e_, h_) + math.hypot(f_, g_)
-    a1, a2 = math.atan2(g_, f_), math.atan2(h_, e_)
-    return (SingularPair(lambda1, float(det / lambda1)),
-            0.5 * (a2 + a1), 0.5 * (a2 - a1))
+    lambda1 = (math.hypot(0.5 * (a + d), 0.5 * (c - b))
+               + math.hypot(0.5 * (a - d), 0.5 * (c + b)))
+    return SingularPair(lambda1, float(det / lambda1))
 
 
 def _curvatures(e: SplitEnergy, l1, l2) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -82,7 +76,7 @@ def analytic_second_derivative(e: SplitEnergy, F: np.ndarray,
     J^2 (|F|^4 - 4J^2), 0 at a conformal F.  Only psi', c_iso and f'' from
     ``_curvatures`` at the singular values of F carry rounding.
     """
-    pair, _, _ = svd2(F)
+    pair = svd2(F)
     psi1, c_iso, fpp = map(float, _curvatures(e, pair.lambda1, pair.lambda2))
     (a, b), (c, d) = ((Fraction(v) for v in row) for row in np.asarray(F, dtype=float))
     x0, x1 = (Fraction(v) for v in np.asarray(xi, dtype=float))

@@ -117,15 +117,17 @@ def _diverges_into_boundary(xs: np.ndarray, vals: np.ndarray, upper: bool) -> bo
     return outer_min <= inner_min - 1e-6 * (1.0 + abs(inner_min))
 
 
-def convexity_verdict(e: Expr) -> Tuple[str, Optional[float]]:
+def convexity_verdict(e: Expr) -> Tuple[str, Optional[float], float]:
     """Convexity of a scalar function from the sign of x^2 * u''(x) on
     ``INFIMUM_GRID``, the infimum's dense grid, not the refined infimum,
     whose rounding can dip below 0 at a double root.
 
-    Returns ("Convex", None), or ("NonConvex", x) below -DEFAULT_TOL and
-    ("Marginal", x) below 0, with x the grid point of the first minimum.
+    Returns (verdict, x, m) with m the grid's first minimum of x^2 * u'':
+    ("Convex", None, m) for m >= 0, else ("NonConvex", x, m) below
+    -DEFAULT_TOL and ("Marginal", x, m) below 0, x the grid point of m.
     """
     xs, vals, idx = _dense_min(e)
-    if vals[idx] >= 0.0:
-        return "Convex", None
-    return "NonConvex" if vals[idx] < -DEFAULT_TOL else "Marginal", float(xs[idx])
+    least = float(vals[idx])
+    if least >= 0.0:
+        return "Convex", None, least
+    return "NonConvex" if least < -DEFAULT_TOL else "Marginal", float(xs[idx]), least

@@ -50,7 +50,6 @@ class EllipticityMap(NamedTuple):
     lambda2: np.ndarray
     margins: np.ndarray
     verdicts: np.ndarray
-    tol: float
 
     def worst(self) -> Tuple[float, float, float]:
         """The first cell of smallest margin among the defined (non-NaN)
@@ -118,7 +117,7 @@ def scan_domain(
     # sets both bits, and NonElliptic takes precedence
     code = 2 * (margins < -tol) + (margins > tol)
     return EllipticityMap(lambda1=lam, lambda2=lam, margins=margins,
-                          verdicts=_LABELS[code], tol=tol)
+                          verdicts=_LABELS[code])
 
 
 def emit_csv(emap: EllipticityMap, stream: TextIO) -> None:

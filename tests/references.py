@@ -1,14 +1,14 @@
 """Independent references the tests check the package against.
 
 None of these is run by a subcommand or another module of the package:
-the energy on stretches and on matrices, the general form g(x, y) and its
-partials on (t, z) samples (Knowles-Sternberg takes them from the jets it
-already holds), a rotation matrix to build deformation gradients, the
-rank-one second derivative as a 5-point finite difference of W and the
-acoustic tensor as a finite-difference Hessian of W (the oracle's kernel
-minimises the closed-form 2x2 tensor instead), the quadratic linearized
-energy and the split conditions on the unfolded t grid (the routes fold it
-onto t >= 1).
+the canonical text of an expression tree, the energy on stretches and on
+matrices, the general form g(x, y) and its partials on (t, z) samples
+(Knowles-Sternberg takes the partials from the jets it already holds), a
+rotation matrix to build deformation gradients, the rank-one second
+derivative as a 5-point finite difference of W and the acoustic tensor as
+a finite-difference Hessian of W (the oracle's kernel minimises the
+closed-form 2x2 tensor instead), the quadratic linearized energy and the
+split conditions on the unfolded t grid (the routes fold it onto t >= 1).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from rankone2d import criteria
 from rankone2d.energy import GridSpec, SingularPair, SplitEnergy, _coupled_conditions
 from rankone2d.errors import RankOneError
-from rankone2d.expr import eval_jet2, eval_jet2_array
+from rankone2d.expr import Expr, eval_jet2, eval_jet2_array
 from rankone2d.oracle import svd2
 
 # the 5-point second difference's step along xi (x) eta, relative to |F|
@@ -34,6 +34,27 @@ class LeftGLplus(RankOneError):
     """A finite-difference step left GL+(2); shrink the step."""
 
 
+def pretty(e: Expr) -> str:
+    """Canonical fully parenthesized rendering; reparsing yields an equal AST."""
+    return _pretty(e.ast, e.variable)
+
+
+def _pretty(ast: tuple, var: str) -> str:
+    tag = ast[0]
+    if tag == "num":
+        # the grammar reads -x as a negation: (-2)^t is not -(2^t)
+        v = ast[1]
+        return f"(-{-v!r})" if math.copysign(1.0, v) < 0 else repr(v)
+    if tag == "var":
+        return var
+    if tag == "neg":
+        return f"(-{_pretty(ast[1], var)})"
+    if tag == "call":
+        return f"{ast[1]}({_pretty(ast[2], var)})"
+    sym = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}[tag]
+    return f"({_pretty(ast[1], var)} {sym} {_pretty(ast[2], var)})"
+
+
 def eval_W(e: SplitEnergy, p: SingularPair) -> float:
     """Energy value at the given singular values."""
     return float(eval_jet2(e.h, p.lambda1 / p.lambda2).value
@@ -42,8 +63,7 @@ def eval_W(e: SplitEnergy, p: SingularPair) -> float:
 
 def eval_W_matrix(e: SplitEnergy, F: np.ndarray) -> float:
     """Energy value on a 2x2 matrix with positive determinant."""
-    pair, _, _ = svd2(F)
-    return eval_W(e, pair)
+    return eval_W(e, svd2(F))
 
 
 def g_partials(e: SplitEnergy, ts, zs):
@@ -53,12 +73,14 @@ def g_partials(e: SplitEnergy, ts, zs):
     Returns (x, y, g, g_x, g_y, g_xx, g_xy, g_yy) on ``ts`` and ``zs``
     broadcast together.  The h jets are evaluated once per element of ``ts``
     and the f jets once per element of ``zs``, so a column of T values of t
-    against a row of Z values of z costs T + Z jets for T x Z points.
+    against a row of Z values of z costs T + Z jets for T x Z points.  g
+    itself is formed here: Knowles-Sternberg reads only the partials.
     """
     t = np.asarray(ts, dtype=float)
     z = np.asarray(zs, dtype=float)
-    return criteria._g_from_jets(t, z, eval_jet2_array(e.h, t),
-                                 eval_jet2_array(e.f, z))
+    hj, fj = eval_jet2_array(e.h, t), eval_jet2_array(e.f, z)
+    x, y, *partials = criteria._g_from_jets(t, z, hj, fj)
+    return (x, y, hj.value + fj.value, *partials)
 
 
 def fd_second_derivative(e: SplitEnergy, F: np.ndarray, xi: np.ndarray,

@@ -24,7 +24,6 @@ from rankone2d import (
     necessary_battery,
     principal_cauchy,
     scan_domain,
-    stress_jacobian_det,
     voliso_check,
 )
 from rankone2d.energy import SingularPair
@@ -187,7 +186,7 @@ def test_criterion_08_stress_map():
         for _ in range(250):
             lam = np.sort(np.exp(rng.uniform(-0.7, 0.7, 2)))[::-1]
             pair = SingularPair(lam[0], lam[1])
-            det = stress_jacobian_det(e, pair)
+            det = principal_cauchy(e, pair).det_D_sigma
 
             jac = np.empty((2, 2))
             for j in range(2):

@@ -179,8 +179,12 @@ class TestExtremeInputs:
          "overflowed at t = 0.001 in the symmetry check"),
         (("stress", "--catalog", "example1", "--at", "1e200", "1e-200"), 3,
          "error: singular values (1e+200, 1e-200) have a ratio or product"),
+        # both t points fold onto the one row t = 1
+        (("check", "--catalog", "example1", "--t-min", "0.9999999999999",
+          "--t-max", "1.0000000000001", "--t-points", "2"), 3,
+         "error: no admissible samples for Main3"),
     ], ids=["t-max-inf", "z-max-inf", "t-max-1e300", "t-min-1e-300",
-            "scan-1e200", "exp-hencky-k40", "stress-1e200"])
+            "scan-1e200", "exp-hencky-k40", "stress-1e200", "t-grid-one-row"])
     def test_exit_code_without_runtime_warning(self, args, code, message):
         res = run_fresh(*args)
         assert res.returncode == code, res.stderr

@@ -85,6 +85,16 @@ class TestGridSpec:
         with pytest.raises(errors.DegenerateGrid):
             GridSpec(0.5, math.inf, 10).points()
 
+    @pytest.mark.parametrize("route, condition", [
+        (main_check, "Main3"), (voliso_check, "C"), (ks_check, "KS_ii")])
+    def test_grid_folded_to_t_one_has_no_admissible_samples(self, route, condition):
+        # both points fold onto the one row t = 1, where C, Main3 and KS_ii
+        # are not defined
+        grid = GridSpec(0.9999999999999, 1.0000000000001, 2)
+        with pytest.raises(errors.DegenerateGrid,
+                           match=rf"^no admissible samples for {condition}$"):
+            route(catalog("example1"), t_grid=grid)
+
 
 class TestRouteAgreement:
     @pytest.mark.parametrize("cid", [

@@ -28,6 +28,14 @@ class TestConstruction:
         with pytest.raises(errors.SymmetryViolation):
             energy.make_split("t - 1", "z")
 
+    def test_slope_at_one_rejected_where_the_values_pass(self):
+        # h(1/t) = -h(t), so the sampled residual is at most 8e-10, under
+        # 1e-9, while h'(1) = 4e-8
+        with pytest.raises(errors.SymmetryViolation) as info:
+            energy.make_split("4e-10*tanh(100*log(t))", "(z - 1)^2")
+        assert info.value.worst_t == 1.0
+        assert info.value.residual == pytest.approx(4e-8)
+
     def test_overflowing_h_is_overflow_not_asymmetry(self):
         # h = exp(20 log(t)^2)/40 is +inf at both t and 1/t near the ends
         # of the [1e-3, 1e3] sample grid; inf - inf must not read as a

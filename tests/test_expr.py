@@ -9,6 +9,7 @@ from rankone2d import errors, expr
 from rankone2d.energy import CATALOG
 from rankone2d.scalar_inf import weighted_second
 import strategies
+from references import pretty
 
 
 def jet(source, x, var="t"):
@@ -92,7 +93,7 @@ class TestParsing:
         ]
         for src, params in cases:
             e = expr.parse(src, "t", params)
-            again = expr.parse(expr.pretty(e), "t")
+            again = expr.parse(pretty(e), "t")
             # repr tells -0.0 from 0.0, which == does not
             assert again == e and repr(again.ast) == repr(e.ast), src
 
@@ -141,7 +142,7 @@ class TestFolding:
     def test_parse_folds_and_pretty_roundtrips(self, source, k):
         e = expr.parse(source, "t", {"k": k})
         assert _foldable(e.ast) == []
-        again = expr.parse(expr.pretty(e), "t")
+        again = expr.parse(pretty(e), "t")
         assert again == e and repr(again.ast) == repr(e.ast)
 
 
@@ -191,7 +192,7 @@ class TestParameterBinding:
     def test_negative_value_parses_as_negated_literal(self):
         bound = expr.parse("k*t", "t", {"k": -1.5})
         assert bound == expr.parse("(-1.5)*t", "t")
-        assert expr.parse(expr.pretty(bound), "t") == bound
+        assert expr.parse(pretty(bound), "t") == bound
 
     def test_unused_binding_ignored(self):
         assert expr.parse("t", "t", {"kappa": 3.0}) == expr.parse("t", "t")

@@ -28,23 +28,16 @@ def random_gl_plus(rng, n=1):
 
 
 class TestSvd2:
-    def test_reconstruction(self):
-        rng = np.random.RandomState(11)
-        for F in random_gl_plus(rng, 50):
-            pair, left, right = svd2(F)
-            R = rotation(left) @ np.diag([pair.lambda1, pair.lambda2]) @ rotation(right)
-            assert np.linalg.norm(R - F) < 1e-12 * np.linalg.norm(F)
-
     def test_ordering_and_positivity(self):
         rng = np.random.RandomState(12)
         for F in random_gl_plus(rng, 50):
-            pair, _, _ = svd2(F)
+            pair = svd2(F)
             assert pair.lambda1 >= pair.lambda2 > 0.0
 
     def test_matches_lapack(self):
         rng = np.random.RandomState(13)
         for F in random_gl_plus(rng, 20):
-            pair, _, _ = svd2(F)
+            pair = svd2(F)
             sv = np.linalg.svd(F, compute_uv=False)
             assert pair.lambda1 == pytest.approx(sv[0], rel=1e-12)
             assert pair.lambda2 == pytest.approx(sv[1], rel=1e-12)
@@ -52,7 +45,7 @@ class TestSvd2:
     def test_smaller_singular_value_at_extreme_stretch(self):
         # lambda2 = det F / lambda1; det F of a triangular F is one rounding
         F = np.array([[1e6, 3e5], [0.0, 1e-6]])
-        pair, _, _ = svd2(F)
+        pair = svd2(F)
         lambda1 = np.linalg.svd(F, compute_uv=False)[0]
         assert pair.lambda1 == pytest.approx(lambda1, rel=1e-12)
         assert pair.lambda2 == pytest.approx(1e6 * 1e-6 / lambda1, rel=1e-12)

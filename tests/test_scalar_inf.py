@@ -100,20 +100,26 @@ class TestDomainHandling:
 
 class TestConvexityVerdict:
     def test_convex(self):
-        kind, wit = scalar_inf.convexity_verdict(expr.parse("z^2", "z"))
+        kind, wit, least = scalar_inf.convexity_verdict(expr.parse("z^2", "z"))
         assert kind == "Convex"
         assert wit is None
+        assert least == pytest.approx(2.0 * INFIMUM_GRID.lo**2)  # 2x^2 at x = 1e-6
 
     def test_nonconvex_with_witness(self):
-        kind, wit = scalar_inf.convexity_verdict(expr.parse("0 - (z - 1)^2", "z"))
+        kind, wit, least = scalar_inf.convexity_verdict(
+            expr.parse("0 - (z - 1)^2", "z"))
         assert kind == "NonConvex"
         assert wit is not None
+        assert least == -2.0 * wit**2
 
     def test_nonconvex_well(self):
-        kind, wit = scalar_inf.convexity_verdict(
-            expr.parse("(z - 1/z)^4 - (z - 1/z)^2", "z"))
+        u = expr.parse("(z - 1/z)^4 - (z - 1/z)^2", "z")
+        kind, wit, least = scalar_inf.convexity_verdict(u)
         assert kind == "NonConvex"
         assert 0.5 < wit < 2.0
+        # the grid's minimum, judged at its witness
+        assert least == pytest.approx(float(scalar_inf.weighted_second(u, wit)),
+                                      rel=1e-12)
 
     def test_example1_parts(self):
         e = catalog("example1")
@@ -123,9 +129,11 @@ class TestConvexityVerdict:
     @pytest.mark.parametrize("scale, kind", [(1e-9, "Marginal"), (1e-7, "NonConvex")])
     def test_sign_of_weighted_second_against_tol(self, scale, kind):
         # x^2 u'' = -scale, up to rounding, on the whole grid
-        got, wit = scalar_inf.convexity_verdict(expr.parse(f"{scale}*log(z)", "z"))
+        got, wit, least = scalar_inf.convexity_verdict(
+            expr.parse(f"{scale}*log(z)", "z"))
         assert got == kind
         assert wit in INFIMUM_GRID.points()
+        assert least == pytest.approx(-scale, rel=1e-6)
 
     def test_nan_raises_domain_error(self):
         with pytest.raises(errors.DomainError, match=r"^'sqrt\(z - 1\)' undefined at "):

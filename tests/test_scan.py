@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rankone2d import (analytic_second_derivative, catalog, emit_csv,
                        emit_svg, main_check, make_split, scan_domain)
-from rankone2d.energy import CATALOG
+from rankone2d.energy import CATALOG, DEFAULT_TOL
 from rankone2d.errors import DegenerateGrid, RankOneError
 from rankone2d.kernels import direction_min_batch
 from rankone2d.oracle import _curvatures
@@ -169,8 +169,7 @@ class TestWorst:
         margins = np.asarray(margins, dtype=float)
         lam = np.arange(1.0, margins.shape[0] + 1.0)
         return EllipticityMap(lam, lam, margins,
-                              np.full(margins.shape, "Boundary", dtype=object),
-                              1e-8)
+                              np.full(margins.shape, "Boundary", dtype=object))
 
     def test_nan_cells_are_skipped(self):
         emap = self._map([[math.nan, 3.0], [1e-5, math.nan]])
@@ -204,7 +203,7 @@ def random_maps(draw):
     verdicts = np.array(draw(st.lists(st.sampled_from(LABELS), min_size=n * n,
                                       max_size=n * n)), dtype=object)
     return EllipticityMap(lam, lam, margins.reshape(n, n),
-                          verdicts.reshape(n, n), 1e-8)
+                          verdicts.reshape(n, n))
 
 
 @settings(max_examples=200, deadline=None)
@@ -257,7 +256,7 @@ def mirrored_maps(draw):
     margins[ii, jj] = vals
     tol = draw(st.sampled_from([1e-8, 0.0, -1.0]))
     code = 2 * (margins < -tol) + (margins > tol)
-    return EllipticityMap(lam, lam, margins, _LABELS[code], tol)
+    return EllipticityMap(lam, lam, margins, _LABELS[code])
 
 
 @settings(max_examples=200, deadline=None)
@@ -314,7 +313,7 @@ class TestEmitters:
     def test_svg_of_a_non_square_map_raises_before_writing(self):
         verdicts = np.full((2, 3), "Elliptic", dtype=object)
         emap = EllipticityMap(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]),
-                              np.ones((2, 3)), verdicts, 1e-8)
+                              np.ones((2, 3)), verdicts)
         buf = io.StringIO()
         with pytest.raises(DegenerateGrid, match="square grid, got 2 x 3"):
             emit_svg(emap, buf)
@@ -475,11 +474,11 @@ def test_kernel_violations_are_nonelliptic(name, lo, width, n, spacing):
     ii, jj = np.triu_indices(n)
     lam1, lam2 = emap.lambda1[jj], emap.lambda2[ii]
     vals, xis, etas = _kernel_cells(e, lam1, lam2, 480)
-    for k in np.flatnonzero(vals < -emap.tol):
+    for k in np.flatnonzero(vals < -DEFAULT_TOL):
         xi = np.array([math.cos(xis[k]), math.sin(xis[k])])
         eta = np.array([math.cos(etas[k]), math.sin(etas[k])])
         exact = analytic_second_derivative(e, np.diag([lam1[k], lam2[k]]),
                                            xi, eta)
-        if exact < -emap.tol:
+        if exact < -DEFAULT_TOL:
             assert emap.verdicts[jj[k], ii[k]] == "NonElliptic", (
                 lam1[k], lam2[k], exact)
