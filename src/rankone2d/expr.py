@@ -1,7 +1,7 @@
 """Scalar expressions in one variable, evaluated with degree-2 Taylor jets.
 
-The grammar is a small infix language with precedence
-``^`` (right-assoc) > unary ``-`` > ``*``, ``/`` > ``+``, ``-``,
+The grammar is a small infix language whose precedence is stated once, in
+``_BINDING``: ``^`` (right-assoc) > unary ``-`` > ``*``, ``/`` > ``+``, ``-``,
 parentheses, the constants ``pi`` and ``e``, decimal/scientific literals and
 the unary functions exp, log, sqrt, cosh, sinh, tanh, arcosh.  Named
 parameters are bound at parse time: a bound name parses as its number, so
@@ -189,6 +189,14 @@ def _fold(node: tuple) -> tuple:
     return node
 
 
+# each binary operator's binding power and tag; a unary minus binds at
+# _UNARY, so -t^2 is -(t^2) and 2^-1 is 2^(-1).  ^ is right-associative,
+# the others left-associative
+_BINDING = {"+": (1, "add"), "-": (1, "sub"), "*": (2, "mul"), "/": (2, "div"),
+            "^": (4, "pow")}
+_UNARY = 3
+
+
 class _Parser:
     def __init__(self, source: str, variable_name: str, params: dict):
         self.source = source
@@ -218,49 +226,31 @@ class _Parser:
             raise ExpressionSyntaxError(f"trailing input {text!r}", offset)
         return ast
 
-    def expression(self):
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = _fold(("add" if text == "+" else "sub", node, rhs))
-            else:
-                return node
-
-    def term(self):
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = _fold(("mul" if text == "*" else "div", node, rhs))
-            else:
-                return node
-
-    def factor(self):
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
+    def expression(self, floor: int = 0):
+        """A unary minus or an atom, then every binary operator that binds
+        tighter than ``floor``."""
+        if self.peek()[1] == "-":
             self.advance()
-            return _fold(("neg", self.factor()))
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
+            node = _fold(("neg", self.expression(_UNARY)))
+        else:
+            node = self.atom()
+        while True:
+            power, tag = _BINDING.get(self.peek()[1], (0, None))
+            if power <= floor:
+                return node
             self.advance()
-            return _fold(("pow", node, self.factor()))
-        return node
+            rhs = self.expression(power - 1 if tag == "pow" else power)
+            node = _fold((tag, node, rhs))
 
     def atom(self):
         kind, text, offset = self.advance()
         if kind == "number":
-            if math.isinf(float(text)):
+            value = float(text)
+            if math.isinf(value):
                 raise ExpressionSyntaxError(f"number {text} is not finite", offset)
-            return ("num", float(text))
+            if value == 0.0 and re.search(r"[1-9]", text.lower().partition("e")[0]):
+                raise ExpressionSyntaxError(f"number {text} rounds to 0", offset)
+            return ("num", value)
         if kind == "name":
             if text in FUNCTIONS:
                 self.expect_op("(")

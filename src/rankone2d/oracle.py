@@ -35,12 +35,16 @@ SEED_MAX = 2**32 - 1  # seeds are unsigned 32-bit integers
 def svd2(F: np.ndarray) -> SingularPair:
     """Singular values of a 2x2 matrix with positive determinant, in closed
     form: the pair lambda1 >= lambda2 > 0.  The smaller one is det F /
-    lambda1, formed without subtracting the two singular values.
+    lambda1, formed without subtracting the two singular values.  Those of
+    a diagonal F are |a| and |d| exactly.
     """
     (a, b), (c, d) = np.asarray(F, dtype=float)
     det = a * d - b * c
     if det <= 0.0:
         raise NonPositiveDeterminant(f"det F = {det:.6g} <= 0")
+    if b == 0.0 == c:
+        lambda2, lambda1 = sorted((abs(float(a)), abs(float(d))))
+        return SingularPair(lambda1, lambda2)
     lambda1 = (math.hypot(0.5 * (a + d), 0.5 * (c - b))
                + math.hypot(0.5 * (a - d), 0.5 * (c + b)))
     return SingularPair(lambda1, float(det / lambda1))
@@ -126,11 +130,13 @@ def brute_force_check(
     ``DEFAULT_ORACLE_GRID``, [1e-2, 1e2], with eta on the 48 angles
     k*pi/48.  The refinement draws (log l1, log l2, eta offset) about the
     worst grid state.  ``DegenerateGrid`` is raised unless n_lambda is at
-    least 1 and the seed is in [0, SEED_MAX], whether or not n_refine draws
-    from it.
+    least 1, n_refine at least 0 (0 draws none) and the seed in
+    [0, SEED_MAX], whether or not n_refine draws from it.
     """
     if n_lambda < 1:
         raise DegenerateGrid(f"n_lambda must be at least 1, got {n_lambda}")
+    if n_refine < 0:
+        raise DegenerateGrid(f"n_refine must be at least 0, got {n_refine}")
     if not 0 <= seed <= SEED_MAX:
         raise DegenerateGrid(f"seed must be in [0, {SEED_MAX}], got {seed}")
     # its own log grid, as scan_domain's: GridSpec.points() rejects the one

@@ -1,14 +1,16 @@
 """Independent references the tests check the package against.
 
-None of these is run by a subcommand or another module of the package:
-the canonical text of an expression tree, the energy on stretches and on
-matrices, the general form g(x, y) and its partials on (t, z) samples
-(Knowles-Sternberg takes the partials from the jets it already holds), a
-rotation matrix to build deformation gradients, the rank-one second
-derivative as a 5-point finite difference of W and the acoustic tensor as
-a finite-difference Hessian of W (the oracle's kernel minimises the
-closed-form 2x2 tensor instead), the quadratic linearized energy and the
-split conditions on the unfolded t grid (the routes fold it onto t >= 1).
+None of these is run by a subcommand or another module of the package: the
+recursive-descent grammar the parser's binding-power loop replaced, one
+method per precedence level, the canonical text of an expression tree, the
+energy on stretches and on matrices, the general form g(x, y) and its
+partials on (t, z) samples (Knowles-Sternberg takes the partials from the
+jets it already holds), a rotation matrix to build deformation gradients,
+the rank-one second derivative as a 5-point finite difference of W and the
+acoustic tensor as a finite-difference Hessian of W (the oracle's kernel
+minimises the closed-form 2x2 tensor instead), the quadratic linearized
+energy and the split conditions on the unfolded t grid (the routes fold it
+onto t >= 1).
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 from rankone2d import criteria
 from rankone2d.energy import GridSpec, SingularPair, SplitEnergy, _coupled_conditions
 from rankone2d.errors import RankOneError
-from rankone2d.expr import Expr, eval_jet2, eval_jet2_array
+from rankone2d.expr import (Expr, _bind, _fold, _Parser, eval_jet2,
+                             eval_jet2_array)
 from rankone2d.oracle import svd2
 
 # the 5-point second difference's step along xi (x) eta, relative to |F|
@@ -32,6 +35,54 @@ _HESSIAN_STEP = 3e-4
 
 class LeftGLplus(RankOneError):
     """A finite-difference step left GL+(2); shrink the step."""
+
+
+class _ReferenceParser(_Parser):
+    """``expr``'s grammar with one method per precedence level; ``atom``,
+    whose parentheses and call arguments call ``expression``, is shared."""
+
+    def expression(self):
+        node = self.term()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "+-":
+                self.advance()
+                rhs = self.term()
+                node = _fold(("add" if text == "+" else "sub", node, rhs))
+            else:
+                return node
+
+    def term(self):
+        node = self.factor()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "*/":
+                self.advance()
+                rhs = self.factor()
+                node = _fold(("mul" if text == "*" else "div", node, rhs))
+            else:
+                return node
+
+    def factor(self):
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "-":
+            self.advance()
+            return _fold(("neg", self.factor()))
+        return self.power()
+
+    def power(self):
+        node = self.atom()
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "^":
+            self.advance()
+            return _fold(("pow", node, self.factor()))
+        return node
+
+
+def reference_parse(source: str, variable_name: str, params=None) -> tuple:
+    """The tree the recursive-descent grammar gives ``source``."""
+    bound = _bind(params or {}, variable_name)
+    return _ReferenceParser(source, variable_name, bound).parse()
 
 
 def pretty(e: Expr) -> str:

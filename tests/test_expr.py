@@ -9,7 +9,7 @@ from rankone2d import errors, expr
 from rankone2d.energy import CATALOG
 from rankone2d.scalar_inf import weighted_second
 import strategies
-from references import pretty
+from references import pretty, reference_parse
 
 
 def jet(source, x, var="t"):
@@ -59,6 +59,25 @@ class TestParsing:
 
     def test_largest_literals_parse(self):
         assert expr.parse("1e308*t", "t").ast == ("mul", ("num", 1e308), ("var",))
+
+    @pytest.mark.parametrize("source, offset", [("1e-400*t", 0), ("t + 2.5E-330", 4)])
+    def test_nonzero_literal_that_rounds_to_zero_is_rejected(self, source, offset):
+        with pytest.raises(errors.ExpressionSyntaxError, match="rounds to 0") as exc:
+            expr.parse(source, "t")
+        assert exc.value.offset == offset
+
+    def test_zero_and_subnormal_literals_parse(self):
+        assert expr.parse("0.00e-999 + 1e-320*t", "t").ast == \
+            ("add", ("num", 0.0), ("mul", ("num", 1e-320), ("var",)))
+
+    @pytest.mark.parametrize("source, tree", [
+        ("t^-1", ("pow", ("var",), ("num", -1.0))),
+        ("t - 1 - t", ("sub", ("sub", ("var",), ("num", 1.0)), ("var",))),
+        ("t/2/t", ("div", ("div", ("var",), ("num", 2.0)), ("var",))),
+        ("-t*t", ("mul", ("neg", ("var",)), ("var",))),
+    ])
+    def test_unary_minus_in_an_exponent_and_left_associativity(self, source, tree):
+        assert expr.parse(source, "t").ast == tree
 
     @pytest.mark.parametrize("source", ["t +", "(t+1/t)/2 +", "exp(", "-"])
     def test_end_of_input_is_named(self, source):
@@ -133,6 +152,42 @@ def _foldable(ast: tuple) -> list:
         if np.isfinite(value):
             found.append(ast)
     return found
+
+
+def _chains(source: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+    """Sources, each perhaps negated, joined by binary operators with no
+    parentheses added, so the parser alone orders the operators."""
+    signed = st.tuples(st.sampled_from(("", "-")), source).map("".join)
+    tail = st.lists(st.tuples(st.sampled_from("+-*/^"), signed), max_size=4)
+    return st.tuples(signed, tail).map(
+        lambda c: c[0] + "".join(f" {op} {x}" for op, x in c[1]))
+
+
+def _variants(source: str) -> st.SearchStrategy[str]:
+    """``source`` as it is, cut at any point, or with one token doubled or
+    dropped."""
+    spans = [(at, at + len(text)) for _, text, at in expr._tokenize(source)[:-1]]
+    return (st.just(source)
+            | st.integers(0, len(source)).map(lambda k: source[:k])
+            | st.sampled_from(spans).map(lambda s: f"{source[:s[1]]} {source[s[0]:]}")
+            | st.sampled_from(spans).map(lambda s: source[:s[0]] + source[s[1]:]))
+
+
+def _outcome(parse, source: str, mu: float):
+    """The tree's repr, or the error's type, message and offset."""
+    try:
+        return repr(parse(source, "t", {"mu": mu}))
+    except errors.ExpressionSyntaxError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+class TestGrammar:
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(source=_chains(strategies.sources("t", ("mu",))).flatmap(_variants),
+           mu=st.sampled_from([-1.5, -0.0, 2.0, 1e300]))
+    def test_is_the_recursive_descent_grammar(self, source, mu):
+        got = _outcome(lambda *args: expr.parse(*args).ast, source, mu)
+        assert got == _outcome(reference_parse, source, mu)
 
 
 class TestFolding:

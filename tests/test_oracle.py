@@ -50,6 +50,16 @@ class TestSvd2:
         assert pair.lambda1 == pytest.approx(lambda1, rel=1e-12)
         assert pair.lambda2 == pytest.approx(1e6 * 1e-6 / lambda1, rel=1e-12)
 
+    def test_diagonal_is_exact(self):
+        # the sum of two hypots of half sums put about one in nine of these
+        # 1-2 ulp off
+        rng = np.random.RandomState(14)
+        for a, d in np.exp(rng.uniform(-12.0, 12.0, (2000, 2))):
+            for sign in (1.0, -1.0):
+                pair = svd2(np.diag([sign * a, sign * d]))
+                assert pair == (max(a, d), min(a, d))
+                assert type(pair.lambda1) is type(pair.lambda2) is float
+
     def test_rejects_nonpositive_determinant(self):
         with pytest.raises(errors.NonPositiveDeterminant):
             svd2(np.diag([1.0, -2.0]))
@@ -198,6 +208,11 @@ class TestBruteForce:
     def test_empty_sizes_rejected(self, size, value):
         with pytest.raises(errors.DegenerateGrid, match=f"{size} must be at least 1"):
             brute_force_check(catalog("example1"), n_refine=0, **{size: value})
+
+    def test_negative_refinement_rejected(self):
+        with pytest.raises(errors.DegenerateGrid,
+                           match="n_refine must be at least 0, got -5"):
+            brute_force_check(catalog("example1"), n_lambda=3, n_refine=-5)
 
     @pytest.mark.parametrize("n_refine", [5, 0])
     @pytest.mark.parametrize("seed", [-1, 2**32])
