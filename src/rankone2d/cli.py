@@ -15,10 +15,13 @@ the locale, with a leading byte order mark skipped::
 
 Keys other than ``name``, ``h`` and ``f`` are numeric parameters.  They
 are bound at parse time: a parameter name in h or f reads as its number.
-A key that is not an identifier, that names the variable (``t`` in h, ``z``
-in f), a function (``exp``, ``log``, ...) or a constant (``e``, ``pi``), or
-whose value is not a finite number is an input error, and so is a key given
-twice.  Keys that neither source uses are ignored.
+A value is read as a number literal in h or f is, with an optional sign, and
+so is the value of a catalog parameter flag.  A key that is not an
+identifier, that names the variable (``t`` in h, ``z`` in f), a function
+(``exp``, ``log``, ...) or a constant (``e``, ``pi``), or whose value is
+not such a literal, is not finite or is a nonzero literal that rounds to 0
+is an input error, and so is a key given twice.  Keys that neither source
+uses are ignored.
 
 Every subcommand is declared with ``_command`` and takes the energy source
 options (``--catalog``, ``--energy-file`` and one flag per catalog
@@ -26,8 +29,8 @@ parameter) and ``--report``.  ``main`` parses the command line, checks
 ``--tol`` where the command has one, resolves the energy and calls the body
 with it and the command's own options.  The body returns ``(exit code,
 payload, text lines)``; ``main`` prints the JSON payload with
-``schema_version`` and ``energy`` added, or the text lines after ``energy:
-<name>``.  A malformed command line, a ``RankOneError`` or a ``MemoryError``
+``schema_version`` and ``energy`` added and every float that is not finite
+as null, or the text lines after ``energy: <name>``.  A malformed command line, a ``RankOneError`` or a ``MemoryError``
 (a grid too large to allocate) from any of these steps becomes one
 ``error:`` line on stderr and exit 3.  The command line is checked first,
 then ``--tol``, the energy and the body's inputs, so with two bad inputs
@@ -47,7 +50,7 @@ import re
 import sys
 from typing import TYPE_CHECKING, Optional
 
-from . import energy
+from . import energy, expr
 from .errors import RankOneError
 
 if TYPE_CHECKING:
@@ -95,9 +98,9 @@ def _load_energy_file(path: str) -> energy.SplitEnergy:
     params = {}
     for key, value in entries.items():
         try:
-            params[key] = float(value)
-        except ValueError:
-            raise RankOneError(f"{path}: parameter {key!r} is not numeric: {value!r}")
+            params[key] = expr._number(value)
+        except ValueError as exc:
+            raise RankOneError(f"{path}: parameter {key!r} {exc}: {value!r}") from None
     return energy.make_split(h_src, f_src, name=name, params=params)
 
 
@@ -118,6 +121,14 @@ _PARAM_NAMES = tuple(dict.fromkeys(p for entry in energy.CATALOG.values()
                                    for p in entry.defaults))
 
 
+def _parameter(text: str) -> float:
+    """A catalog parameter flag's value, read as an energy file's."""
+    try:
+        return expr._number(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"value {text!r} {exc}") from None
+
+
 def _option(*flags, **kwargs):
     """An option, given as ``argparse.ArgumentParser.add_argument`` takes it."""
     return flags, kwargs
@@ -126,7 +137,7 @@ def _option(*flags, **kwargs):
 _SHARED_OPTIONS = [
     _option("--catalog", dest="catalog_id", help="Catalog energy id."),
     _option("--energy-file", help="Energy definition file (key=value text)."),
-    *(_option(f"--{name}", type=float) for name in _PARAM_NAMES),
+    *(_option(f"--{name}", type=_parameter) for name in _PARAM_NAMES),
     _option("--report", dest="report_format", choices=["json", "text"],
             default="text", help="Report format."),
 ]
@@ -156,10 +167,22 @@ def _write_output(path: str, emit, emap, **kwargs) -> None:
 
 def _inf_dict(r: InfimumResult) -> dict:
     return {
-        "value": None if r.unbounded else r.value,
+        "value": r.value,
         "unbounded": r.unbounded,
         "attained_at": r.attained_at,
     }
+
+
+def _json_value(value):
+    """``value`` with every float in it that is not finite as None, which
+    JSON writes as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
 
 
 def _verdict_exit(overall: str) -> int:
@@ -233,8 +256,9 @@ def main(args=None, prog_name: str = "rankone2d") -> None:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         sys.exit(EXIT_INPUT)
     if report_format == "json":
-        out = json.dumps({"schema_version": SCHEMA_VERSION, "energy": e.name,
-                          **payload}, indent=2, sort_keys=True)
+        out = json.dumps(_json_value({"schema_version": SCHEMA_VERSION,
+                                      "energy": e.name, **payload}),
+                         indent=2, sort_keys=True, allow_nan=False)
     else:
         out = "\n".join([f"energy: {e.name}", *lines])
     # a character stdout cannot encode is written as a backslash escape
@@ -438,7 +462,7 @@ def scan_cmd(e, grid_n, lambda_min, lambda_max, spacing, angles, tol, out_csv,
         "grid": grid_n,
         "counts": counts,
         "worst": {"lambda1": wl1, "lambda2": wl2,
-                  "margin": None if math.isnan(wmargin) else wmargin},
+                  "margin": wmargin},
     }
     lines = [f"cells: {counts}",
              f"worst margin {wmargin:.9g} at "

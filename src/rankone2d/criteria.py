@@ -73,7 +73,7 @@ class ConditionReport(NamedTuple):
         return {
             "id": self.condition_id,
             "verdict": self.verdict,
-            "worst_margin": None if math.isinf(self.worst_margin) else self.worst_margin,
+            "worst_margin": self.worst_margin,
             "witness": self.witness,
             "samples": self.samples_used,
         }
@@ -124,12 +124,10 @@ def _grid_report(condition_id: str, margins: np.ndarray, points: Sequence[np.nda
     else:
         judged = _ROUNDING * size
         judged += margins
-    if np.isnan(judged).any():
-        i = int(np.argmax(np.isnan(judged)))
-        at = [float(p.ravel()[i]) for p in points]
-        raise DomainError(f"{condition_id} undefined at {at}")
-    i = int(np.argmin(judged))
+    i = int(np.argmin(judged))  # the first NaN, if any
     witness = [float(p.ravel()[i]) for p in points]
+    if np.isnan(judged.ravel()[i]):
+        raise DomainError(f"{condition_id} undefined at {witness}")
     return _report(condition_id, float(margins.ravel()[i]), witness,
                    int(margins.size if samples is None else samples), tol,
                    0.0 if size is None else float(size.ravel()[i]))

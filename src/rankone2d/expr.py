@@ -126,32 +126,39 @@ def jet_pow(base: Jet2, p: float) -> Jet2:
 # parsing
 
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# whitespace matches none of these, so a scan skips it
 _TOKEN_RE = re.compile(
-    r"\s*(?:"
-    r"(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<number>" + _NUMBER + r")"
     r"|(?P<name>" + _NAME + r")"
     r"|(?P<op>[-+*/^()])"
-    r")"
+    r"|(?P<bad>\S)"
 )
 
 
 def _tokenize(source: str):
+    """(kind, text, offset) of each token, then ("end", "", len(source))."""
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None or m.end() == pos:
-            stripped = source[pos:].lstrip()
-            if not stripped:  # trailing whitespace
-                break
-            at = len(source) - len(stripped)
-            raise ExpressionSyntaxError(f"unexpected character {source[at]!r}", at)
-        kind = m.lastgroup
-        if kind is not None:
-            tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(source):
+        if m.lastgroup == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {m[0]!r}", m.start())
+        tokens.append((m.lastgroup, m[0], m.start()))
     tokens.append(("end", "", len(source)))
     return tokens
+
+
+def _number(text: str) -> float:
+    """The value of a number literal with an optional sign.  A ValueError
+    says why ``text`` has none: it is not numeric, it is not finite, or it
+    is a nonzero literal that rounds to 0."""
+    if not re.fullmatch(r"[-+]?" + _NUMBER, text):
+        raise ValueError("is not numeric")
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError("is not finite")
+    if value == 0.0 and re.search(r"[1-9]", text.lower().partition("e")[0]):
+        raise ValueError("rounds to 0")
+    return value
 
 
 def _bind(params: Mapping[str, float], variable_name: str) -> dict:
@@ -245,12 +252,10 @@ class _Parser:
     def atom(self):
         kind, text, offset = self.advance()
         if kind == "number":
-            value = float(text)
-            if math.isinf(value):
-                raise ExpressionSyntaxError(f"number {text} is not finite", offset)
-            if value == 0.0 and re.search(r"[1-9]", text.lower().partition("e")[0]):
-                raise ExpressionSyntaxError(f"number {text} rounds to 0", offset)
-            return ("num", value)
+            try:
+                return ("num", _number(text))
+            except ValueError as exc:
+                raise ExpressionSyntaxError(f"number {text} {exc}", offset) from None
         if kind == "name":
             if text in FUNCTIONS:
                 self.expect_op("(")

@@ -54,10 +54,10 @@ def _dense_min(e: Expr) -> Tuple[np.ndarray, np.ndarray, int]:
     and x."""
     xs = INFIMUM_GRID.points()
     vals = weighted_second(e, xs)
-    if np.isnan(vals).any():
-        at = xs[int(np.argmax(np.isnan(vals)))]
-        raise DomainError(f"{e.source_text!r} undefined at {at}")
-    return xs, vals, int(np.argmin(vals))
+    idx = int(np.argmin(vals))  # the first NaN, if any
+    if np.isnan(vals[idx]):
+        raise DomainError(f"{e.source_text!r} undefined at {xs[idx]}")
+    return xs, vals, idx
 
 
 def _refine(e: Expr, lo: float, hi: float) -> Tuple[float, float]:

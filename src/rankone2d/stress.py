@@ -79,14 +79,11 @@ def invertibility_verdict(e: SplitEnergy, tol: float = DEFAULT_TOL) -> Invertibi
     hj = eval_jet2_array(e.h, grid)
     with np.errstate(all="ignore"):  # a NaN sample raises below
         iso = grid * hj.d2 + hj.d1
-    for part, factor in ((e.f, fpp), (e.h, iso)):
-        undefined = np.isnan(factor)
-        if undefined.any():
-            at = grid[int(np.argmax(undefined))]
-            raise DomainError(f"{part.source_text!r} undefined at {at}")
-
-    kz = int(np.argmin(fpp))
+    kz = int(np.argmin(fpp))  # the first NaN, if any
     kt = int(np.argmin(iso))
+    for part, factor, k in ((e.f, fpp, kz), (e.h, iso, kt)):
+        if np.isnan(factor[k]):
+            raise DomainError(f"{part.source_text!r} undefined at {grid[k]}")
     min_vol = float(fpp[kz])
     min_iso = float(iso[kt])
 

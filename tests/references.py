@@ -1,6 +1,8 @@
 """Independent references the tests check the package against.
 
 None of these is run by a subcommand or another module of the package: the
+tokenizer as a scan that matches one token at a time and looks past the
+whitespace for the offset of a character no token starts with, the
 recursive-descent grammar the parser's binding-power loop replaced, one
 method per precedence level, the canonical text of an expression tree, the
 energy on stretches and on matrices, the general form g(x, y) and its
@@ -16,13 +18,14 @@ onto t >= 1).
 from __future__ import annotations
 
 import math
+import re
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from rankone2d import criteria
 from rankone2d.energy import GridSpec, SingularPair, SplitEnergy, _coupled_conditions
-from rankone2d.errors import RankOneError
+from rankone2d.errors import ExpressionSyntaxError, RankOneError
 from rankone2d.expr import (Expr, _bind, _fold, _Parser, eval_jet2,
                              eval_jet2_array)
 from rankone2d.oracle import svd2
@@ -35,6 +38,35 @@ _HESSIAN_STEP = 3e-4
 
 class LeftGLplus(RankOneError):
     """A finite-difference step left GL+(2); shrink the step."""
+
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:"
+    r"(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^()])"
+    r")"
+)
+
+
+def reference_tokenize(source: str) -> list:
+    """The tokens of ``source`` as ``expr._tokenize`` gives them."""
+    tokens = []
+    pos = 0
+    while pos < len(source):
+        m = _TOKEN_RE.match(source, pos)
+        if m is None or m.end() == pos:
+            stripped = source[pos:].lstrip()
+            if not stripped:  # trailing whitespace
+                break
+            at = len(source) - len(stripped)
+            raise ExpressionSyntaxError(f"unexpected character {source[at]!r}", at)
+        kind = m.lastgroup
+        if kind is not None:
+            tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    tokens.append(("end", "", len(source)))
+    return tokens
 
 
 class _ReferenceParser(_Parser):

@@ -268,6 +268,16 @@ class TestReportFrame:
         assert text.exit_code == res.exit_code
         assert text.output.startswith("energy: hencky(mu=2)\n")
 
+    def test_float_that_is_not_finite_is_null(self):
+        # 4 f''(z) / lambda2^2 overflows: the JSON is null, RFC 8259 has no
+        # Infinity, and the text report prints inf
+        args = ("stress", "--catalog", "hadamard_k", "--at", "1e-160", "1e-160")
+        code, out, err = run_main(*args, "--report", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+        assert payload["det_D_sigma"] is None
+        assert "det D sigma = inf\n" in run_main(*args)[1]
+
 
 class TestEnergyFile:
     # exp(-exp(1000)) is the number 0, though exp(1000) overflows
@@ -473,6 +483,45 @@ class TestEnergyFile:
         p.write_text("h = 0\nf = z^2\n")
         res = invoke(runner, "check", "--energy-file", str(p), "--mu", "2")
         assert res.exit_code == 3
+
+
+class TestParameterValues:
+    """A catalog flag's or an energy file's parameter value is read as a
+    number literal in h or f is, with an optional sign."""
+
+    BAD = [("1e-400", "rounds to 0"), ("-2.5E-330", "rounds to 0"),
+           ("1e999", "is not finite"), ("1_0", "is not numeric"),
+           ("inf", "is not numeric"), ("nan", "is not numeric"),
+           ("0x10", "is not numeric")]
+    GOOD = ["2.", "-.5e1", "+1e-320", "-0.00e-999"]
+
+    @pytest.mark.parametrize("value, reason", BAD)
+    def test_bad_flag(self, value, reason):
+        code, out, err = run_main("classify", "--catalog", "hadamard_k",
+                                  "--mu", value)
+        assert (code, out, err) == (
+            3, "", f"error: argument --mu: value {value!r} {reason}\n")
+
+    @pytest.mark.parametrize("value, reason", BAD)
+    def test_bad_energy_file_value(self, tmp_path, value, reason):
+        p = tmp_path / "mu.energy"
+        p.write_text(f"h = mu*((t + 1/t)/2 - 1)\nf = (z - 1)^2\nmu = {value}\n")
+        code, out, err = run_main("classify", "--energy-file", str(p))
+        assert (code, out, err) == (
+            3, "", f"error: {p}: parameter 'mu' {reason}: {value!r}\n")
+
+    @pytest.mark.parametrize("value", GOOD)
+    def test_flag(self, value):
+        out = run_main("classify", "--catalog", "hadamard_k", "--mu", value)[1]
+        assert out.startswith(f"energy: hadamard_k(mu={float(value):g})\n")
+
+    @pytest.mark.parametrize("value", GOOD)
+    def test_energy_file_value(self, tmp_path, value):
+        h, f = "mu*((t + 1/t)/2 - 1)", "(z - 1)^2"
+        p = tmp_path / "mu.energy"
+        p.write_text(f"h = {h}\nf = {f}\nmu = {value}\n")
+        assert cli._load_energy_file(str(p)) == rankone2d.make_split(
+            h, f, name=str(p), params={"mu": float(value)})
 
 
 class TestClassify:

@@ -20,9 +20,10 @@ from rankone2d import (
     voliso_check,
 )
 from rankone2d.energy import (CATALOG, DEFAULT_T_GRID, DEFAULT_TOL, DEFAULT_Z_GRID,
-                              INFIMUM_GRID)
-from rankone2d.expr import eval_jet2_array
+                              INFIMUM_GRID, STRESS_GRID, SplitEnergy)
+from rankone2d.expr import eval_jet2_array, parse
 from rankone2d.scalar_inf import convexity_verdict, weighted_second
+from rankone2d.stress import invertibility_verdict
 
 import references
 import strategies
@@ -240,6 +241,44 @@ class TestVolisoCheck:
         e = make_split("(t + 1/t)/2 - 1", "log(z - 1)")
         with pytest.raises(errors.DomainError):
             voliso_check(e, t_grid=SMALL_T, z_grid=SMALL_Z)
+
+
+def _grid_report_case():
+    margins, points = np.array([1.0, -5.0, np.nan, -7.0, np.nan]), np.arange(5.0)
+    return (lambda: criteria._grid_report("C", margins, (points,), DEFAULT_TOL),
+            margins, points, "C undefined at [{}]")
+
+
+def _dense_min_case():
+    f, xs = parse("log(2 - z)", "z"), INFIMUM_GRID.points()
+    return (lambda: convexity_verdict(f), weighted_second(f, xs), xs,
+            "'log(2 - z)' undefined at {}")
+
+
+def _stress_case(h, f, part):
+    # make_split rejects an h that is undefined, so the record is built directly
+    e = SplitEnergy(parse(h, "t"), parse(f, "z"))
+    grid = STRESS_GRID.points()
+    jet = eval_jet2_array(getattr(e, part), grid)
+    factor = jet.d2 if part == "f" else grid * jet.d2 + jet.d1
+    return (lambda: invertibility_verdict(e), factor, grid,
+            f"{getattr(e, part).source_text!r} undefined at {{}}")
+
+
+@pytest.mark.parametrize("case", [
+    _grid_report_case, _dense_min_case,
+    lambda: _stress_case("(t + 1/t)/2", "log(2 - z)", "f"),
+    lambda: _stress_case("log(2 - t)", "(z - 1)^2", "h"),
+], ids=["grid_report", "dense_min", "stress_f", "stress_h"])
+def test_first_nan_is_the_error(case):
+    """A NaN sample past a finite negative one is still the error, raised at
+    the first NaN."""
+    run, samples, points, message = case()
+    first = int(np.flatnonzero(np.isnan(samples))[0])
+    assert samples[:first].min() < 0.0
+    with pytest.raises(errors.DomainError) as err:
+        run()
+    assert str(err.value) == message.format(points[first])
 
 
 class TestFold:

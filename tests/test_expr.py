@@ -9,7 +9,7 @@ from rankone2d import errors, expr
 from rankone2d.energy import CATALOG
 from rankone2d.scalar_inf import weighted_second
 import strategies
-from references import pretty, reference_parse
+from references import pretty, reference_parse, reference_tokenize
 
 
 def jet(source, x, var="t"):
@@ -173,10 +173,11 @@ def _variants(source: str) -> st.SearchStrategy[str]:
             | st.sampled_from(spans).map(lambda s: source[:s[0]] + source[s[1]:]))
 
 
-def _outcome(parse, source: str, mu: float):
-    """The tree's repr, or the error's type, message and offset."""
+def _outcome(call, *args):
+    """The repr of what ``call(*args)`` returns, or the error's type, message
+    and offset."""
     try:
-        return repr(parse(source, "t", {"mu": mu}))
+        return repr(call(*args))
     except errors.ExpressionSyntaxError as exc:
         return type(exc), str(exc), exc.offset
 
@@ -186,8 +187,29 @@ class TestGrammar:
     @given(source=_chains(strategies.sources("t", ("mu",))).flatmap(_variants),
            mu=st.sampled_from([-1.5, -0.0, 2.0, 1e300]))
     def test_is_the_recursive_descent_grammar(self, source, mu):
-        got = _outcome(lambda *args: expr.parse(*args).ast, source, mu)
-        assert got == _outcome(reference_parse, source, mu)
+        got = _outcome(lambda *args: expr.parse(*args).ast, source, "t", {"mu": mu})
+        assert got == _outcome(reference_parse, source, "t", {"mu": mu})
+
+
+# characters no token starts with, and whitespace, the Unicode kinds included
+_OUTSIDE = st.sampled_from(["$", "@", ",", "=", "[", "\u00e9", "\u200b", "\u2212"])
+_SPACE = st.sampled_from([" ", "\t", "\n", "\u00a0", "\u3000", "\u001c", "\u0085"])
+
+
+def _spliced(source: str) -> st.SearchStrategy[str]:
+    """``source`` with whitespace, perhaps followed by a character outside
+    the grammar, inserted at any point."""
+    return st.tuples(st.integers(0, len(source)), st.lists(_SPACE, max_size=3),
+                     st.just("") | _OUTSIDE).map(
+        lambda c: source[:c[0]] + "".join(c[1]) + c[2] + source[c[0]:])
+
+
+class TestTokenizer:
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(source=_chains(strategies.sources("t", ("mu",)))
+           .flatmap(_variants).flatmap(_spliced))
+    def test_is_the_reference_scan(self, source):
+        assert _outcome(expr._tokenize, source) == _outcome(reference_tokenize, source)
 
 
 class TestFolding:
