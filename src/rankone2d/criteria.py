@@ -11,7 +11,7 @@ Four routes are provided and must agree:
                        and same-shape-function energies.
 
 The split conditions C and D couple h to f only through w = z^2 f''(z):
-for every t and every sampled w,
+for every t and every w between the least and greatest sample,
 
     C:  max(q_C(t) + w, a(t) + (b - c)(t) w) >= 0    (t != 1),
     D:  max(q_D(t) - w, a(t) + (b + c)(t) w) >= 0,
@@ -21,10 +21,12 @@ scan shares, so a scan loads none of this module.  The f' terms cancel in
 Knowles-Sternberg condition (v), which leaves -w in D.  Main3 and Main4
 are C and D at w = f0, the infimum of z^2 f''(z).
 
-``_coupled_min`` finds each t's minimum over the Z samples of w in
-O((T + Z) log Z), not over the T x Z table, and ``_coupled_report``
-evaluates the one row that holds the table's first-index argmin.  Since
-h(t) = h(1/t), main, vol-iso and KS sample t on ``_fold_t``'s t >= 1 rows.
+Vol-iso reads w only through its sampled range [lo, hi]: at each t, C
+and D are the maximum of two lines in w, least at lo, at hi or where the
+lines cross, so ``_coupled_report`` takes three candidates per row in
+O(T + Z), not the T x Z table, and C and D hold at every w of the range,
+sampled or not.  Since h(t) = h(1/t), main, vol-iso and KS sample t on
+``_fold_t``'s t >= 1 rows.
 
 Every condition is judged by one rule (``_report``).  A margin is a sum of
 terms, each rounded to about eps of its own size, so a margin given a size,
@@ -36,7 +38,6 @@ up to grid resolution, which the reports record.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import List, NamedTuple, Optional, Sequence, Union
 
@@ -159,61 +160,43 @@ def _fold_t(t: np.ndarray) -> np.ndarray:
 # the coupled split conditions C and D
 
 
-def _coupled_min(cond: _Coupled, ws: np.ndarray) -> np.ndarray:
-    """Per t, the minimum over ``ws`` of max(q + sign*w, a + coeff*w), NaN
-    if the row is undefined at some w.
-
-    Rounding keeps both lines monotone in w, so over the sorted samples every
-    defined row is quasiconvex.  Where one line rises and the other falls,
-    the minimum lies on either side of the switch, the first sample at which
-    the rising line reaches the falling one; otherwise the row is monotone
-    and the minimum lies at w_min or w_max.  A bisection on the rounded
-    comparison finds the switch of every row at once, so these four
-    candidates hold the exact minimum.  A search for the computed crossing
-    (a - q)/(sign - coeff) would not: its rounding can put it on the wrong
-    side of samples that lie closer together.  Cost: one sort of the Z
-    samples and log2 Z vector steps over the T rows, O((T + Z) log Z) time
-    and O(T + Z) memory.
-
-    A row is undefined only at a NaN in ``ws``, which sorts last, at the
-    ends (an infinite w, or a + coeff*w overflowing against an infinite a)
-    or, when coeff is infinite, at w = 0, so the candidates and w = 0, when
-    sampled, find every NaN row.
-    """
-    w = np.sort(ws)
-    n = w.size
-    top = 1 << (n.bit_length() - 1)
-    padded = np.concatenate([w, np.full(2 * top - n, np.nan)])
-    with np.errstate(all="ignore"):
-        # the switch; comparisons with the NaN padding fail
-        k = np.zeros(cond.q.size, dtype=np.intp)
-        step = top
-        while step:
-            wv = padded[step - 1:][k]
-            unit, sloped = cond.q + cond.sign * wv, cond.coeff * wv + cond.a
-            np.add(k, step, out=k,
-                   where=unit < sloped if cond.sign > 0 else sloped < unit)
-            step >>= 1
-        cands = [w[0], w[np.maximum(k - 1, 0)], w[np.minimum(k, n - 1)], w[-1]]
-        if 0.0 in w:  # coeff*w is undefined at w = 0 where coeff is infinite
-            cands.append(0.0)
-        # NaN if one candidate is undefined
-        return functools.reduce(np.minimum, [cond.margin(c) for c in cands])
-
-
 def _coupled_report(condition_id: str, cond: _Coupled, ts: np.ndarray,
                     zs: np.ndarray, ws: np.ndarray, tol: float) -> ConditionReport:
-    """The report of C or D over the (t, z) grid, w = z^2 f''(z): the first
-    row with the smallest minimum, or the first undefined row, holds the
-    first-index argmin of the table, so that one row is evaluated in full."""
-    least = _coupled_min(cond, ws)[cond.mask]
-    if least.size == 0:
+    """The report of C or D over the (t, z) grid, w = z^2 f''(z), from the
+    range [lo, hi] of the sampled w alone, in O(T + Z).
+
+    Each row is the maximum of two lines in w, each monotone under rounding,
+    so its least value over the range is the margin at lo or at hi or, where
+    one line rises and the other falls, the lower line at their crossing x
+    clipped into the range (to lo if NaN); each line's least end bounds the
+    row from below too, so no margin in the range is below the minimum.
+    The report is the first row with the smallest minimum, or the first
+    undefined row; its z is the first sample of w at lo, at hi, or nearest
+    x.  A NaN in ``ws`` makes every row undefined at its first NaN sample.
+    """
+    rows = cond.mask
+    t = ts[rows]
+    if t.size == 0:
         raise DegenerateGrid(f"no admissible samples for {condition_id}")
-    i = np.flatnonzero(cond.mask)[np.argmin(least)]  # the first NaN, if any
     with np.errstate(all="ignore"):
-        row = cond.margin(ws, i)
-    return _grid_report(condition_id, row, (np.full(zs.size, ts[i]), zs), tol,
-                        least.size * zs.size)
+        lo, hi = ws.min(), ws.max()  # NaN if a sample is
+        x = (cond.a[rows] - cond.q[rows]) / (cond.sign - cond.coeff[rows])
+        x = np.fmin(np.fmax(x, lo), hi)
+        # the sloped line a + coeff*w and the unit one q + sign*w at lo, hi, x
+        (s_lo, u_lo), (s_hi, u_hi), (s_x, u_x) = (cond.lines(w, rows)
+                                                  for w in (lo, hi, x))
+        bound = np.maximum.reduce([np.minimum(s_x, u_x), np.minimum(s_lo, s_hi),
+                                   np.minimum(u_lo, u_hi)])
+        cands = np.stack([np.maximum(s_lo, u_lo), np.maximum(s_hi, u_hi), bound])
+        least = cands.min(axis=0)  # NaN if a candidate is undefined
+        i = int(np.argmin(least))  # the first NaN, if any
+        k = int(np.argmin(cands[:, i]))
+        j = (np.argmin(ws) if k == 0 else np.argmax(ws) if k == 1
+             else np.argmin(np.abs(ws - x[i])))
+    witness = [float(t[i]), float(zs[j])]
+    if np.isnan(least[i]):
+        raise DomainError(f"{condition_id} undefined at {witness}")
+    return _report(condition_id, float(least[i]), witness, t.size * zs.size, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -133,11 +133,15 @@ class _Coupled(NamedTuple):
     coeff: np.ndarray
     mask: np.ndarray  # the t at which the condition is defined
 
+    def lines(self, w, rows=slice(None)):
+        """(a + coeff*w, q + sign*w), elementwise in t and w: over the t of
+        ``rows``, or at the one t of an index ``rows``.  Rounding keeps each
+        monotone in w."""
+        return self.a[rows] + self.coeff[rows] * w, self.q[rows] + self.sign * w
+
     def margin(self, w, rows=slice(None)):
-        """max(a + coeff*w, q + sign*w), elementwise in t and w: over the
-        t of ``rows``, or at the one t of an index ``rows``."""
-        a, coeff, q = self.a[rows], self.coeff[rows], self.q[rows]
-        return np.maximum(a + coeff * w, q + self.sign * w)
+        """max(a + coeff*w, q + sign*w), elementwise as ``lines``."""
+        return np.maximum(*self.lines(w, rows))
 
 
 def _coupled_conditions(ts: np.ndarray, h1: np.ndarray, h2: np.ndarray):

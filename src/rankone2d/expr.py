@@ -126,7 +126,7 @@ def jet_pow(base: Jet2, p: float) -> Jet2:
 # parsing
 
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
-_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"  # ASCII digits only
 # whitespace matches none of these, so a scan skips it
 _TOKEN_RE = re.compile(
     r"(?P<number>" + _NUMBER + r")"

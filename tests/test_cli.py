@@ -510,6 +510,17 @@ class TestParameterValues:
         assert (code, out, err) == (
             3, "", f"error: {p}: parameter 'mu' {reason}: {value!r}\n")
 
+    def test_non_ascii_digits_are_not_numeric(self, tmp_path):
+        # ARABIC-INDIC THREE as a flag's value, ARABIC-INDIC ONE in f
+        assert run_main("classify", "--catalog", "hadamard_k", "--mu", "٣") == (
+            3, "", "error: argument --mu: value '٣' is not numeric\n")
+        p = tmp_path / "digit.energy"
+        p.write_text("h = (t + 1/t)/2\nf = ١e-400*z + (z - 1)^2\n",
+                     encoding="utf-8")
+        code, out, err = run_main("classify", "--energy-file", str(p))
+        assert (code, out) == (3, "")
+        assert "unexpected character '١'" in err
+
     @pytest.mark.parametrize("value", GOOD)
     def test_flag(self, value):
         out = run_main("classify", "--catalog", "hadamard_k", "--mu", value)[1]

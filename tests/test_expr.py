@@ -66,6 +66,18 @@ class TestParsing:
             expr.parse(source, "t")
         assert exc.value.offset == offset
 
+    # ARABIC-INDIC ONE, DEVANAGARI THREE and FULLWIDTH ONE: Unicode decimal
+    # digits that float() reads, but no digit of a literal
+    @pytest.mark.parametrize("source, offset", [("١e-400*t + t", 0),
+                                                ("t + ३", 4), ("2*t^１", 4)])
+    def test_non_ascii_digit_is_an_unexpected_character(self, source, offset):
+        with pytest.raises(errors.ExpressionSyntaxError,
+                           match="unexpected character") as exc:
+            expr.parse(source, "t")
+        assert exc.value.offset == offset
+        with pytest.raises(ValueError, match="is not numeric"):
+            expr._number(source[offset])
+
     def test_zero_and_subnormal_literals_parse(self):
         assert expr.parse("0.00e-999 + 1e-320*t", "t").ast == \
             ("add", ("num", 0.0), ("mul", ("num", 1e-320), ("var",)))
