@@ -168,11 +168,14 @@ def _coupled_report(condition_id: str, cond: _Coupled, ts: np.ndarray,
     Each row is the maximum of two lines in w, each monotone under rounding,
     so its least value over the range is the margin at lo or at hi or, where
     one line rises and the other falls, the lower line at their crossing x
-    clipped into the range (to lo if NaN); each line's least end bounds the
+    clipped into the range (a NaN crossing, inf/inf or 0/0, is taken at 0,
+    where an infinite slope is undefined); each line's least end bounds the
     row from below too, so no margin in the range is below the minimum.
     The report is the first row with the smallest minimum, or the first
     undefined row; its z is the first sample of w at lo, at hi, or nearest
     x.  A NaN in ``ws`` makes every row undefined at its first NaN sample.
+    At a crossing between samples the witness is approximate: the margin
+    is the row's bound there, and the nearest sample's own may be higher.
     """
     rows = cond.mask
     t = ts[rows]
@@ -181,7 +184,7 @@ def _coupled_report(condition_id: str, cond: _Coupled, ts: np.ndarray,
     with np.errstate(all="ignore"):
         lo, hi = ws.min(), ws.max()  # NaN if a sample is
         x = (cond.a[rows] - cond.q[rows]) / (cond.sign - cond.coeff[rows])
-        x = np.fmin(np.fmax(x, lo), hi)
+        x = np.fmin(np.fmax(np.where(np.isnan(x), 0.0, x), lo), hi)
         # the sloped line a + coeff*w and the unit one q + sign*w at lo, hi, x
         (s_lo, u_lo), (s_hi, u_hi), (s_x, u_x) = (cond.lines(w, rows)
                                                   for w in (lo, hi, x))

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankone2d import GridSpec, catalog, criteria, make_split, voliso_check
@@ -62,24 +62,26 @@ _moderate = st.floats(-1e6, 1e6)
 
 
 @st.composite
-def rows(draw, number=_number, nan=True):
+def rows(draw, number=_number, finite=False):
     """(sign, q, a, coeff); parallel lines (coeff == sign) and flat ones on
-    purpose, and a NaN in a tenth of the rows."""
+    purpose and, unless ``finite``, infinite slopes and a NaN in a tenth of
+    the rows."""
     sign = draw(st.sampled_from([1.0, -1.0]))
     q, a = draw(number), draw(number)
-    coeff = draw(st.one_of(number, st.sampled_from([0.0, sign])))
-    if nan and draw(st.integers(0, 9)) == 0:
+    slopes = [0.0, sign] if finite else [0.0, sign, math.inf, -math.inf]
+    coeff = draw(st.one_of(number, st.sampled_from(slopes)))
+    if not finite and draw(st.integers(0, 9)) == 0:
         which = draw(st.integers(0, 2))
         q, a, coeff = [math.nan if i == which else v for i, v in enumerate((q, a, coeff))]
     return sign, q, a, coeff
 
 
 @st.composite
-def cases(draw, number=_number, nan=True):
-    """A row and [lo, hi]: random, equal ends, ends one ulp apart, ends at
-    0, or ends a few ulps around the computed crossing."""
-    row = sign, q, a, coeff = draw(rows(number, nan))
-    shape = draw(st.sampled_from(["random", "equal", "ulp", "zero", "crossing"]))
+def cases(draw, number=_number, finite=False):
+    """A row and [lo, hi]: random, equal ends, ends one ulp apart, an end
+    at 0, ends around 0, or ends a few ulps around the computed crossing."""
+    row = sign, q, a, coeff = draw(rows(number, finite))
+    shape = draw(st.sampled_from(["random", "equal", "ulp", "zero", "around", "crossing"]))
     x = draw(number)
     if shape == "random":
         lo, hi = sorted([x, draw(number)])
@@ -89,6 +91,8 @@ def cases(draw, number=_number, nan=True):
         lo, hi = x, math.nextafter(x, math.inf)
     elif shape == "zero":
         lo, hi = sorted([draw(st.sampled_from([0.0, -0.0])), x])
+    elif shape == "around":
+        lo, hi = -abs(x), abs(draw(number))
     else:
         with np.errstate(all="ignore"):
             cross = np.float64(a - q) / np.float64(sign - coeff)
@@ -104,25 +108,23 @@ def cases(draw, number=_number, nan=True):
 
 @settings(max_examples=500, deadline=None)
 @given(case=cases())
+@example(case=((1.0, math.inf, 0.0, math.inf), (-1.0, 1.0)))  # inf/inf crossing
+@example(case=((-1.0, -math.inf, 2.0, -math.inf), (-3.0, 0.5)))
 def test_rule_is_a_lower_bound_over_the_range(case):
     (sign, q, a, coeff), (lo, hi) = case
     cond = _cond(sign, q, a, coeff)
-    if any(math.isnan(v) for v in (q, a, coeff)):
+    points = _spread(lo, hi)
+    with np.errstate(all="ignore"):
+        margins = cond.margin(points, 0)
+        # a row is undefined only at an end or, with an infinite slope, at 0
+        ends = np.array([lo, hi] + ([0.0] if lo <= 0.0 <= hi else []))
+        undefined = np.isnan(cond.margin(ends, 0)).any()
+    if undefined:
         with pytest.raises(DomainError, match=r"^C undefined at \[1\.0, [12]\.0\]$"):
             _sampled("C", cond, [lo, hi])
         return
-    points = _spread(lo, hi)
-    with np.errstate(all="ignore"):
-        margins = cond.margin(np.r_[points, 0.0 if lo <= 0.0 <= hi else lo], 0)
-    try:
-        r = _sampled("C", cond, [lo, hi])
-    except DomainError:
-        # only a row undefined somewhere in the range: inf - inf or inf * 0
-        assert np.isnan(margins).any()
-        return
-    assert not np.isnan(margins[[0, -2]]).any()  # both ends are defined
-    defined = margins[~np.isnan(margins)]
-    assert r.worst_margin <= defined.min()
+    r = _sampled("C", cond, [lo, hi])
+    assert r.worst_margin <= margins.min()
     assert r.witness[0] == 1.0 and r.witness[1] in (1.0, 2.0)
     assert r.samples_used == 2
 
@@ -139,7 +141,7 @@ def _exact_min(sign, q, a, coeff, lo, hi):
 
 
 @settings(max_examples=500, deadline=None)
-@given(case=cases(number=_moderate, nan=False))
+@given(case=cases(number=_moderate, finite=True))
 def test_rule_is_the_exact_minimum_up_to_rounding(case):
     (sign, q, a, coeff), (lo, hi) = case
     r = _sampled("C", _cond(sign, q, a, coeff), [lo, hi])
@@ -215,9 +217,10 @@ def test_rounding_plateau_takes_first_index():
 
 
 def test_infinite_coeff_is_undefined_at_zero():
-    # coeff*w is inf * 0 at w = 0, where the lines cross: the row is
-    # undefined there, and the witness is the sample of w = 0
-    cond = _cond(1.0, [1.0], [0.0], [math.inf])
+    # coeff*w is inf * 0 at w = 0, inside the range: the row is undefined
+    # there, though its crossing is inf/inf and both ends are +inf, and the
+    # witness is the sample of w = 0
+    cond = _cond(1.0, [math.inf], [0.0], [math.inf])
     ws = np.array([-1.0, 1.0, 0.0, 2.0])
     with pytest.raises(DomainError, match=r"^C undefined at \[1\.0, 3\.0\]$"):
         _sampled("C", cond, ws)
